@@ -1,18 +1,18 @@
-"""Balance overhead benchmark: the remap layer must not tax decoding.
+"""Balance overhead benchmark: an idle control plane changes nothing.
 
-:class:`~repro.balance.BalancedDecoder` replaces the base decoder's
-arithmetic with two materialized-array gathers, and the balanced array
-engine consults it on every steering horizon.  This benchmark A/B-times
-the same global write budget through the static engine and through the
-balanced engine with an idle control loop (an effectively infinite
-rebalance horizon, so no swaps fire) — isolating the pure cost of the
-remap indirection on the hot path — and pins the balanced run to within
-10% of the static run (plus a small absolute slack for timer noise on
-sub-second runs).
+A static array and a balanced one run the same
+:class:`~repro.array.ArrayEngine` loop through the same
+:class:`~repro.balance.BalancedDecoder` map; the balanced run only adds
+control events.  This benchmark runs one global write budget both ways,
+the balanced run with an idle control loop (an effectively infinite
+rebalance horizon, so no swaps fire), and asserts the two reports are
+equal.  The cost of that shared path is guarded by the end-to-end
+``array-static`` workload in ``benchmarks/e2e``.
 
 A bulk-decode microbench rides along: two million mixed lookups through
-both decoders, pinning the gather path to at most the arithmetic path's
-wall-clock (it is typically *faster*; 1.5x is a generous ceiling).
+the base decoder's arithmetic and through the map's gathers, pinning
+the gather path to at most the arithmetic path's wall-clock (it is
+typically *faster*; 1.5x is a generous ceiling).
 """
 
 import time
@@ -55,11 +55,9 @@ def _bulk_decode(decoder, addresses):
     return time.perf_counter() - started
 
 
-def test_balanced_decoder_overhead_is_bounded(benchmark, once, capsys):
-    # Interleave A/B/A so cache warm-up lands on neither side's tally.
-    _warm, warm_s = _engine_run(False)
-    balanced_result, balanced_s = _engine_run(True)
+def test_idle_balanced_run_equals_static(benchmark, once, capsys):
     static_result, static_s = once(benchmark, _engine_run, False)
+    balanced_result, balanced_s = _engine_run(True)
 
     base = InterleavedDecoder(SHARDS, TOTAL_BLOCKS // SHARDS,
                               page_blocks=PAGE_BLOCKS)
@@ -71,23 +69,19 @@ def test_balanced_decoder_overhead_is_bounded(benchmark, once, capsys):
 
     with capsys.disabled():
         print()
-        print(f"{GLOBAL_WRITES:,} writes: static {static_s:.2f}s "
-              f"(warm-up {warm_s:.2f}s), balanced {balanced_s:.2f}s "
-              f"({balanced_s / static_s:.2f}x); {LOOKUPS:,} decodes: "
+        print(f"{GLOBAL_WRITES:,} writes: static {static_s:.2f}s, "
+              f"idle balanced {balanced_s:.2f}s; {LOOKUPS:,} decodes: "
               f"arithmetic {base_decode_s:.3f}s, "
               f"gather {wrapped_decode_s:.3f}s")
 
-    # Both engines served the whole budget and stayed healthy.
+    # Both runs served the whole budget and stayed healthy.
     assert static_result.report.total_writes == GLOBAL_WRITES
-    assert balanced_result.report.total_writes == GLOBAL_WRITES
     assert static_result.report.dead_shards == ()
-    assert balanced_result.report.dead_shards == ()
-    # No swaps fired: the only difference is the remap indirection.
+    # No swaps fired, so the idle control plane leaves the run as it is.
     counters = balanced_result.snapshot["counters"]
     assert counters.get("balance.remap-swaps", 0) == 0
-    # The pin: the remap layer costs at most 10% of the static engine's
-    # wall-clock (plus timer-noise slack on sub-second runs).
-    assert balanced_s <= static_s * 1.10 + 0.25, (balanced_s, static_s)
+    assert balanced_result.report.as_dict() \
+        == static_result.report.as_dict()
     # The gathers must not be slower than the arithmetic they replace.
     assert wrapped_decode_s <= base_decode_s * 1.5 + 0.05, (
         wrapped_decode_s, base_decode_s)

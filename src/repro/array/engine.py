@@ -6,7 +6,8 @@ full :class:`~repro.sim.fast.FastEngine` run as a grid cell of the
 parallel harness.  Shards never share state; what couples them is pure
 arithmetic:
 
-* the :class:`~repro.array.decoder.InterleavedDecoder` projects the
+* one address map — a :class:`~repro.balance.BalancedDecoder` over the
+  :class:`~repro.array.decoder.InterleavedDecoder` — projects the
   global distribution into per-shard local mass vectors (a shard's
   *share* is its mass);
 * a **global write clock** relates the shards: a shard with share ``f``
@@ -23,10 +24,16 @@ clock wins (ties broken by shard id):
     the death point (epoch-aligned) so the merged result describes the
     array at the moment it stopped.
 ``degraded``
-    The dead shard drops out of the decoder: its local mass re-decodes
-    round-robin onto the survivors, whose traces gain a new segment at
-    their next epoch boundary, and the array keeps serving at reduced
-    usable capacity until the last shard dies (or the budget runs out).
+    The dead shard drops out of the map: its addresses re-home
+    round-robin onto the survivors (:meth:`BalancedDecoder.rehome
+    <repro.balance.BalancedDecoder.rehome>`), whose traces gain a new
+    segment at their next epoch boundary, and the array keeps serving at
+    reduced usable capacity until the last shard dies (or the budget
+    runs out).
+
+A static array and a balanced one run the same loop; steering
+checkpoints and the elastic shard addition are control events on the
+global clock, and a static array simply has none.
 
 Determinism: per-shard seeds derive from the array seed and shard index
 only, segment boundaries and write caps are quantized to whole epochs,
@@ -40,8 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Set,
-                    Tuple)
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -57,9 +63,6 @@ from ..units import blocks_of_pages, ceil_div, page_count
 from .decoder import INTERLEAVE_MODES, InterleavedDecoder
 from .report import ArrayEndOfLifeReport, ShardCensus
 from .shard import idle_result, run_shard_cell, shard_seed
-
-if TYPE_CHECKING:  # pragma: no cover - cycle guard: balance wraps our decoder
-    from ..balance import BalancedDecoder, LevelerPolicy, ShardHealthModel
 
 #: Array end-of-life policies.
 ARRAY_POLICIES: Tuple[str, ...] = ("fail-stop", "degraded")
@@ -150,6 +153,8 @@ class _ShardState:
     #: ``(local_start, global_start, share)`` pieces of the clock map.
     pieces: List[Tuple[int, float, float]]
     result: Optional[dict] = None
+    #: The trace changed after ``result`` was recorded: re-run.
+    stale: bool = False
     dead: bool = False
     death_global: Optional[float] = None
     #: Fail-stop: epoch-aligned local write cap for the truncation re-run.
@@ -195,15 +200,17 @@ class ArrayEngine:
                  label: str = "array", jobs: int = 1, batch: int = 1,
                  schedule: Optional[FaultSchedule] = None,
                  progress: Optional[ProgressFn] = None) -> None:
+        # Imported here: repro.balance wraps this package's decoder.
+        from ..balance import BalancedDecoder, LevelerPolicy, ShardHealthModel
         self.config = config
         self.label = label
         self.jobs = jobs
         self.batch = batch
         self.schedule = schedule
         self.progress = progress
-        self.decoder = InterleavedDecoder(
+        self.decoder = BalancedDecoder(InterleavedDecoder(
             config.num_shards, config.software_blocks,
-            interleave=config.interleave, page_blocks=config.page_blocks)
+            interleave=config.interleave, page_blocks=config.page_blocks))
         if trace.virtual_blocks < self.decoder.global_blocks:
             raise ConfigurationError(
                 f"trace covers {trace.virtual_blocks} blocks, the array "
@@ -212,11 +219,19 @@ class ArrayEngine:
         folded = trace.restricted_to(self.decoder.global_blocks)
         self.probabilities = folded.probabilities
         self.result: Optional[ArrayResult] = None
-        #: True when the run goes through the balance control plane.
-        self.balanced = (config.balance
-                         or config.add_shard_at is not None)
-        self.bdecoder: Optional["BalancedDecoder"] = None
-        self.health: Optional["ShardHealthModel"] = None
+        #: The balance control plane, live only when steering or growth
+        #: is configured: a static run carries no health model, no
+        #: leveler and no ``balance.*`` metrics.
+        self.health: Optional[ShardHealthModel] = None
+        self._policy: Optional[LevelerPolicy] = None
+        if config.balance or config.add_shard_at is not None:
+            self.health = ShardHealthModel(
+                config.num_shards,
+                endurance_budget=config.shard_blocks * config.mean_endurance,
+                seed=config.seed)
+            if config.balance:
+                self._policy = LevelerPolicy(budget=config.remap_budget,
+                                            min_gap=config.min_risk_gap)
         self._states: List[_ShardState] = []
         self._seeds: List[int] = []
         self._migration_writes = 0
@@ -250,206 +265,136 @@ class ArrayEngine:
     # ------------------------------------------------------------------- run
 
     def run(self) -> ArrayResult:
-        """Simulate the array to its end of life; return the merged result."""
-        if self.balanced:
-            return self._run_balanced()
-        cfg = self.config
-        states = [self._boot_state(i) for i in range(cfg.num_shards)]
-        seeds = [shard_seed(cfg.seed, i) for i in range(cfg.num_shards)]
-        dead_order: List[int] = []
-        pending = [i for i in range(cfg.num_shards) if states[i].share > 0]
-        for i in range(cfg.num_shards):
-            if states[i].share <= 0:
-                states[i].result = idle_result(i, cfg.software_blocks)
-        rounds = 0
-        stop: Optional[StopReason] = None
-        while stop is None:
-            rounds += 1
-            self._run_round(rounds, pending, states, seeds)
-            deaths: List[Tuple[float, int]] = []
-            for i, state in enumerate(states):
-                record = state.result
-                if (state.dead or record is None
-                        or record["stop"] == StopCause.MAX_WRITES.value):
-                    continue
-                deaths.append((self._global_at_local(
-                    state, int(record["local_writes"])), i))
-            deaths.sort()
-            if not deaths:
-                stop = StopReason(StopCause.MAX_WRITES)
-                break
-            death_global, victim = deaths[0]
-            states[victim].dead = True
-            states[victim].death_global = death_global
-            dead_order.append(victim)
-            live = [i for i in range(cfg.num_shards) if not states[i].dead]
-            if cfg.policy == "fail-stop":
-                pending = self._truncate_survivors(states, live,
-                                                   death_global)
-                if pending:
-                    rounds += 1
-                    self._run_round(rounds, pending, states, seeds)
-                stop = StopReason(
-                    StopCause.SHARD_FAILED,
-                    f"shard {victim} at ~{int(death_global):,} "
-                    f"global writes")
-                break
-            if not live:
-                stop = StopReason(StopCause.EXHAUSTED, "all shards dead")
-                break
-            pending = self._redistribute(states, victim, live, death_global)
-        return self._assemble(states, dead_order, stop, rounds)
+        """Simulate the array to its end of life; return the merged result.
 
-    # ----------------------------------------------------------- balanced run
-
-    def _run_balanced(self) -> ArrayResult:
-        """The balance control plane: steering + elastic growth.
-
-        Same round structure as the legacy loop, with two additions: a
-        rolling *horizon* (the next scheduled control event on the
-        global clock) caps every cell run, and when a round ends with
-        every live shard parked at the horizon the event fires — feed
-        the health model, add the scheduled shard, plan bounded swaps —
-        before the loop resumes.  Deaths always take priority over
-        control events, and an event that a death overtakes slips to the
-        death's global time so segment boundaries stay monotone.
+        Each round re-runs the live shards whose recorded run is out of
+        date, capped at the *horizon*: the next scheduled control event
+        (a steering checkpoint or the shard addition) on the global
+        clock.  A static array has no control events, so its shards run
+        to their own stop conditions.  The earliest death on the global
+        clock wins; deaths take priority over control events, and an
+        event a death overtakes slips to the death's global time so
+        segment boundaries stay monotone.  When a round ends with every
+        live shard parked at the horizon, the event fires — feed the
+        health model, add the scheduled shard, plan bounded swaps — and
+        the loop resumes.
         """
-        from ..balance.health import ShardHealthModel
-        from ..balance.leveler import LevelerPolicy
-        from ..balance.remap import BalancedDecoder
         cfg = self.config
-        bdec = BalancedDecoder(self.decoder)
-        self.bdecoder = bdec
-        health = ShardHealthModel(
-            cfg.num_shards,
-            endurance_budget=cfg.shard_blocks * cfg.mean_endurance,
-            seed=cfg.seed)
-        self.health = health
-        policy = LevelerPolicy(budget=cfg.remap_budget,
-                               min_gap=cfg.min_risk_gap)
         states = self._states = [self._boot_state(i)
                                  for i in range(cfg.num_shards)]
-        seeds = self._seeds = [shard_seed(cfg.seed, i)
-                               for i in range(cfg.num_shards)]
+        self._seeds = [shard_seed(cfg.seed, i)
+                       for i in range(cfg.num_shards)]
         dead_order: List[int] = []
-        add_at = (float(cfg.add_shard_at)
-                  if cfg.add_shard_at is not None else None)
-        next_balance = (float(cfg.balance_every)
-                        if cfg.balance and cfg.balance_every is not None
-                        else None)
+        add_at = float(cfg.add_shard_at or math.inf)
+        step = float(cfg.balance_every or math.inf) if cfg.balance \
+            else math.inf
+        next_balance = step
         rounds = 0
         stop: Optional[StopReason] = None
         while stop is None:
-            horizon = self._next_horizon(add_at, next_balance)
-            pending = self._pending_shards(states, horizon)
+            horizon = self._next_horizon(min(add_at, next_balance))
             rounds += 1
-            self._run_round(rounds, pending, states, seeds, horizon=horizon)
-            deaths: List[Tuple[float, int]] = []
-            for i, state in enumerate(states):
-                record = state.result
-                if (state.dead or record is None
-                        or record["stop"] == StopCause.MAX_WRITES.value):
-                    continue
-                deaths.append((self._global_at_local(
-                    state, int(record["local_writes"])), i))
-            deaths.sort()
-            live = [i for i in range(len(states)) if not states[i].dead]
-            self._observe_health(health, states, live)
-            if deaths:
-                death_global, victim = deaths[0]
-                victim_record = states[victim].result
-                victim_writes = (float(victim_record["local_writes"])
-                                 if victim_record is not None else 0.0)
-                health.observe(victim, victim_writes,
-                               self._failed_fraction(victim_record),
-                               dead=True)
-                states[victim].dead = True
-                states[victim].death_global = death_global
+            self._run_round(rounds, self._pending_shards(horizon), horizon)
+            live = [i for i, state in enumerate(states) if not state.dead]
+            self._observe_health(live)
+            death = self._first_death()
+            if death is not None:
+                death_global, victim = death
+                self._mark_dead(victim, death_global)
                 dead_order.append(victim)
-                live = [i for i in range(len(states))
-                        if not states[i].dead]
+                live.remove(victim)
                 if cfg.policy == "fail-stop":
-                    pending = self._truncate_survivors(states, live,
-                                                       death_global)
+                    pending = self._truncate_survivors(live, death_global)
                     if pending:
                         rounds += 1
-                        self._run_round(rounds, pending, states, seeds)
+                        self._run_round(rounds, pending)
                     stop = StopReason(
                         StopCause.SHARD_FAILED,
                         f"shard {victim} at ~{int(death_global):,} "
                         f"global writes")
-                    break
-                if not live:
+                elif not live:
                     stop = StopReason(StopCause.EXHAUSTED,
                                       "all shards dead")
-                    break
-                affected = self._rehome_victim(victim, live)
-                if cfg.balance:
-                    affected |= self._steer(health, live, policy)
-                self._apply_masses(states, affected, death_global)
-                # Control events a death overtakes slip to the death's
-                # global time, keeping segment boundaries monotone.
-                if add_at is not None:
+                else:
+                    self._redistribute(victim, live, death_global)
+                    self._apply_masses(self._steer(live), death_global)
                     add_at = max(add_at, death_global)
-                if next_balance is not None:
                     next_balance = max(next_balance, death_global)
                 continue
             if horizon is None:
                 stop = StopReason(StopCause.MAX_WRITES)
-                break
-            affected = set()
-            if add_at is not None and horizon >= add_at:
+                continue
+            affected: Set[int] = set()
+            if horizon >= add_at:
                 affected |= self.add_shard(horizon)
-                add_at = None
-            if (cfg.balance and next_balance is not None
-                    and horizon >= next_balance):
-                affected |= self._steer(health, live, policy)
-                assert cfg.balance_every is not None
-                next_balance = horizon + float(cfg.balance_every)
-            self._apply_masses(states, affected, horizon)
+                add_at = math.inf
+            if horizon >= next_balance:
+                affected |= self._steer(live)
+                next_balance = horizon + step
+            self._apply_masses(affected, horizon)
         return self._assemble(states, dead_order, stop, rounds)
 
-    def _next_horizon(self, add_at: Optional[float],
-                      next_balance: Optional[float]) -> Optional[float]:
-        """Earliest scheduled control event still inside the budget."""
-        candidates = [at for at in (add_at, next_balance) if at is not None]
-        if not candidates:
+    def _next_horizon(self, event: float) -> Optional[float]:
+        """The next control event's global time, if inside the budget."""
+        if event == math.inf or (self.config.max_writes is not None
+                                 and event >= self.config.max_writes):
             return None
-        horizon = min(candidates)
-        if (self.config.max_writes is not None
-                and horizon >= float(self.config.max_writes)):
-            return None
-        return horizon
+        return event
 
-    def _pending_shards(self, states: List[_ShardState],
-                        horizon: Optional[float]) -> List[int]:
-        """Live shards whose recorded run does not reach the current cap."""
+    def _pending_shards(self, horizon: Optional[float]) -> List[int]:
+        """Live shards whose recorded run is out of date.
+
+        A record is out of date when the shard has none yet, when its
+        trace changed after the record was made (``stale``), or when it
+        stopped at its write cap and the cap has moved.  A record ending
+        in a death that no trace change touched stands as it is.
+        """
         pending = []
-        for i, state in enumerate(states):
+        for i, state in enumerate(self._states):
             if state.dead or state.share <= 0:
                 if state.result is None:
                     state.result = idle_result(
                         i, self.config.software_blocks)
                 continue
             record = state.result
-            if record is None:
-                pending.append(i)
-                continue
-            if record["stop"] != StopCause.MAX_WRITES.value:
-                continue  # an unprocessed death: no re-run, no new cap
-            if int(record["local_writes"]) != self._cap_for(state, horizon):
+            if (record is None or state.stale
+                    or (record["stop"] == StopCause.MAX_WRITES.value
+                        and int(record["local_writes"])
+                        != self._cap_for(state, horizon))):
                 pending.append(i)
         return pending
 
-    def _observe_health(self, health: "ShardHealthModel",
-                        states: List[_ShardState],
-                        live: List[int]) -> None:
+    def _first_death(self) -> Optional[Tuple[float, int]]:
+        """``(global write, shard)`` of the earliest unprocessed death."""
+        deaths: List[Tuple[float, int]] = []
+        for i, state in enumerate(self._states):
+            record = state.result
+            if (not state.dead and record is not None
+                    and record["stop"] != StopCause.MAX_WRITES.value):
+                deaths.append((self._global_at_local(
+                    state, int(record["local_writes"])), i))
+        return min(deaths) if deaths else None
+
+    def _mark_dead(self, victim: int, death_global: float) -> None:
+        state = self._states[victim]
+        state.dead = True
+        state.death_global = death_global
+        if self.health is not None:
+            record = state.result
+            writes = (float(record["local_writes"])
+                      if record is not None else 0.0)
+            self.health.observe(victim, writes,
+                                self._failed_fraction(record), dead=True)
+
+    def _observe_health(self, live: List[int]) -> None:
         """Feed every live shard's latest record into the health model."""
+        if self.health is None:
+            return
         for i in live:
-            record = states[i].result
+            record = self._states[i].result
             if record is not None:
-                health.observe(i, float(record["local_writes"]),
-                               self._failed_fraction(record))
+                self.health.observe(i, float(record["local_writes"]),
+                                    self._failed_fraction(record))
 
     @staticmethod
     def _failed_fraction(record: Optional[dict]) -> float:
@@ -461,29 +406,23 @@ class ArrayEngine:
         return float(value) if isinstance(value, (int, float)) \
             and not isinstance(value, bool) else 0.0
 
-    def _rehome_victim(self, victim: int, live: List[int]) -> Set[int]:
-        """Degraded death through the elastic map; returns changed shards."""
-        assert self.bdecoder is not None
-        affected_addresses = self.bdecoder.rehome(victim, live)
-        self._states[victim].mass = np.zeros_like(
-            self._states[victim].mass)
-        owners = self.bdecoder.shard_of(affected_addresses)
-        return {int(s) for s in np.unique(np.asarray(owners))}
+    def _steer(self, live: List[int]) -> Set[int]:
+        """One bounded leveler round; returns the shards whose map changed.
 
-    def _steer(self, health: "ShardHealthModel", live: List[int],
-               policy: "LevelerPolicy") -> Set[int]:
-        """One bounded leveler round; returns the shards whose map changed."""
+        A no-op when steering is off.
+        """
         from ..balance.leveler import plan_swaps
-        assert self.bdecoder is not None
-        swaps = plan_swaps(self.bdecoder, self.probabilities,
-                           health.risks(), live, policy)
+        if self.health is None or self._policy is None:
+            return set()
+        swaps = plan_swaps(self.decoder, self.probabilities,
+                           self.health.risks(), live, self._policy)
         affected: Set[int] = set()
         if swaps:
             self._remap_swaps += len(swaps)
             self._migration_writes += 2 * len(swaps)
             for hot, cold in swaps:
-                affected.add(int(self.bdecoder.shard_of(hot)))
-                affected.add(int(self.bdecoder.shard_of(cold)))
+                affected.add(int(self.decoder.shard_of(hot)))
+                affected.add(int(self.decoder.shard_of(cold)))
         return affected
 
     def add_shard(self, at_global: float) -> Set[int]:
@@ -495,12 +434,12 @@ class ArrayEngine:
         donor shards whose traffic changed (the new shard's own state is
         installed directly).
         """
-        assert self.bdecoder is not None and self.health is not None
+        assert self.health is not None  # built whenever add_shard_at is set
         cfg = self.config
-        movers, donors = self.bdecoder.add_shard()
+        movers, donors = self.decoder.add_shard()
         new_index = len(self._states)
         self._seeds.append(shard_seed(cfg.seed, new_index))
-        mass = self.bdecoder.local_mass(self.probabilities, new_index)
+        mass = self.decoder.local_mass(self.probabilities, new_index)
         state = _ShardState(
             mass=mass, segments=[(0, mass.copy())],
             pieces=[(0, float(at_global), float(mass.sum()))])
@@ -512,23 +451,15 @@ class ArrayEngine:
         self._shards_added += 1
         return {int(s) for s in np.unique(np.asarray(donors))}
 
-    def _apply_masses(self, states: List[_ShardState],
-                      affected: Iterable[int], at_global: float) -> None:
+    def _apply_masses(self, affected: Iterable[int],
+                      at_global: float) -> None:
         """Re-project masses for *affected* shards at the event boundary."""
-        assert self.bdecoder is not None
         for i in sorted(set(affected)):
-            state = states[i]
-            if state.dead:
-                continue
-            new_mass = self.bdecoder.local_mass(self.probabilities, i)
-            boundary = self._epoch_ceil(
-                self._local_at_global(state, at_global))
-            boundary = max(boundary, state.segments[-1][0])
-            global_at_boundary = max(
-                at_global, self._global_at_local(state, boundary))
-            state.mass = new_mass
-            self._append_segment(state, boundary, new_mass.copy(),
-                                 global_at_boundary)
+            state = self._states[i]
+            if not state.dead:
+                self._append_segment(
+                    state, self.decoder.local_mass(self.probabilities, i),
+                    at_global)
 
     # ---------------------------------------------------------------- rounds
 
@@ -538,27 +469,28 @@ class ArrayEngine:
                            pieces=[(0, 0.0, float(mass.sum()))])
 
     def _run_round(self, round_no: int, pending: List[int],
-                   states: List[_ShardState], seeds: List[int],
                    horizon: Optional[float] = None) -> None:
         """Run the pending shards' cells and record their results.
 
-        *horizon* (balanced runs) caps every cell at the epoch boundary
-        covering that global write count, so a control event can fire
-        with all live shards parked at the same point of the clock.
+        *horizon* caps every cell at the epoch boundary covering that
+        global write count, so a control event can fire with all live
+        shards parked at the same point of the clock.
         """
         if not pending:
             return
+        states = self._states
         cells = []
         for i in pending:
             key = f"{self.label}/r{round_no}/s{i}"
             cells.append(Cell(key=key, fn=_CELL_FN,
-                              kwargs=self._cell_kwargs(i, states[i],
-                                                       seeds[i], horizon)))
+                              kwargs=self._cell_kwargs(
+                                  i, states[i], self._seeds[i], horizon)))
         runner = GridRunner(jobs=self.jobs, progress=self.progress,
                             batch=self.batch)
         values = runner.run(cells)
         for i in pending:
             states[i].result = values[f"{self.label}/r{round_no}/s{i}"]
+            states[i].stale = False
 
     def _cap_for(self, state: _ShardState,
                  horizon: Optional[float] = None) -> Optional[int]:
@@ -597,8 +529,7 @@ class ArrayEngine:
                     telemetry=cfg.telemetry,
                     label=f"{self.label}/s{shard}")
 
-    def _truncate_survivors(self, states: List[_ShardState],
-                            live: List[int],
+    def _truncate_survivors(self, live: List[int],
                             death_global: float) -> List[int]:
         """Fail-stop: cap every survivor at the death point (epoch-aligned).
 
@@ -607,7 +538,7 @@ class ArrayEngine:
         """
         pending = []
         for i in live:
-            state = states[i]
+            state = self._states[i]
             cap = self._epoch_ceil(
                 self._local_at_global(state, death_global))
             assert state.result is not None
@@ -616,56 +547,61 @@ class ArrayEngine:
                 pending.append(i)
         return pending
 
-    def _redistribute(self, states: List[_ShardState], victim: int,
-                      live: List[int], death_global: float) -> List[int]:
-        """Degraded mode: re-decode the dead shard's mass onto survivors.
+    def _redistribute(self, victim: int, live: List[int],
+                      death_global: float) -> None:
+        """Degraded mode: move the dead shard's traffic onto survivors.
 
-        Local address ``l`` of the dead shard re-homes to the survivor at
-        round-robin position ``l mod len(live)``, at the same local
-        position — deterministic, capacity-free, and spreading any hot
-        set of the dead shard across every survivor.  Returns the shards
-        whose traffic actually changed (only those re-run).
+        The map decides where it goes (:meth:`BalancedDecoder.rehome`
+        holds the re-home rule); each survivor then gains the dead
+        shard's mass at exactly the slots it received, on a new trace
+        segment.  Survivors that inherit no mass keep their trace and
+        their recorded run.
+
+        Survivor masses are carried incrementally rather than
+        re-projected with ``local_mass``: its scatter-add sums a slot's
+        addresses in address order, which after a second death differs
+        from this running sum in the last bit, and those low-order bits
+        change the trace draws.
         """
-        cfg = self.config
-        dead_mass = states[victim].mass
-        states[victim].mass = np.zeros_like(dead_mass)
-        positions = np.arange(cfg.software_blocks, dtype=np.int64)
-        pending = []
-        for slot, survivor in enumerate(live):
-            take = positions % len(live) == slot
+        moved = self.decoder.rehome(victim, live)
+        owners, slots = self.decoder.decode(moved)
+        dead_mass = self._states[victim].mass
+        self._states[victim].mass = np.zeros_like(dead_mass)
+        for survivor in live:
+            take = np.zeros(dead_mass.size, dtype=bool)
+            take[slots[owners == survivor]] = True
             inherited = dead_mass[take]
             if inherited.sum() <= 0:
                 continue
-            state = states[survivor]
-            state.mass = state.mass.copy()
-            state.mass[take] += inherited
-            boundary = self._epoch_ceil(
-                self._local_at_global(state, death_global))
-            global_at_boundary = max(
-                death_global, self._global_at_local(state, boundary))
-            self._append_segment(state, boundary, state.mass.copy(),
-                                 global_at_boundary)
-            pending.append(survivor)
-        return pending
+            state = self._states[survivor]
+            mass = state.mass.copy()
+            mass[take] += inherited
+            self._append_segment(state, mass, death_global)
 
-    def _append_segment(self, state: _ShardState, boundary: int,
-                        mass: np.ndarray, global_start: float) -> None:
-        """Extend a shard's trace and clock map at an epoch boundary.
+    def _append_segment(self, state: _ShardState, mass: np.ndarray,
+                        at_global: float) -> None:
+        """Switch *state* to traffic *mass* from the event at *at_global*.
 
-        A boundary equal to the last segment's start *replaces* it — the
-        shard had not consumed any of that segment yet (e.g. an idle
-        shard inheriting its first traffic).
+        The new trace segment and clock piece start at the first epoch
+        boundary the shard reaches at or after *at_global*.  A boundary
+        equal to the last segment's start *replaces* it — the shard had
+        not consumed any of that segment yet (e.g. an idle shard
+        inheriting its first traffic, or two events at one boundary).
+        The shard's recorded run no longer matches its trace, so it is
+        marked stale.
         """
-        segments = list(state.segments)
-        pieces = list(state.pieces)
-        if segments and segments[-1][0] == boundary:
-            segments[-1] = (boundary, mass)
-            pieces[-1] = (boundary, global_start, float(mass.sum()))
-        else:
-            segments.append((boundary, mass))
-            pieces.append((boundary, global_start, float(mass.sum())))
-        state.segments = segments
-        state.pieces = pieces
+        boundary = max(self._epoch_ceil(self._local_at_global(state,
+                                                              at_global)),
+                       state.segments[-1][0])
+        global_start = max(at_global,
+                           self._global_at_local(state, boundary))
+        if state.segments[-1][0] == boundary:
+            state.segments.pop()
+            state.pieces.pop()
+        state.segments.append((boundary, mass.copy()))
+        state.pieces.append((boundary, global_start, float(mass.sum())))
+        state.mass = mass
+        state.stale = True
 
     # -------------------------------------------------------------- assembly
 
@@ -743,7 +679,7 @@ class ArrayEngine:
                          "array.writes": total_writes},
             "gauges": {"array.shards-live":
                        sum(1 for s in states if not s.dead)}}
-        if self.balanced:
+        if self.health is not None:
             extra["counters"]["balance.migration-writes"] = \
                 self._migration_writes
             extra["counters"]["balance.remap-swaps"] = self._remap_swaps

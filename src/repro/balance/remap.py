@@ -19,9 +19,10 @@ as the base decoder would) and then absorbs three kinds of mutation:
 ``rehome``
     Degraded-mode shard death: every address homed on the dead shard
     moves to survivor ``live[slot mod len(live)]`` at the *same* local
-    slot — exactly the array engine's re-decode rule, which makes the
-    map many-to-one (a survivor slot can host inherited addresses on
-    top of its own).
+    slot, which makes the map many-to-one (a survivor slot can host
+    inherited addresses on top of its own).  This is the only
+    implementation of the rule; the array and serving engines both
+    call it.
 
 The map serializes to a sparse :class:`RemapTable` (only non-identity
 entries) that round-trips through JSON, so a control plane can persist
@@ -226,9 +227,10 @@ class BalancedDecoder:
     def rehome(self, dead_shard: int, live: List[int]) -> np.ndarray:
         """Move a dead shard's addresses onto the survivors.
 
-        Applies the array engine's degraded-mode rule: slot ``l`` of the
-        dead shard re-homes to ``live[l mod len(live)]`` at the same
-        slot.  Returns the affected global addresses.
+        The degraded-mode rule: slot ``l`` of the dead shard re-homes
+        to ``live[l mod len(live)]`` at the same slot.  Addresses the
+        dead shard inherited from earlier deaths move with it; nothing
+        else moves.  Returns the affected global addresses.
         """
         if not live:
             raise ConfigurationError("rehome needs at least one survivor")

@@ -2,11 +2,11 @@
 
 :class:`ServiceEngine` runs a closed-loop service on a *virtual clock*:
 a single heap of ``(tick, seq)``-ordered events drives N simulated
-clients, the :class:`~repro.array.InterleavedDecoder` routing, per-shard
-bounded queues with batching windows, admission control, deadline
-budgets with bounded exponential-backoff retries, circuit breakers with
-wear-fed brownout steering, and live degraded-mode failover when a
-fault schedule kills a shard mid-traffic.
+clients, routing through a :class:`~repro.balance.BalancedDecoder`
+address map, per-shard bounded queues with batching windows, admission
+control, deadline budgets with bounded exponential-backoff retries,
+circuit breakers with wear-fed brownout steering, and live
+degraded-mode failover when a fault schedule kills a shard mid-traffic.
 
 No wall clock, no module-level randomness: every tick is an integer,
 every draw flows through :func:`repro.rng.derive_rng`, and the event
@@ -86,13 +86,14 @@ class ServiceEngine:
     def __init__(self, config: ServeConfig,
                  schedule: Optional[FaultSchedule] = None) -> None:
         self.config = config
-        base = InterleavedDecoder(config.num_shards, config.shard_blocks,
-                                  interleave=config.interleave,
-                                  page_blocks=config.page_blocks)
+        #: The address map every request routes through; degraded
+        #: deaths and growth mutate it, steering swaps entries in it.
+        self.decoder = BalancedDecoder(InterleavedDecoder(
+            config.num_shards, config.shard_blocks,
+            interleave=config.interleave, page_blocks=config.page_blocks))
         #: True when the repro.balance control plane is live: steering,
         #: elastic growth, or both.
         self.balanced = config.balance or config.add_shard_at is not None
-        self.decoder: Any = BalancedDecoder(base) if self.balanced else base
         self.health: Optional[ShardHealthModel] = None
         self._policy: Optional[LevelerPolicy] = None
         if self.balanced:
@@ -255,28 +256,22 @@ class ServiceEngine:
         return [s.sid for s in self.stations if s.alive]
 
     def _route(self, request: Request) -> None:
-        live = self._live()
-        if not live:
+        sid = int(self.decoder.shard_of(request.address))
+        if not self.stations[sid].alive:
+            # A degraded death re-homes its addresses in the map at the
+            # kill, so a dead home means fail-stop (or no survivor).
             self._finish(request, "failed")
             return
-        sid, local = (int(v) for v in self.decoder.decode(request.address))
-        if not self.stations[sid].alive:
-            if self.config.policy == "fail-stop":
-                self._finish(request, "failed")
-                return
-            # The array's degraded re-home rule: the dead shard's local
-            # address keeps its position, on the survivor it hashes to.
-            sid = live[local % len(live)]
         if request.is_write:
-            sid = self._steer(sid, live)
+            sid = self._steer(sid)
         self._admit(self.stations[sid], request)
 
-    def _steer(self, sid: int, live: List[int]) -> int:
+    def _steer(self, sid: int) -> int:
         """Wear-fed brownout: steer writes off a worn-out shard."""
         config = self.config
         if self.stations[sid].wear_fraction() < config.brownout_wear:
             return sid
-        fresh = [s for s in live
+        fresh = [s for s in self._live()
                  if self.stations[s].wear_fraction() < config.brownout_wear]
         if not fresh:
             return sid  # everything is browned out; wear evenly
@@ -440,9 +435,7 @@ class ServiceEngine:
             self.health.observe(station.sid, station.writes_served, 0.0,
                                 dead=True)
         live = self._live()
-        if (self.balanced and self.config.policy == "degraded" and live):
-            # Fold the degraded re-home rule into the balanced map, so
-            # later steering rounds see the survivors' true ownership.
+        if self.config.policy == "degraded" and live:
             self.decoder.rehome(station.sid, live)
         self._displace(station.drain())
 

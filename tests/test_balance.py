@@ -306,13 +306,14 @@ class TestLeveler:
 
 
 def _array_result(balance=False, add_at=None, schedule=None, jobs=1,
-                  policy="degraded"):
-    config = ArrayConfig(num_shards=3, shard_blocks=128, interleave="page",
-                         page_blocks=16, mean_endurance=100.0,
-                         batch_writes=500, seed=7, policy=policy,
-                         balance=balance,
-                         balance_every=2000 if balance else None,
-                         remap_budget=32, add_shard_at=add_at)
+                  policy="degraded", **overrides):
+    params = dict(num_shards=3, shard_blocks=128, interleave="page",
+                  page_blocks=16, mean_endurance=100.0, batch_writes=500,
+                  seed=7, policy=policy, balance=balance,
+                  balance_every=2000 if balance else None, remap_budget=32,
+                  add_shard_at=add_at)
+    params.update(overrides)
+    config = ArrayConfig(**params)
     decoder = InterleavedDecoder(config.num_shards, config.software_blocks,
                                  interleave="page", page_blocks=16)
     workload = zipf_workload(decoder, exponent=1.0, seed=7)
@@ -345,6 +346,22 @@ class TestArrayBalance:
         # Every swap is charged as two migration writes.
         assert counters["balance.migration-writes"] \
             == 2 * counters["balance.remap-swaps"]
+
+    def test_death_only_steering_without_budget_is_the_static_run(self):
+        # balance_every=None steers only at shard deaths; with no swap
+        # budget the run must equal the static one, which re-runs every
+        # survivor that inherits a dead shard's traffic.
+        static = _array_result()
+        steered = _array_result(balance=True, balance_every=None,
+                                remap_budget=0)
+        assert len(static.report.dead_shards) == 3
+        assert steered.report.as_dict() == static.report.as_dict()
+        assert steered.series.to_payload() == static.series.to_payload()
+        assert any(name.startswith("balance.")
+                   for name in steered.snapshot["counters"])
+        assert not any(name.startswith("balance.")
+                       for kind in static.snapshot.values()
+                       for name in kind)
 
     def test_add_shard_grows_the_array(self):
         grown = _array_result(balance=True, add_at=4000)
@@ -459,12 +476,10 @@ class TestServeBalance:
         assert max(balanced) - min(balanced) < max(static) - min(static)
 
     def test_legacy_serve_snapshot_is_unchanged(self):
-        # The balance fields default off: the engine must construct the
-        # plain InterleavedDecoder and add no balance metrics.
+        # The balance fields default off: the engine must add no balance
+        # metrics.
         config = _serve_config()
-        engine = ServiceEngine(config)
-        assert isinstance(engine.decoder, InterleavedDecoder)
-        result = engine.run(jobs=1)
+        result = ServiceEngine(config).run(jobs=1)
         counters = result.snapshot["counters"]
         assert "serve.remap_swaps" not in counters
         assert "serve.migrated" not in counters

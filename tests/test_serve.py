@@ -10,6 +10,8 @@ import json
 
 import pytest
 
+from repro.array import InterleavedDecoder
+from repro.balance import BalancedDecoder
 from repro.errors import ConfigurationError, ProtocolError
 from repro.faultinject import (FaultAction, FaultSchedule,
                                shard_death_schedule, shard_stall_schedule)
@@ -159,15 +161,52 @@ class TestAccounting:
         config = ServeConfig(num_shards=3, shard_blocks=64, clients=1,
                              total_requests=1, seed=3)
         engine = ServiceEngine(config)
-        engine.stations[1].alive = False
+        engine._kill(engine.stations[1])
         live = [0, 2]
         local = 5
-        address = int(engine.decoder.encode(1, local))
+        address = int(engine.decoder.base.encode(1, local))
         request = Request(rid=0, client=0, address=address, is_write=False,
                           issued_at=0, deadline=100)
         engine._route(request)
         expected = live[local % len(live)]
         assert request in engine.stations[expected].queue
+
+    def test_second_death_moves_only_the_new_casualty(self):
+        """Routing after two kills equals the map after two re-homes: the
+        first casualty's addresses stay on the survivors they went to,
+        and only the second casualty's addresses move."""
+        config = small_config(num_shards=4, total_requests=2000, clients=8)
+        actions = (shard_death_schedule(1, 20, config.shard_blocks).actions
+                   + shard_death_schedule(2, 200, config.shard_blocks)
+                   .actions)
+        engine = ServiceEngine(config, FaultSchedule(actions=actions))
+        kills, routed = [], []
+        kill, admit = engine._kill, engine._admit
+
+        def spy_kill(station):
+            kills.append(station.sid)
+            kill(station)
+
+        def spy_admit(station, request):
+            if len(kills) == 2 and not request.is_write:
+                routed.append((request.address, station.sid))
+            admit(station, request)
+
+        engine._kill, engine._admit = spy_kill, spy_admit
+        engine.run()
+        reference = BalancedDecoder(InterleavedDecoder(
+            config.num_shards, config.shard_blocks,
+            interleave=config.interleave, page_blocks=config.page_blocks))
+        live = list(range(config.num_shards))
+        for victim in kills:
+            live.remove(victim)
+            reference.rehome(victim, live)
+        assert len(kills) == 2
+        first_casualty = [(address, sid) for address, sid in routed
+                          if reference.base.shard_of(address) == kills[0]]
+        assert len(first_casualty) > 10
+        assert all(sid == reference.shard_of(address)
+                   for address, sid in routed)
 
 
 # ---------------------------------------------------- admission control
