@@ -38,9 +38,10 @@ global clock, and a static array simply has none.
 Determinism: per-shard seeds derive from the array seed and shard index
 only, segment boundaries and write caps are quantized to whole epochs,
 and per-segment trace generators are independent — so re-running a
-survivor with appended segments replays its prefix byte-identically, and
-the whole array result (merged telemetry snapshot included) is invariant
-under ``jobs``.
+survivor with appended segments replays its prefix byte-identically, a
+shard parked at its write cap continues its saved engine to the state a
+fresh run would reach, and the whole array result (merged telemetry
+snapshot included) is invariant under ``jobs``.
 """
 
 from __future__ import annotations
@@ -153,8 +154,12 @@ class _ShardState:
     #: ``(local_start, global_start, share)`` pieces of the clock map.
     pieces: List[Tuple[int, float, float]]
     result: Optional[dict] = None
-    #: The trace changed after ``result`` was recorded: re-run.
-    stale: bool = False
+    #: Earliest boundary of a segment appended since ``result`` was
+    #: recorded (``None``: the record matches the trace).
+    changed_at: Optional[int] = None
+    #: ``(engine, context)`` kept from the last run, which stopped at its
+    #: write cap; the next run may continue it (see ``_checkpoint_for``).
+    checkpoint: Optional[tuple] = None
     dead: bool = False
     death_global: Optional[float] = None
     #: Fail-stop: epoch-aligned local write cap for the truncation re-run.
@@ -268,7 +273,9 @@ class ArrayEngine:
         """Simulate the array to its end of life; return the merged result.
 
         Each round re-runs the live shards whose recorded run is out of
-        date, capped at the *horizon*: the next scheduled control event
+        date (continuing a shard's saved engine where
+        :meth:`_checkpoint_for` allows, else from write 0), capped at
+        the *horizon*: the next scheduled control event
         (a steering checkpoint or the shard addition) on the global
         clock.  A static array has no control events, so its shards run
         to their own stop conditions.  The earliest death on the global
@@ -345,9 +352,10 @@ class ArrayEngine:
         """Live shards whose recorded run is out of date.
 
         A record is out of date when the shard has none yet, when its
-        trace changed after the record was made (``stale``), or when it
-        stopped at its write cap and the cap has moved.  A record ending
-        in a death that no trace change touched stands as it is.
+        trace changed after the record was made (``changed_at`` is set),
+        or when it stopped at its write cap and the cap has moved.  A
+        record ending in a death that no trace change touched stands as
+        it is.
         """
         pending = []
         for i, state in enumerate(self._states):
@@ -357,7 +365,7 @@ class ArrayEngine:
                         i, self.config.software_blocks)
                 continue
             record = state.result
-            if (record is None or state.stale
+            if (record is None or state.changed_at is not None
                     or (record["stop"] == StopCause.MAX_WRITES.value
                         and int(record["local_writes"])
                         != self._cap_for(state, horizon))):
@@ -489,8 +497,10 @@ class ArrayEngine:
                             batch=self.batch)
         values = runner.run(cells)
         for i in pending:
-            states[i].result = values[f"{self.label}/r{round_no}/s{i}"]
-            states[i].stale = False
+            record = values[f"{self.label}/r{round_no}/s{i}"]
+            states[i].checkpoint = record.pop("checkpoint", None)
+            states[i].result = record
+            states[i].changed_at = None
 
     def _cap_for(self, state: _ShardState,
                  horizon: Optional[float] = None) -> Optional[int]:
@@ -507,6 +517,28 @@ class ArrayEngine:
             cap = (state.forced_cap if cap is None
                    else min(cap, state.forced_cap))
         return cap
+
+    @staticmethod
+    def _checkpoint_for(state: _ShardState,
+                        cap: Optional[int]) -> Optional[tuple]:
+        """The saved engine *state*'s next run continues, if any.
+
+        Only a record that stopped at its write cap keeps a checkpoint.
+        The shard continues it when the new *cap* is not behind that
+        record's ``local_writes`` and no segment appended since starts
+        behind it either.  Everything else runs fresh from write 0: a
+        degraded re-home behind the shard's position, a fail-stop
+        truncation, a shard's first run.
+        """
+        record = state.result
+        if state.checkpoint is None or record is None:
+            return None
+        writes = int(record["local_writes"])
+        if cap is not None and cap < writes:
+            return None
+        if state.changed_at is not None and state.changed_at < writes:
+            return None
+        return state.checkpoint
 
     def _cell_kwargs(self, shard: int, state: _ShardState, seed: int,
                      horizon: Optional[float] = None) -> dict:
@@ -527,7 +559,8 @@ class ArrayEngine:
                     page_blocks=cfg.page_blocks, segments=segments,
                     max_writes=cap, schedule=schedule_json,
                     telemetry=cfg.telemetry,
-                    label=f"{self.label}/s{shard}")
+                    label=f"{self.label}/s{shard}",
+                    checkpoint=self._checkpoint_for(state, cap))
 
     def _truncate_survivors(self, live: List[int],
                             death_global: float) -> List[int]:
@@ -587,8 +620,8 @@ class ArrayEngine:
         equal to the last segment's start *replaces* it — the shard had
         not consumed any of that segment yet (e.g. an idle shard
         inheriting its first traffic, or two events at one boundary).
-        The shard's recorded run no longer matches its trace, so it is
-        marked stale.
+        The shard's recorded run no longer matches its trace from the
+        boundary on, so ``changed_at`` keeps the earliest such boundary.
         """
         boundary = max(self._epoch_ceil(self._local_at_global(state,
                                                               at_global)),
@@ -601,7 +634,8 @@ class ArrayEngine:
         state.segments.append((boundary, mass.copy()))
         state.pieces.append((boundary, global_start, float(mass.sum())))
         state.mass = mass
-        state.stale = True
+        state.changed_at = (boundary if state.changed_at is None
+                            else min(state.changed_at, boundary))
 
     # -------------------------------------------------------------- assembly
 

@@ -2,17 +2,22 @@
 
 :func:`run_shard_cell` is the module-level grid-cell function the
 :class:`~repro.experiments.parallel.GridRunner` executes (possibly in a
-worker process, which re-imports it by its dotted name).  Everything it
-needs arrives as plain JSON-able data — the segment tables of its
+worker process, which re-imports it by its dotted name).  A fresh cell
+gets plain JSON-able data — the segment tables of its
 :class:`~repro.array.trace.SegmentedTrace`, a per-shard
-:class:`~repro.faultinject.FaultSchedule` as canonical JSON — and
-everything it returns is plain data, so the serial and pooled paths are
+:class:`~repro.faultinject.FaultSchedule` as canonical JSON — and returns
+a plain-data record.  A shard that stopped at its write cap also returns
+its live ``(engine, context)`` as a *checkpoint* beside the record; the
+array hands it back in the shard's next cell, which continues that
+engine instead of re-simulating the shard from write 0.  A checkpoint
+crosses a process pool by pickle, and the serial and pooled paths stay
 bit-for-bit identical (the harness's standing guarantee).
 
 Seeding discipline: each shard receives one integer seed derived by
 :func:`shard_seed` from the array seed and the shard index **only** —
 never from the re-decode round — so re-running a surviving shard with
-extended segments replays its life prefix byte-identically.
+extended segments replays its life prefix byte-identically, and a
+continued checkpoint ends where a fresh run to the same cap ends.
 
 Telemetry: the per-shard snapshot is filtered through
 :func:`deterministic_snapshot` before leaving the cell — phase timers
@@ -22,7 +27,7 @@ differ between runs; their deterministic ``.calls`` twins stay.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +38,7 @@ from ..pcm import AddressGeometry, EnduranceModel, PCMChip
 from ..rng import SeedLike, derive_rng, spawn_seed
 from ..sim.batched import register_batchable
 from ..sim.fast import FastConfig, FastEngine
+from ..sim.stop import StopCause
 from ..telemetry import TelemetrySession, attach_fast
 from ..wl import StartGap
 from .trace import SegmentedTrace
@@ -60,6 +66,12 @@ def deterministic_snapshot(snapshot: Dict[str, Dict[str, object]],
             "histograms": dict(snapshot.get("histograms", {}))}
 
 
+def _segment_tables(segments: list) -> List[Tuple[int, np.ndarray]]:
+    """The JSON ``[[start_write, [probabilities...]], ...]`` form as tables."""
+    return [(int(start), np.asarray(probabilities, dtype=np.float64))
+            for start, probabilities in segments]
+
+
 def build_shard_cell(shard: int, seed: int, device_blocks: int,
                      mean_endurance: float, endurance_cov: float,
                      max_order: int, ecp_k: int, psi: int,
@@ -67,14 +79,21 @@ def build_shard_cell(shard: int, seed: int, device_blocks: int,
                      page_blocks: int, segments: list,
                      max_writes: Optional[int], schedule: Optional[str],
                      telemetry: bool, label: str,
-                     ) -> tuple:
+                     checkpoint: Optional[tuple] = None,
+                     ) -> Optional[tuple]:
     """Assemble one shard stack; returns ``(engine, context)``.
 
     ``segments`` is a list of ``[start_write, [probabilities...]]`` pairs
     (the JSON form of the shard's segmented local trace); ``schedule`` is
     a shard-local fault schedule as canonical JSON, already projected by
     :func:`repro.faultinject.for_shard`.
+
+    A cell carrying a *checkpoint* continues a saved engine, so there is
+    nothing to build: it returns ``None``, and the batched kernel, which
+    takes fresh engines only, hands the cell to :func:`run_shard_cell`.
     """
+    if checkpoint is not None:
+        return None
     geometry = AddressGeometry(num_blocks=device_blocks, block_bytes=64,
                                page_bytes=64 * page_blocks)
     endurance = EnduranceModel(num_blocks=device_blocks,
@@ -84,10 +103,7 @@ def build_shard_cell(shard: int, seed: int, device_blocks: int,
     chip = PCMChip(geometry, ECP(endurance, ecp_k))
     wl = StartGap(device_blocks, config=StartGapConfig(
         psi=psi, seed=spawn_seed(derive_rng(seed, "startgap"))))
-    tables: List[tuple] = [
-        (int(start), np.asarray(probabilities, dtype=np.float64))
-        for start, probabilities in segments]
-    trace = SegmentedTrace(tables, name=f"s{shard}",
+    trace = SegmentedTrace(_segment_tables(segments), name=f"s{shard}",
                            seed=spawn_seed(derive_rng(seed, "trace")))
     config = FastConfig(recovery=recovery, dead_fraction=dead_fraction,
                         batch_writes=batch_writes, max_writes=max_writes,
@@ -120,11 +136,35 @@ def finish_shard_cell(engine: FastEngine, summary: object,
             "snapshot": snapshot}
 
 
-def run_shard_cell(**kwargs: object) -> dict:
-    """Run one shard stack to its stop condition; return plain data."""
-    engine, context = build_shard_cell(**kwargs)  # type: ignore[arg-type]
-    engine.run()
-    return finish_shard_cell(engine, None, context)
+def run_shard_cell(checkpoint: Optional[tuple] = None,
+                   **kwargs: object) -> dict:
+    """Run one shard stack to its stop condition; return its record.
+
+    Without a *checkpoint* the stack is built and run from write 0.  A
+    checkpoint is the ``(engine, context)`` an earlier call for the same
+    shard returned: its trace takes the new ``segments`` (keeping those
+    it has drawn from, :meth:`SegmentedTrace.reschedule`) and the engine
+    resumes to the new ``max_writes``; the other kwargs describe the
+    stack it already is.  Both paths end in the same record.
+
+    A run that stopped at its write cap adds its own checkpoint under
+    ``"checkpoint"``.  A death adds none: nothing continues a death, and
+    keeping the engine would only hold memory.
+    """
+    if checkpoint is None:
+        made = build_shard_cell(**kwargs)  # type: ignore[arg-type]
+        assert made is not None
+        engine, context = made
+        engine.run()
+    else:
+        engine, context = checkpoint
+        engine.trace.reschedule(_segment_tables(
+            kwargs["segments"]))  # type: ignore[arg-type]
+        engine.resume(kwargs["max_writes"])
+    record = finish_shard_cell(engine, None, context)
+    if engine.stop.cause is StopCause.MAX_WRITES:
+        record["checkpoint"] = (engine, context)
+    return record
 
 
 register_batchable(f"{__name__}:run_shard_cell",

@@ -6,14 +6,17 @@ stationary*: one distribution up to the re-decode point, another after
 it.  :class:`SegmentedTrace` models exactly that — an ordered list of
 ``(start_write, probabilities)`` segments over one virtual block space.
 
-Replay determinism is the load-bearing property: the array engine re-runs
-a surviving shard from write zero each round with more segments appended,
-and the shared prefix must reproduce **byte-identical** draws.  Two design
-points guarantee it:
+Replay determinism is the load-bearing property.  A shard parked at its
+write cap continues its saved trace, which :meth:`SegmentedTrace.reschedule`
+hands the segments it has not reached yet; a shard whose trace changed
+behind its position re-runs from write zero with the new segments.  Either
+way the result must equal a fresh run over the final segment list, so the
+shared prefix must reproduce **byte-identical** draws.  Two design points
+guarantee it:
 
 * every segment owns an independent generator derived from the trace seed
-  and the segment *index* (not its content), so appending segment ``k+1``
-  cannot perturb segment ``k``'s stream;
+  and the segment *index* (not its content), so appending or replacing
+  segment ``k+1`` cannot perturb segment ``k``'s stream;
 * a ``batch_counts`` call that falls entirely inside one segment issues
   exactly one multinomial draw from that segment's generator, so as long
   as the caller keeps segment boundaries on epoch boundaries (the array
@@ -33,42 +36,52 @@ from ..rng import SeedLike, derive_rng
 from ..traces.base import WriteTrace
 
 
+def _normalized(segments: Sequence[Tuple[int, np.ndarray]],
+                ) -> Tuple[List[int], List[np.ndarray]]:
+    """Validated segment starts and tables, each table summing to 1."""
+    if not segments:
+        raise ConfigurationError("SegmentedTrace needs >= 1 segment")
+    starts: List[int] = []
+    tables: List[np.ndarray] = []
+    width = -1
+    for start, raw in segments:
+        probabilities = np.asarray(raw, dtype=np.float64)
+        if width < 0:
+            width = len(probabilities)
+        elif len(probabilities) != width:
+            raise ConfigurationError(
+                "all segments must cover the same virtual space")
+        total = probabilities.sum()
+        if total <= 0 or (probabilities < 0).any():
+            raise ConfigurationError(
+                "segment probabilities must be non-negative, sum > 0")
+        starts.append(int(start))
+        tables.append(probabilities / total)
+    if starts[0] != 0:
+        raise ConfigurationError("first segment must start at write 0")
+    if any(b <= a for a, b in zip(starts, starts[1:])):
+        raise ConfigurationError(
+            "segment starts must be strictly increasing")
+    return starts, tables
+
+
 class SegmentedTrace(WriteTrace):
     """Piecewise-stationary trace: scheduled distribution switches."""
 
     def __init__(self, segments: Sequence[Tuple[int, np.ndarray]],
                  name: str = "segmented", seed: SeedLike = None) -> None:
-        if not segments:
-            raise ConfigurationError("SegmentedTrace needs >= 1 segment")
-        starts: List[int] = []
-        tables: List[np.ndarray] = []
-        width = -1
-        for start, raw in segments:
-            probabilities = np.asarray(raw, dtype=np.float64)
-            if width < 0:
-                width = len(probabilities)
-            elif len(probabilities) != width:
-                raise ConfigurationError(
-                    "all segments must cover the same virtual space")
-            total = probabilities.sum()
-            if total <= 0 or (probabilities < 0).any():
-                raise ConfigurationError(
-                    "segment probabilities must be non-negative, sum > 0")
-            starts.append(int(start))
-            tables.append(probabilities / total)
-        if starts[0] != 0:
-            raise ConfigurationError("first segment must start at write 0")
-        if any(b <= a for a, b in zip(starts, starts[1:])):
-            raise ConfigurationError(
-                "segment starts must be strictly increasing")
-        super().__init__(width, name=name)
+        starts, tables = _normalized(segments)
+        super().__init__(len(tables[0]), name=name)
         self._starts = starts
         self._tables = tables
         self._seed = seed
-        self._rngs = [derive_rng(seed, f"segtrace-{name}-{k}")
-                      for k in range(len(starts))]
+        self._rngs = [self._segment_rng(k) for k in range(len(starts))]
         #: Total writes drawn so far (selects the active segment).
         self._position = 0
+
+    def _segment_rng(self, index: int) -> np.random.Generator:
+        """The generator segment *index* starts drawing from."""
+        return derive_rng(self._seed, f"segtrace-{self.name}-{index}")
 
     @property
     def position(self) -> int:
@@ -115,9 +128,36 @@ class SegmentedTrace(WriteTrace):
         return counts
 
     def reset(self) -> None:
-        self._rngs = [derive_rng(self._seed, f"segtrace-{self.name}-{k}")
-                      for k in range(len(self._starts))]
+        self._rngs = [self._segment_rng(k) for k in range(len(self._starts))]
         self._position = 0
+
+    def reschedule(self, segments: Sequence[Tuple[int, np.ndarray]]) -> None:
+        """Replace the segments the trace has not reached yet.
+
+        Segments starting at or after :attr:`position` give way to those
+        of *segments*, each new segment ``k`` drawing from the generator
+        the constructor would give it.  The segments already drawn from
+        must reappear unchanged, same starts and same tables, or
+        :class:`ConfigurationError` is raised: the draws already taken
+        came from them.  Afterwards the trace draws exactly as a fresh
+        trace over *segments* would after replaying the same prefix.
+        """
+        starts, tables = _normalized(segments)
+        if len(tables[0]) != self.virtual_blocks:
+            raise ConfigurationError(
+                "all segments must cover the same virtual space")
+        drawn = bisect.bisect_left(self._starts, self._position)
+        if (bisect.bisect_left(starts, self._position) != drawn
+                or starts[:drawn] != self._starts[:drawn]
+                or not all(np.array_equal(new, old) for new, old
+                           in zip(tables, self._tables[:drawn]))):
+            raise ConfigurationError(
+                f"trace {self.name!r} cannot change the segments it drew "
+                f"its first {self._position} writes from")
+        self._starts = starts
+        self._tables = tables
+        self._rngs = self._rngs[:drawn] + [
+            self._segment_rng(k) for k in range(drawn, len(starts))]
 
     # --------------------------------------------------------------- folding
 

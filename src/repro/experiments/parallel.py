@@ -84,7 +84,10 @@ class Cell:
     #: Dotted reference ``"package.module:function"`` to a module-level
     #: function (workers re-import it, so it must not be a closure).
     fn: str
-    #: Plain-data keyword arguments (must pickle and round-trip JSON).
+    #: Keyword arguments; they must pickle.  Most grids pass plain data
+    #: that round-trips JSON.  An array shard cell may also carry its
+    #: saved engine as ``checkpoint``, which only pickles; the array runs
+    #: its grids without a resume file.
     kwargs: Dict[str, Any]
 
 

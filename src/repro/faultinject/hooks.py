@@ -17,6 +17,7 @@ disabled-hook fast path exactly as fast as before.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, List, Optional
 
 from ..errors import ProtocolError, SimulatedCrash, UncorrectableError
@@ -115,7 +116,8 @@ class ScheduleDriver:
         """Wire this driver into a :class:`~repro.sim.fast.FastEngine`."""
         self._chip = getattr(engine, "chip")
         if getattr(engine, "config").recovery == "reviver":
-            self._spares_fn = lambda: getattr(engine, "spares")
+            # A partial, not a lambda: an attached engine must pickle.
+            self._spares_fn = functools.partial(getattr, engine, "spares")
         self._exact = False
         setattr(engine, "inject", self)
         return self

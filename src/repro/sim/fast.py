@@ -198,6 +198,31 @@ class FastEngine:
     def run(self) -> LifetimeSummary:
         """Simulate epochs until a stop condition; return the summary."""
         self._begin_run()
+        return self._step_epochs()
+
+    def resume(self, max_writes: Optional[int]) -> LifetimeSummary:
+        """Continue a run that stopped at its write cap, to a new cap.
+
+        Only a :attr:`StopCause.MAX_WRITES` stop can be continued: any
+        other stop is a death, and a dead chip has no further life.  When
+        the old cap is a whole number of epochs, the continued run takes
+        exactly the steps a fresh :meth:`run` to *max_writes* takes past
+        that cap, so both end in the same state.
+        """
+        if self.stop is None or self.stop.cause is not StopCause.MAX_WRITES:
+            raise ProtocolError(
+                f"only a run stopped at its write cap can resume "
+                f"(stop: {self.stopped_reason})")
+        if max_writes is not None and max_writes < self.total_writes:
+            raise ProtocolError(
+                f"cannot resume to {max_writes} writes: the run is "
+                f"already at {self.total_writes}")
+        self.config.max_writes = max_writes
+        self.stop = None
+        return self._step_epochs()
+
+    def _step_epochs(self) -> LifetimeSummary:
+        """Step epochs until a stop condition; return the summary."""
         while True:
             stop = self._next_stop()
             if stop is not None:

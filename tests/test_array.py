@@ -10,11 +10,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.array import (ArrayConfig, ArrayEngine, InterleavedDecoder,
                          SegmentedTrace, deterministic_snapshot,
-                         hotspot_workload, shard_attack_workload,
-                         shard_seed, uniform_workload)
+                         hotspot_workload, run_shard_cell,
+                         shard_attack_workload, shard_seed,
+                         uniform_workload)
 from repro.array.__main__ import main as array_main
 from repro.errors import ConfigurationError
 from repro.faultinject import shard_death_schedule
@@ -140,6 +143,32 @@ class TestSegmentedTrace:
         trace.reset()
         np.testing.assert_array_equal(first, trace.batch_counts(500))
 
+    def test_reschedule_continues_like_a_fresh_replay(self):
+        flat = np.full(8, 0.125)
+        ramp = np.arange(1.0, 9.0)
+        resumed = SegmentedTrace([(0, flat)], name="t", seed=5)
+        resumed.batch_counts(100)
+        later = [(0, flat), (100, ramp), (300, flat)]
+        resumed.reschedule(later)
+        fresh = SegmentedTrace(later, name="t", seed=5)
+        fresh.batch_counts(100)
+        for _ in range(4):
+            np.testing.assert_array_equal(resumed.batch_counts(100),
+                                          fresh.batch_counts(100))
+
+    @pytest.mark.parametrize("segments", [
+        [(0, np.arange(1.0, 9.0))],                  # drawn table changed
+        [(0, np.full(8, 0.125)), (50, np.arange(1.0, 9.0))],  # behind
+        [(0, np.full(4, 0.25))],                     # width
+    ])
+    def test_reschedule_refuses_to_change_a_drawn_segment(self, segments):
+        trace = SegmentedTrace([(0, np.full(8, 0.125)),
+                                (200, np.arange(1.0, 9.0))],
+                               name="t", seed=5)
+        trace.batch_counts(100)
+        with pytest.raises(ConfigurationError):
+            trace.reschedule(segments)
+
     def test_restricted_to_folds_each_segment(self):
         table = np.array([0.1, 0.2, 0.3, 0.4])
         trace = SegmentedTrace([(0, table), (50, table[::-1].copy())],
@@ -191,6 +220,57 @@ class TestArrayConfig:
         small = uniform_workload(make_decoder(shards=2, blocks=240))
         with pytest.raises(ConfigurationError, match="decodes"):
             ArrayEngine(config, small)
+
+
+# ------------------------------------------------------------ shard resume
+
+#: One shard stack small enough to die within a few dozen epochs.
+SHARD_EPOCH = 500
+SHARD_SPACE = make_config(shard_blocks=128).software_blocks
+
+
+def shard_kwargs(segments, max_writes):
+    """One shard cell's kwargs, in the form the array engine builds."""
+    return dict(shard=0, seed=shard_seed(7, 0), device_blocks=128,
+                mean_endurance=150.0, endurance_cov=0.2, max_order=16,
+                ecp_k=6, psi=8, batch_writes=SHARD_EPOCH,
+                recovery="reviver", dead_fraction=0.3, page_blocks=PAGE,
+                segments=[[start, [float(x) for x in table]]
+                          for start, table in segments],
+                max_writes=max_writes, schedule=None, telemetry=True,
+                label="resume")
+
+
+class TestShardResume:
+    @settings(max_examples=12, deadline=None)
+    @given(steps=st.lists(st.tuples(st.integers(1, 4), st.booleans()),
+                          min_size=1, max_size=5),
+           table_seed=st.integers(0, 2 ** 16))
+    def test_resumed_shard_equals_a_fresh_run(self, steps, table_seed):
+        rng = np.random.default_rng(table_seed)
+        segments = [(0, rng.random(SHARD_SPACE) + 0.01)]
+        cap = 0
+        record, checkpoint = None, None
+        for epochs, switch in steps:
+            cap += epochs * SHARD_EPOCH
+            record = run_shard_cell(checkpoint=checkpoint,
+                                    **shard_kwargs(segments, cap))
+            checkpoint = record.pop("checkpoint", None)
+            if checkpoint is None:
+                break  # the shard died, and a death cannot be continued
+            if switch:
+                segments.append((cap, rng.random(SHARD_SPACE) + 0.01))
+        fresh = run_shard_cell(**shard_kwargs(segments, cap))
+        fresh.pop("checkpoint", None)
+        for key in ("series", "report", "snapshot"):
+            assert record[key] == fresh[key]
+        assert record == fresh
+
+    def test_a_dead_shard_keeps_no_checkpoint(self):
+        record = run_shard_cell(**shard_kwargs(
+            [(0, np.full(SHARD_SPACE, 1.0))], None))
+        assert record["stop"] != "max-writes"
+        assert "checkpoint" not in record
 
 
 # ------------------------------------------------------------ end of life

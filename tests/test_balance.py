@@ -399,6 +399,53 @@ class TestArrayBalance:
         result = _array_result(balance=True, policy="fail-stop")
         assert result.report.stop is not None
 
+    @pytest.mark.parametrize("kill", [False, True])
+    def test_every_resumed_shard_cell_equals_a_fresh_run(self, monkeypatch,
+                                                         kill):
+        # The benchmark's array-elastic workload at its smoke size.  Each
+        # resumed cell is checked against a fresh run from write 0; the
+        # kill re-homes shard 1's traffic behind the survivors' positions,
+        # which must send them back to a fresh run.
+        from repro.array import shard as shard_module
+        original = shard_module.run_shard_cell
+        calls = []
+
+        def checked(checkpoint=None, **kwargs):
+            if checkpoint is None:
+                calls.append((kwargs["shard"], "fresh"))
+                return original(**kwargs)
+            fresh = original(**kwargs)
+            fresh.pop("checkpoint", None)
+            resumed = original(checkpoint=checkpoint, **kwargs)
+            assert {key: value for key, value in resumed.items()
+                    if key != "checkpoint"} == fresh
+            calls.append((kwargs["shard"], "resumed"))
+            return resumed
+
+        monkeypatch.setattr(shard_module, "run_shard_cell", checked)
+        config = ArrayConfig(num_shards=3, shard_blocks=256,
+                             interleave="page", page_blocks=16, psi=12,
+                             mean_endurance=200.0, batch_writes=666,
+                             balance=True, balance_every=8 * 666,
+                             remap_budget=32, add_shard_at=12_000,
+                             max_writes=30_000, seed=1)
+        decoder = InterleavedDecoder(3, config.software_blocks,
+                                     interleave="page", page_blocks=16)
+        schedule = (shard_death_schedule(1, 4_000, 256) if kill else None)
+        result = ArrayEngine(config,
+                             zipf_workload(decoder, exponent=1.0, seed=1),
+                             label="resume", schedule=schedule).run()
+        assert any(kind == "resumed" for _, kind in calls)
+        # A fresh call for a shard that already ran is a re-run from 0.
+        reruns = [shard for n, (shard, kind) in enumerate(calls)
+                  if kind == "fresh"
+                  and any(s == shard for s, _ in calls[:n])]
+        if kill:
+            assert 1 in result.report.dead_shards
+            assert reruns
+        else:
+            assert not reruns
+
     def test_array_cli_balance_flags(self, tmp_path, capsys):
         from repro.array.__main__ import main
         out = tmp_path / "balance.json"

@@ -274,6 +274,23 @@ class TestArrayBatchedEquivalence:
         assert json.dumps(solo, sort_keys=True) == \
             json.dumps(batched, sort_keys=True)
 
+    def test_balanced_growing_array_batch_matches(self):
+        # Five shards in chunks of four leave shard 4 as a per-cell
+        # single, which keeps a checkpoint; after the sixth shard joins it
+        # lands in a group, so build_shard_cell must decline it and only
+        # fresh engines reach the batched kernel.
+        from repro.array.engine import ArrayConfig, ArrayEngine
+        cfg = dict(num_shards=5, shard_blocks=256, mean_endurance=300.0,
+                   batch_writes=1000, seed=7, balance=True,
+                   balance_every=4000, add_shard_at=8000, max_writes=20_000)
+        trace = hotspot_distribution(5 * 256, 2.5, seed=11)
+        solo = ArrayEngine(ArrayConfig(**cfg), trace).run().as_dict()
+        batched = ArrayEngine(ArrayConfig(**cfg), trace,
+                              batch=4).run().as_dict()
+        assert solo["num_shards"] == 6
+        assert json.dumps(solo, sort_keys=True) == \
+            json.dumps(batched, sort_keys=True)
+
 
 class TestFigureBatchedEquivalence:
     def test_fig5_batch_matches(self):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.config import StartGapConfig
 from repro.ecc import ECP, FreePRegion
+from repro.errors import ProtocolError
 from repro.osmodel.allocator import PagePool
 from repro.pcm import AddressGeometry, EnduranceModel, PCMChip
 from repro.sim import (ExactEngine, FastConfig, FastEngine, StopCause,
@@ -157,6 +158,34 @@ class TestFastEngine:
         summary = engine.run()
         assert summary.lifetime_writes <= 6_000
         assert engine.stopped_reason == "max-writes"
+
+    def test_resume_continues_like_one_run(self):
+        whole = make_fast("reviver")
+        whole.config.max_writes = 12_000
+        whole.run()
+        split = make_fast("reviver")
+        split.config.max_writes = 4_000
+        split.run()
+        split.resume(8_000)
+        split.resume(12_000)
+        assert split.series.to_payload() == whole.series.to_payload()
+        assert split.end_of_life_report().as_dict() \
+            == whole.end_of_life_report().as_dict()
+        assert np.array_equal(split.chip.wear, whole.chip.wear)
+
+    def test_only_a_run_stopped_at_its_cap_resumes(self):
+        engine = make_fast("reviver", mean=60.0)
+        with pytest.raises(ProtocolError):
+            engine.resume(None)  # never ran
+        engine.run()
+        assert engine.stop.cause is not StopCause.MAX_WRITES
+        with pytest.raises(ProtocolError):
+            engine.resume(None)  # a death cannot be continued
+        capped = make_fast("reviver")
+        capped.config.max_writes = 4_000
+        capped.run()
+        with pytest.raises(ProtocolError):
+            capped.resume(2_000)  # the new cap is behind the run
 
     def test_nowl_runs(self):
         geometry = AddressGeometry(num_blocks=512)

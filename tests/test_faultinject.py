@@ -6,6 +6,7 @@ hook mutation elsewhere in ``src``); the driver is attached to a minimal
 engine stand-in so each scenario can step the controller by hand.
 """
 
+import pickle
 import random
 from types import SimpleNamespace
 
@@ -231,6 +232,36 @@ class TestHooks:
         assert excinfo.value.pa == 9
         hooks.crash_point("mid-migration", pa=9)  # disarmed: no raise
         assert hooks.fired == ["mid-migration"]
+
+    def test_fast_engine_with_a_driver_pickles(self):
+        # Array shard checkpoints cross the process pool by pickle, so an
+        # engine with a driver attached must survive the round trip with
+        # the driver still bound to *its* engine's spare pool.
+        from repro.config import StartGapConfig
+        from repro.ecc import ECP
+        from repro.pcm import AddressGeometry, EnduranceModel, PCMChip
+        from repro.sim.fast import FastConfig, FastEngine
+        from repro.traces import hotspot_distribution
+        from repro.wl import StartGap
+        endurance = EnduranceModel(num_blocks=256, mean=200.0, cov=0.25,
+                                   max_order=10, seed=3)
+        chip = PCMChip(AddressGeometry(num_blocks=256), ECP(endurance, 6))
+        wl = StartGap(256, config=StartGapConfig(psi=8, seed=4))
+        engine = FastEngine(chip, wl,
+                            hotspot_distribution(wl.logical_blocks, 3.0,
+                                                 seed=5),
+                            FastConfig(batch_writes=500, max_writes=6_000,
+                                       seed=6))
+        driver = ScheduleDriver(schedule_of(
+            FaultAction("fail-block", at_write=500, das=tuple(range(8))),
+            FaultAction("exhaust-spares", at_write=2_000)))
+        driver.attach_fast(engine)
+        copy = pickle.loads(pickle.dumps(engine))
+        engine.run()
+        copy.run()
+        assert copy.end_of_life_report().as_dict() \
+            == engine.end_of_life_report().as_dict()
+        assert copy.inject.spares_drained == driver.spares_drained > 0
 
     def test_chip_hooks_deliver_each_armed_error_once(self):
         hooks = ChipHooks()
