@@ -21,7 +21,7 @@ results are byte-identical to N separate ``FastEngine.run()`` calls.
 """
 
 from .metrics import LifetimeSeries, LifetimeSummary, SamplePoint
-from .batched import BatchedEngine, register_batchable, startgap_bulk_rows
+from .batched import BatchedEngine, register_batchable
 from .engine import ExactEngine
 from .fast import FastEngine, FastConfig
 from .stop import EndOfLifeReport, StopCause, StopReason
@@ -29,7 +29,7 @@ from .wearstats import WearReport, endurance_utilization, gini, wear_cov
 
 __all__ = [
     "LifetimeSeries", "LifetimeSummary", "SamplePoint",
-    "BatchedEngine", "register_batchable", "startgap_bulk_rows",
+    "BatchedEngine", "register_batchable",
     "ExactEngine", "FastEngine", "FastConfig",
     "EndOfLifeReport", "StopCause", "StopReason",
     "WearReport", "endurance_utilization", "gini", "wear_cov",

@@ -15,8 +15,6 @@ struct-of-arrays:
   — is applied as one ``np.add.at`` per cell plus a single vectorized
   threshold scan across the cell axis, skipping the per-cell
   ``np.unique``/resolve machinery entirely;
-* Start-Gap migration batches advance via a closed-form register update
-  (:func:`startgap_bulk_rows`) instead of the per-move commit loop;
 * anything rare (threshold crossings, exposed failures, recovery
   bookkeeping) drops back to the engine's own round machinery
   (:meth:`~repro.sim.fast.FastEngine._software_rounds` and friends), so
@@ -47,7 +45,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..errors import CapacityExhaustedError, ConfigurationError
-from ..wl.startgap import StartGap
 from .fast import FastEngine
 from .metrics import LifetimeSummary
 from .stop import StopCause, StopReason
@@ -58,56 +55,7 @@ __all__ = [
     "register_batchable",
     "is_batchable",
     "run_cell_batch",
-    "startgap_bulk_rows",
 ]
-
-
-def startgap_bulk_rows(wl: StartGap, moves: int) -> np.ndarray:
-    """Closed-form equivalent of ``StartGap.bulk_migrations(moves)``.
-
-    The per-move loop commits one register update per migration and calls
-    the randomizer's inverse for a changed-PA report that
-    ``bulk_migrations`` callers discard.  The gap position is periodic with
-    period ``L + 1``, so the whole batch of ``(src, dst)`` endpoint rows
-    and the final register state follow in O(moves) numpy work with no
-    Feistel evaluations at all:
-
-    ``gap_k = (gap_0 - k) mod (L + 1)``; move *k* copies
-    ``((gap_k - 1) mod (L + 1), gap_k)`` (the wrap move ``(L, 0)`` falls
-    out of the same formula); ``start`` advances once per wrap.
-    """
-    if wl.frozen or moves <= 0:
-        return np.empty((0, 2), dtype=np.int64)
-    logical = wl.logical_blocks
-    period = logical + 1
-    gaps = (wl.gap - np.arange(moves, dtype=np.int64)) % period
-    rows = np.empty((moves, 2), dtype=np.int64)
-    rows[:, 0] = (gaps - 1) % period
-    rows[:, 1] = gaps
-    wraps = int(np.count_nonzero(gaps == 0))
-    wl.gap = int((wl.gap - moves) % period)
-    wl.start = (wl.start + wraps) % logical
-    wl.gap_moves += moves
-    return rows
-
-
-def _cache_randomizer(wl: StartGap) -> None:
-    """Shadow the wl's static address permutation with a lookup table.
-
-    The randomizer's Feistel keys are fixed at construction, so
-    ``forward_many`` is a pure function of its input — tabulating it once
-    and indexing is exact memoization, not an approximation.  The kernel
-    calls it every redirect rebuild and software round, where the
-    per-call network evaluation otherwise dominates the batched profile.
-    """
-    randomizer = wl.randomizer
-    table = randomizer.forward_many(
-        np.arange(wl.logical_blocks, dtype=np.int64))
-
-    def forward_many(addresses: np.ndarray) -> np.ndarray:
-        return table[np.asarray(addresses, dtype=np.int64)]
-
-    setattr(randomizer, "forward_many", forward_many)
 
 
 def _has_links(engine: FastEngine) -> bool:
@@ -174,8 +122,6 @@ class BatchedEngine:
         row view aliases every later mutation into the batched arrays.
         """
         for i, engine in enumerate(self.engines):
-            if type(engine.wl) is StartGap:
-                _cache_randomizer(engine.wl)
             chip = engine.chip
             self.wear[i] = chip.wear
             self.failed[i] = chip.failed
@@ -308,10 +254,7 @@ class BatchedEngine:
             due = wl.schedule_due(engine.total_writes)
             if due <= 0:
                 continue
-            if type(wl) is StartGap:
-                rows = startgap_bulk_rows(wl, due)
-            else:
-                rows = wl.bulk_migrations(due)
+            rows = wl.bulk_migrations(due)
             if rows.size == 0:
                 continue
             dsts = engine._redirect[rows[:, 1]]

@@ -10,6 +10,9 @@ Start-Gap").  This module provides the bijections:
   of two are handled with cycle-walking: apply the permutation of the next
   power of two repeatedly until the value lands inside the domain (a
   standard format-preserving-encryption construction; still a bijection).
+  The modelled hardware computes the network per access; the simulator
+  evaluates it once over the whole domain at construction and looks the
+  result up, which is exact because the keys never change.
 * :class:`PermutationRandomizer` — an explicit random permutation table;
   the gold standard the Feistel network approximates.
 * :class:`IdentityRandomizer` — no randomization (ablations; shows the
@@ -22,8 +25,6 @@ Start-Gap").  This module provides the bijections:
 
 from __future__ import annotations
 
-import abc
-
 import numpy as np
 
 from ..errors import AddressError, ConfigurationError
@@ -32,31 +33,41 @@ from ..rng import SeedLike, make_rng
 _MASK64 = (1 << 64) - 1
 
 
-class AddressRandomizer(abc.ABC):
-    """A seeded bijection over ``[0, size)``."""
+class AddressRandomizer:
+    """A seeded bijection over ``[0, size)``, held as a lookup table.
+
+    Each subclass builds ``_table`` (address -> randomized address) in its
+    constructor and calls :meth:`_set_table`, which derives ``_inverse``.
+    """
+
+    _table: np.ndarray
+    _inverse: np.ndarray
 
     def __init__(self, size: int) -> None:
         if size <= 0:
             raise ConfigurationError("randomizer size must be positive")
         self.size = size
 
-    @abc.abstractmethod
+    def _set_table(self, table: np.ndarray) -> None:
+        self._table = table.astype(np.int64)
+        self._inverse = np.empty(self.size, dtype=np.int64)
+        self._inverse[self._table] = np.arange(self.size, dtype=np.int64)
+
     def forward(self, address: int) -> int:
         """Randomize *address*."""
+        return int(self._table[self._check(address)])
 
-    @abc.abstractmethod
     def backward(self, address: int) -> int:
         """Invert :meth:`forward`."""
+        return int(self._inverse[self._check(address)])
 
     def forward_many(self, addresses: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`forward` (subclasses override where possible)."""
-        return np.fromiter((self.forward(int(a)) for a in addresses),
-                           dtype=np.int64, count=len(addresses))
+        """Vectorized :meth:`forward`."""
+        return self._table[np.asarray(addresses, dtype=np.int64)]
 
     def backward_many(self, addresses: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`backward`."""
-        return np.fromiter((self.backward(int(a)) for a in addresses),
-                           dtype=np.int64, count=len(addresses))
+        return self._inverse[np.asarray(addresses, dtype=np.int64)]
 
     def _check(self, address: int) -> int:
         if not 0 <= address < self.size:
@@ -67,17 +78,9 @@ class AddressRandomizer(abc.ABC):
 class IdentityRandomizer(AddressRandomizer):
     """No randomization at all."""
 
-    def forward(self, address: int) -> int:
-        return self._check(address)
-
-    def backward(self, address: int) -> int:
-        return self._check(address)
-
-    def forward_many(self, addresses: np.ndarray) -> np.ndarray:
-        return np.asarray(addresses, dtype=np.int64)
-
-    def backward_many(self, addresses: np.ndarray) -> np.ndarray:
-        return np.asarray(addresses, dtype=np.int64)
+    def __init__(self, size: int) -> None:
+        super().__init__(size)
+        self._set_table(np.arange(size, dtype=np.int64))
 
 
 class PermutationRandomizer(AddressRandomizer):
@@ -85,22 +88,7 @@ class PermutationRandomizer(AddressRandomizer):
 
     def __init__(self, size: int, seed: SeedLike = None) -> None:
         super().__init__(size)
-        rng = make_rng(seed)
-        self._table = rng.permutation(size).astype(np.int64)
-        self._inverse = np.empty(size, dtype=np.int64)
-        self._inverse[self._table] = np.arange(size, dtype=np.int64)
-
-    def forward(self, address: int) -> int:
-        return int(self._table[self._check(address)])
-
-    def backward(self, address: int) -> int:
-        return int(self._inverse[self._check(address)])
-
-    def forward_many(self, addresses: np.ndarray) -> np.ndarray:
-        return self._table[np.asarray(addresses, dtype=np.int64)]
-
-    def backward_many(self, addresses: np.ndarray) -> np.ndarray:
-        return self._inverse[np.asarray(addresses, dtype=np.int64)]
+        self._set_table(make_rng(seed).permutation(size))
 
 
 class FeistelRandomizer(AddressRandomizer):
@@ -122,6 +110,13 @@ class FeistelRandomizer(AddressRandomizer):
         rng = make_rng(seed)
         self._keys = [int(k) for k in rng.integers(0, _MASK64, size=rounds,
                                                    dtype=np.uint64)]
+        # Cycle-walk the whole domain through the vector network once.
+        table = self._permute_pow2_vec(np.arange(size, dtype=np.uint64))
+        walk = table >= size
+        while walk.any():
+            table[walk] = self._permute_pow2_vec(table[walk])
+            walk = table >= size
+        self._set_table(table)
 
     # ------------------------------------------------------------- internals
 
@@ -146,40 +141,6 @@ class FeistelRandomizer(AddressRandomizer):
         for key in reversed(self._keys):
             left, right = right ^ self._round_fn(left, key), left
         return (left << self._half) | right
-
-    # -------------------------------------------------------------- interface
-
-    def forward(self, address: int) -> int:
-        value = self._check(address)
-        while True:
-            value = self._permute_pow2(value)
-            if value < self.size:
-                return value
-
-    def backward(self, address: int) -> int:
-        value = self._check(address)
-        while True:
-            value = self._unpermute_pow2(value)
-            if value < self.size:
-                return value
-
-    def forward_many(self, addresses: np.ndarray) -> np.ndarray:
-        values = np.asarray(addresses, dtype=np.uint64)
-        out = self._permute_pow2_vec(values)
-        walk = out >= self.size
-        while walk.any():
-            out[walk] = self._permute_pow2_vec(out[walk])
-            walk = out >= self.size
-        return out.astype(np.int64)
-
-    def backward_many(self, addresses: np.ndarray) -> np.ndarray:
-        values = np.asarray(addresses, dtype=np.uint64)
-        out = self._unpermute_pow2_vec(values)
-        walk = out >= self.size
-        while walk.any():
-            out[walk] = self._unpermute_pow2_vec(out[walk])
-            walk = out >= self.size
-        return out.astype(np.int64)
 
     # Vectorized mirrors of the scalar round functions (uint64 wraparound
     # arithmetic matches the scalar masked arithmetic exactly).
@@ -220,41 +181,13 @@ class RestrictedRandomizer(AddressRandomizer):
     def __init__(self, size: int, seed: SeedLike = None) -> None:
         super().__init__(size)
         rng = make_rng(seed)
-        self._half_size = size // 2
-        h = self._half_size
-        # lower[i] in upper half positions, upper[j] in lower half positions.
-        self._low_to_up = (rng.permutation(h) + h).astype(np.int64)
-        self._up_to_low = rng.permutation(h).astype(np.int64)
-        self._inv = np.empty(size, dtype=np.int64)
-        self._inv[self._low_to_up] = np.arange(h, dtype=np.int64)
-        self._inv[self._up_to_low] = np.arange(h, 2 * h, dtype=np.int64)
-        if size % 2:
-            self._inv[size - 1] = size - 1
-
-    def forward(self, address: int) -> int:
-        address = self._check(address)
-        h = self._half_size
-        if address < h:
-            return int(self._low_to_up[address])
-        if address < 2 * h:
-            return int(self._up_to_low[address - h])
-        return address  # odd-size fixed point
-
-    def backward(self, address: int) -> int:
-        return int(self._inv[self._check(address)])
-
-    def forward_many(self, addresses: np.ndarray) -> np.ndarray:
-        addresses = np.asarray(addresses, dtype=np.int64)
-        h = self._half_size
-        out = addresses.copy()
-        low = addresses < h
-        up = (addresses >= h) & (addresses < 2 * h)
-        out[low] = self._low_to_up[addresses[low]]
-        out[up] = self._up_to_low[addresses[up] - h]
-        return out
-
-    def backward_many(self, addresses: np.ndarray) -> np.ndarray:
-        return self._inv[np.asarray(addresses, dtype=np.int64)]
+        h = size // 2
+        # Lower half -> upper-half positions, then upper -> lower (draw
+        # order fixed: it decides every seeded permutation).
+        table = np.arange(size, dtype=np.int64)
+        table[:h] = rng.permutation(h) + h
+        table[h:2 * h] = rng.permutation(h)
+        self._set_table(table)
 
 
 def make_randomizer(kind: str, size: int, seed: SeedLike = None,

@@ -136,12 +136,26 @@ class StartGap(WearLeveler):
         return max(0, total_software_writes // self.psi - self.gap_moves)
 
     def bulk_migrations(self, moves: int) -> np.ndarray:
+        """The next *moves* gap moves' ``(src, dst)`` rows, in closed form.
+
+        The gap position is periodic with period ``L + 1``:
+        ``gap_k = (gap_0 - k) mod (L + 1)``, move *k* copies
+        ``((gap_k - 1) mod (L + 1), gap_k)`` (the wrap move ``(L, 0)``
+        falls out of the same formula), and ``start`` advances once per
+        wrap.  Unlike :meth:`tick` it reports no changed PAs, so no
+        randomizer inverse runs.
+        """
         if self.frozen or moves <= 0:
             return np.empty((0, 2), dtype=np.int64)
+        period = self._logical + 1
+        gaps = (self.gap - np.arange(moves, dtype=np.int64)) % period
         rows = np.empty((moves, 2), dtype=np.int64)
-        for i in range(moves):
-            rows[i] = self._move_endpoints()
-            self._commit_move()
+        rows[:, 0] = (gaps - 1) % period
+        rows[:, 1] = gaps
+        wraps = int(np.count_nonzero(gaps == 0))
+        self.gap = int((self.gap - moves) % period)
+        self.start = (self.start + wraps) % self._logical
+        self.gap_moves += moves
         return rows
 
     # -------------------------------------------------------------- reporting

@@ -303,8 +303,9 @@ class TestSoaAlias:
             == ["SOA-ALIAS"]
 
     def test_verbatim_startgap_bulk_rows_stays_clean(self):
-        # sim/batched.py's startgap_bulk_rows: basic-slice stores on a
-        # fresh array plus scalar attribute rebinds — all sanctioned.
+        # wl/startgap.py's closed-form StartGap.bulk_migrations:
+        # basic-slice stores on a fresh array plus scalar attribute
+        # rebinds — all sanctioned.
         good = ("import numpy as np\n"
                 "def rows_of(wl, moves: int, period: int):\n"
                 "    gaps = (wl.gap - np.arange(moves, dtype=np.int64))"

@@ -9,6 +9,7 @@ deterministic telemetry snapshot.
 """
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -18,8 +19,7 @@ from repro.ecc import ECP, PAYG, FreePRegion
 from repro.errors import ConfigurationError
 from repro.faultinject import FaultAction, FaultSchedule, ScheduleDriver
 from repro.pcm import AddressGeometry, EnduranceModel, PCMChip
-from repro.sim.batched import (BatchedEngine, is_batchable, run_cell_batch,
-                               startgap_bulk_rows)
+from repro.sim.batched import BatchedEngine, is_batchable, run_cell_batch
 from repro.sim.fast import FastConfig, FastEngine
 from repro.telemetry import TelemetrySession, attach_fast
 from repro.traces import hotspot_distribution
@@ -96,7 +96,18 @@ def assert_batched_matches(build, count=3):
     assert solo == batched
 
 
+def commit_loop_rows(wl, moves):
+    """Reference rows: one register commit per gap move, as ``tick`` does."""
+    rows = np.empty((moves, 2), dtype=np.int64)
+    for k in range(moves):
+        rows[k] = wl._move_endpoints()
+        wl._commit_move()
+    return rows
+
+
 class TestStartGapBulkRows:
+    """The kernel's migration rows: closed form vs the per-move commits."""
+
     @pytest.mark.parametrize("psi", [1, 4, 16])
     @pytest.mark.parametrize("moves", [1, 7, 64, 300])
     def test_matches_bulk_migrations(self, psi, moves):
@@ -104,9 +115,9 @@ class TestStartGapBulkRows:
         b = StartGap(96, config=StartGapConfig(psi=psi, seed=5))
         # Skew both registers off their initial state first.
         a.bulk_migrations(13)
-        startgap_bulk_rows(b, 13)
+        commit_loop_rows(b, 13)
         rows_a = a.bulk_migrations(moves)
-        rows_b = startgap_bulk_rows(b, moves)
+        rows_b = commit_loop_rows(b, moves)
         np.testing.assert_array_equal(rows_a, rows_b)
         assert (a.gap, a.start, a.gap_moves) == (b.gap, b.start, b.gap_moves)
 
@@ -114,15 +125,17 @@ class TestStartGapBulkRows:
         a = StartGap(17, config=StartGapConfig(psi=2, seed=9))
         b = StartGap(17, config=StartGapConfig(psi=2, seed=9))
         a.bulk_migrations(123)
-        startgap_bulk_rows(b, 123)
+        commit_loop_rows(b, 123)
         pas = np.arange(a.logical_blocks, dtype=np.int64)
         np.testing.assert_array_equal(a.map_many(pas), b.map_many(pas))
+        assert [a.inverse(da) for da in range(17)] \
+            == [b.inverse(da) for da in range(17)]
 
     def test_frozen_and_empty_batches(self):
         wl = StartGap(32, config=StartGapConfig(psi=3, seed=1))
-        assert startgap_bulk_rows(wl, 0).shape == (0, 2)
+        assert wl.bulk_migrations(0).shape == (0, 2)
         wl.frozen = True
-        assert startgap_bulk_rows(wl, 10).shape == (0, 2)
+        assert wl.bulk_migrations(10).shape == (0, 2)
         assert wl.gap_moves == 0
 
 
@@ -308,3 +321,29 @@ class TestFigureBatchedEquivalence:
         batched = fig7.run(scale="tiny", benchmarks=["mg"], reserves=[0.1],
                            seed=1, batch=4)
         assert solo == batched
+
+
+class TestBatchedEnginesPickle:
+    def test_engine_pickles_after_lockstep_run_and_resumes(self):
+        # An engine that ran in the kernel must still be a plain engine:
+        # picklable, and resumable to the same record as the original.
+        from repro.array import ArrayConfig, shard_seed
+        from repro.array.shard import build_shard_cell, finish_shard_cell
+        space = ArrayConfig(num_shards=2, shard_blocks=128, page_blocks=16,
+                            mean_endurance=150.0).software_blocks
+        table = np.random.default_rng(3).random(space) + 0.01
+        cells = [build_shard_cell(
+            shard=shard, seed=shard_seed(7, shard), device_blocks=128,
+            mean_endurance=150.0, endurance_cov=0.2, max_order=16, ecp_k=6,
+            psi=8, batch_writes=500, recovery="reviver", dead_fraction=0.3,
+            page_blocks=16, segments=[[0, table.tolist()]],
+            max_writes=4000, schedule=None, telemetry=True,
+            label=f"pickle-{shard}") for shard in range(2)]
+        BatchedEngine([engine for engine, _ in cells]).run()
+        engine, context = cells[0]
+        assert engine.stopped_reason == "max-writes"
+        copy, copy_context = pickle.loads(pickle.dumps((engine, context)))
+        records = [finish_shard_cell(e, e.resume(8000), c)
+                   for e, c in [(copy, copy_context), (engine, context)]]
+        assert records[0]["local_writes"] == 8000
+        assert records[0] == records[1]

@@ -64,6 +64,50 @@ class TestVectorization:
         assert vectorized.tolist() == scalar
 
 
+def cycle_walk(step, size, value):
+    """Apply the power-of-two network *step* until the value is in range."""
+    value = step(value)
+    while value >= size:
+        value = step(value)
+    return value
+
+
+def walk_vec(step, size):
+    """The vector network cycle-walked over the whole ``[0, size)``."""
+    values = step(np.arange(size, dtype=np.uint64))
+    out = values >= size
+    while out.any():
+        values[out] = step(values[out])
+        out = values >= size
+    return values.astype(np.int64)
+
+
+class TestFeistelTable:
+    """The lookup tables against the Feistel network they tabulate."""
+
+    @pytest.mark.parametrize("size", [2, 7, 255, 256, 1000, 1023])
+    def test_tables_equal_scalar_network(self, size):
+        randomizer = FeistelRandomizer(size, seed=11)
+        forward = [cycle_walk(randomizer._permute_pow2, size, x)
+                   for x in range(size)]
+        backward = [cycle_walk(randomizer._unpermute_pow2, size, x)
+                    for x in range(size)]
+        assert randomizer._table.tolist() == forward
+        assert randomizer._inverse.tolist() == backward
+
+    @given(size=st.integers(min_value=1, max_value=1100),
+           seed=st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=40, deadline=None)
+    def test_tables_equal_network_property(self, size, seed):
+        randomizer = FeistelRandomizer(size, seed=seed)
+        forward = [cycle_walk(randomizer._permute_pow2, size, x)
+                   for x in range(size)]
+        assert randomizer._table.tolist() == forward
+        np.testing.assert_array_equal(
+            randomizer._inverse,
+            walk_vec(randomizer._unpermute_pow2_vec, size))
+
+
 class TestSeeding:
     @pytest.mark.parametrize("kind", ["feistel", "permutation", "restricted"])
     def test_seed_determines_permutation(self, kind):

@@ -135,14 +135,32 @@ class TestLifecycle:
         assert sg.schedule_due(100) == 6
 
     def test_bulk_matches_tick_state(self):
-        a = make_sg(psi=1)
-        b = make_sg(psi=1)
-        rows = a.bulk_migrations(77)
-        port = NullPort()
-        for _ in range(77):
-            b.tick(port)
-        assert (a.gap, a.start, a.gap_moves) == (b.gap, b.start, b.gap_moves)
-        assert rows.shape == (77, 2)
+        """The closed-form rows replay exactly what per-write ticks do."""
+        for device, psi, skew in [(65, 1, 0), (17, 1, 13), (17, 2, 5),
+                                  (17, 16, 13), (96, 1, 13), (96, 2, 40),
+                                  (96, 16, 13)]:
+            a = make_sg(device, psi=psi)
+            b = make_sg(device, psi=psi)
+            # Skew both registers off their initial state first.
+            a.bulk_migrations(skew)
+            for _ in range(skew * psi):
+                b.tick(NullPort())
+            moves = 3 * device + 7  # wraps the gap several times
+            rows = a.bulk_migrations(moves)
+            port = NullPort()
+            gaps = []
+            for _ in range(moves * psi):
+                gap, done = b.gap, b.gap_moves
+                b.tick(port)
+                if b.gap_moves > done:
+                    gaps.append(gap)
+            assert rows.shape == (moves, 2)
+            assert rows[:, 0].tolist() == port.reads
+            assert rows[:, 1].tolist() == gaps
+            assert (a.gap, a.start, a.gap_moves) \
+                == (b.gap, b.start, b.gap_moves)
+            pas = np.arange(a.logical_blocks)
+            assert (a.map_many(pas) == b.map_many(pas)).all()
 
     def test_rejects_tiny_device(self):
         with pytest.raises(ConfigurationError):
