@@ -15,14 +15,18 @@ arithmetic:
   shard a piecewise-linear local<->global map that the engine maintains
   as shares change.
 
-End-of-life is decided on the global clock.  Each *round*, every live
-shard runs to its own stop condition; the earliest death on the global
-clock wins (ties broken by shard id):
+End-of-life is decided on the global clock.  Each *round*, the live
+shards run to their own stop conditions, the likeliest casualty first
+so the others can park at its death (the lead rule,
+:meth:`ArrayEngine._run_round`); the earliest death on the global clock
+wins (ties broken by shard id):
 
 ``fail-stop``
-    The array dies with its first shard.  Survivors are re-run capped at
-    the death point (epoch-aligned) so the merged result describes the
-    array at the moment it stopped.
+    The array dies with its first shard.  Survivors end capped at the
+    death point (epoch-aligned) so the merged result describes the
+    array at the moment it stopped: the lead rule parks them there when
+    the lead was the casualty, and the same round re-runs any that ran
+    past it.
 ``degraded``
     The dead shard drops out of the map: its addresses re-home
     round-robin onto the survivors (:meth:`BalancedDecoder.rehome
@@ -278,13 +282,16 @@ class ArrayEngine:
         the *horizon*: the next scheduled control event
         (a steering checkpoint or the shard addition) on the global
         clock.  A static array has no control events, so its shards run
-        to their own stop conditions.  The earliest death on the global
-        clock wins; deaths take priority over control events, and an
-        event a death overtakes slips to the death's global time so
-        segment boundaries stay monotone.  When a round ends with every
-        live shard parked at the horizon, the event fires — feed the
-        health model, add the scheduled shard, plan bounded swaps — and
-        the loop resumes.
+        to their own stop conditions, or to the lead's death
+        (:meth:`_run_round`).  The earliest death on the global clock
+        wins; deaths take priority over control events, and an event a
+        death overtakes slips to the death's global time so segment
+        boundaries stay monotone.  Under fail-stop the round that finds
+        the death also re-runs, capped at the death epoch, any survivor
+        that ran past it.  When a round ends with every live shard
+        parked at the horizon, the event fires — feed the health model,
+        add the scheduled shard, plan bounded swaps — and the loop
+        resumes.  ``rounds`` counts the passes of this loop.
         """
         cfg = self.config
         states = self._states = [self._boot_state(i)
@@ -311,10 +318,8 @@ class ArrayEngine:
                 dead_order.append(victim)
                 live.remove(victim)
                 if cfg.policy == "fail-stop":
-                    pending = self._truncate_survivors(live, death_global)
-                    if pending:
-                        rounds += 1
-                        self._run_round(rounds, pending)
+                    self._run_cells(rounds, self._truncate_survivors(
+                        live, death_global), tag="/cap")
                     stop = StopReason(
                         StopCause.SHARD_FAILED,
                         f"shard {victim} at ~{int(death_global):,} "
@@ -478,26 +483,69 @@ class ArrayEngine:
 
     def _run_round(self, round_no: int, pending: List[int],
                    horizon: Optional[float] = None) -> None:
-        """Run the pending shards' cells and record their results.
+        """Run the pending shards' cells in two waves (the lead rule).
 
         *horizon* caps every cell at the epoch boundary covering that
         global write count, so a control event can fire with all live
-        shards parked at the same point of the clock.
+        shards parked at the same point of the clock.  The lead
+        (:meth:`_lead`) runs alone first.  If it dies, the death moves
+        the horizon for the rest of the round: every other pending shard
+        parks at the epoch boundary covering the lead's death, exactly
+        the boundary a degraded re-home or a fail-stop truncation gives
+        it, so its next cell continues the saved engine instead of
+        replaying from write 0.  A shard that dies before the lead
+        still reports its death, and the round does no more work than
+        running every shard to the horizon.
+
+        An array with a health model runs one wave instead: the model
+        reads every live record after the round, and a survivor parked
+        at the lead's death reads differently from one run to the
+        horizon, which would make steering depend on the lead.
         """
         if not pending:
             return
+        if self.health is not None:
+            self._run_cells(round_no, pending, horizon)
+            return
+        lead = self._lead(pending)
+        self._run_cells(round_no, [lead], horizon)
+        state = self._states[lead]
+        assert state.result is not None
+        if state.result["stop"] != StopCause.MAX_WRITES.value:
+            death = self._global_at_local(
+                state, int(state.result["local_writes"]))
+            horizon = death if horizon is None else min(horizon, death)
+        self._run_cells(round_no, [i for i in pending if i != lead],
+                        horizon)
+
+    def _lead(self, pending: List[int]) -> int:
+        """The pending shard likeliest to die first.
+
+        The largest current share wears out first under skewed traffic;
+        ties go to the lowest shard id.  The choice only saves work: the
+        round's result is the same whichever shard leads.
+        """
+        return min(pending, key=lambda i: (-self._states[i].share, i))
+
+    def _run_cells(self, round_no: int, shards: List[int],
+                   horizon: Optional[float] = None, tag: str = "") -> None:
+        """Run one cell per shard in one grid call; record the results.
+
+        Cell keys are ``<label>/r<round>/s<shard><tag>``.
+        """
+        if not shards:
+            return
         states = self._states
-        cells = []
-        for i in pending:
-            key = f"{self.label}/r{round_no}/s{i}"
-            cells.append(Cell(key=key, fn=_CELL_FN,
-                              kwargs=self._cell_kwargs(
-                                  i, states[i], self._seeds[i], horizon)))
+        keys = {i: f"{self.label}/r{round_no}/s{i}{tag}" for i in shards}
+        cells = [Cell(key=keys[i], fn=_CELL_FN,
+                      kwargs=self._cell_kwargs(i, states[i], self._seeds[i],
+                                               horizon))
+                 for i in shards]
         runner = GridRunner(jobs=self.jobs, progress=self.progress,
                             batch=self.batch)
         values = runner.run(cells)
-        for i in pending:
-            record = values[f"{self.label}/r{round_no}/s{i}"]
+        for i in shards:
+            record = values[keys[i]]
             states[i].checkpoint = record.pop("checkpoint", None)
             states[i].result = record
             states[i].changed_at = None
@@ -566,8 +614,9 @@ class ArrayEngine:
                             death_global: float) -> List[int]:
         """Fail-stop: cap every survivor at the death point (epoch-aligned).
 
-        Returns the shards that must re-run; a survivor whose previous
-        cap already matches keeps its result.
+        Returns the shards that must re-run; a survivor already parked
+        at that cap (the lead rule parks them there when the lead was
+        the casualty) keeps its result.
         """
         pending = []
         for i in live:

@@ -336,6 +336,9 @@ class TestArrayEndOfLife:
         assert report.stop.cause.value == "shard-failed"
         assert "shard 2" in report.stop.detail
         assert report.dead_shards == (2,)
+        # Truncating the survivors belongs to the round that found the
+        # death, whichever shard led it.
+        assert result.rounds == 1
         # Survivors are truncated at the death epoch, still alive.
         for census in report.shards:
             if census.shard != 2:
@@ -354,6 +357,62 @@ class TestArrayEndOfLife:
     def test_attack_kills_the_victim_shard_first(self):
         result = run_array(workload="attack")
         assert result.report.dead_shards[0] == 0
+
+
+def _lead_choices():
+    """``ArrayEngine._lead`` stand-ins: each pending position, smallest share."""
+    choices = [(f"pending[{k}]",
+                lambda self, pending, k=k: pending[k % len(pending)])
+               for k in range(4)]
+    choices.append(("smallest-share", lambda self, pending: min(
+        pending, key=lambda i: (self._states[i].share, i))))
+    return choices
+
+
+FORCED_KILL = dict(workload="uniform", mean_endurance=200.0,
+                   schedule=shard_death_schedule(2, at_write=3_000,
+                                                 num_blocks=256))
+
+
+class TestLeadRule:
+    @pytest.mark.parametrize("overrides", [
+        dict(policy="degraded", workload="uniform"),
+        dict(policy="degraded", workload="attack"),
+        dict(policy="fail-stop", workload="uniform"),
+        dict(policy="fail-stop", workload="attack"),
+        dict(policy="degraded", **FORCED_KILL),
+        dict(policy="fail-stop", **FORCED_KILL),
+        # The health model reads survivors' records after each round,
+        # so a balanced array must not park them at the lead's death.
+        dict(policy="fail-stop", workload="attack", balance=True,
+             remap_budget=16),
+    ], ids=["degraded-uniform", "degraded-attack", "fail-stop-uniform",
+            "fail-stop-attack", "degraded-kill", "fail-stop-kill",
+            "fail-stop-balanced"])
+    def test_result_does_not_depend_on_the_lead(self, monkeypatch,
+                                                overrides):
+        expected = json.dumps(run_array(**overrides).as_dict(),
+                              sort_keys=True)
+        for name, choose in _lead_choices():
+            monkeypatch.setattr(ArrayEngine, "_lead", choose)
+            got = json.dumps(run_array(**overrides).as_dict(),
+                             sort_keys=True)
+            assert got == expected, name
+
+    @pytest.mark.parametrize("policy", ["degraded", "fail-stop"])
+    def test_no_writes_replay_when_the_lead_dies_first(self, monkeypatch,
+                                                       policy):
+        drawn = []
+        batch_counts = SegmentedTrace.batch_counts
+
+        def counting(trace, batch):
+            drawn.append(batch)
+            return batch_counts(trace, batch)
+
+        monkeypatch.setattr(SegmentedTrace, "batch_counts", counting)
+        result = run_array(policy=policy, workload="attack", num_shards=2)
+        assert result.report.dead_shards[0] == 0
+        assert sum(drawn) == result.report.total_writes
 
 
 class TestArrayDeterminism:
