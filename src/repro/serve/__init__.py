@@ -21,11 +21,11 @@ tool-set end to end:
   ``fail-stop``), with a zero-drop accounting identity asserted at the
   end of every run.
 
-Telemetry is assembled per shard by parallel accounting cells and
-merged order-independently, so the SLO report (p50/p99 latency,
-throughput, shed/retry/failover counts) is byte-identical for a fixed
-seed at any ``--jobs``.  Run one from the command line with
-``python -m repro.serve``.
+The event loop records plain tallies and per-shard sample lists; they
+are folded into one telemetry snapshot after the run, in process, and
+the SLO report (p50/p99 latency, throughput, shed/retry/failover
+counts) derives from that snapshot alone, byte-identical for a fixed
+seed.  Run one from the command line with ``python -m repro.serve``.
 """
 
 from .breaker import BREAKER_STATES, CircuitBreaker

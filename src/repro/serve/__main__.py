@@ -4,7 +4,7 @@ Examples::
 
     # 4 shards, zipf traffic, shard 1 killed mid-run, degraded failover
     python -m repro.serve --shards 4 --clients 8 --requests 2000 \\
-        --kill-shard 1 --kill-at 300 --jobs 2
+        --kill-shard 1 --kill-at 300
 
     # breaker exercise: shard 0 stalls for 12 requests, then recovers
     python -m repro.serve --stall-shard 0 --stall-at 100 \\
@@ -67,8 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mean-endurance", type=float, default=300.0)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--jobs", type=int, default=1,
-                        help="accounting-cell workers (results are "
-                             "byte-identical at any value)")
+                        help="accepted for compatibility and ignored: "
+                             "accounting folds in process after the run")
     parser.add_argument("--kill-shard", type=int, default=None,
                         help="kill this shard mid-traffic")
     parser.add_argument("--kill-at", type=int, default=300,

@@ -1,26 +1,24 @@
-"""Post-run accounting: per-shard sample lists → merged telemetry.
+"""Post-run accounting: per-shard sample lists → one telemetry snapshot.
 
-The discrete-event loop is inherently serial (one virtual clock), so
-``--jobs`` parallelism lives here instead: each shard's raw samples —
-success latencies, batch sizes, queue-depth observations, counters —
-become one :class:`~repro.experiments.parallel.Cell` whose function
-folds them into a telemetry snapshot.  Cells fan out on the shared
-:class:`~repro.experiments.parallel.GridRunner`, and the snapshots merge
-with :func:`~repro.telemetry.merge_snapshots`, which is associative and
-commutative — so the merged result is byte-identical at any job count.
+The event loop records only plain data — tallies on the engine, sample
+lists and counts on each :class:`~repro.serve.station.ShardStation` —
+and this module folds every station into the engine's own session once
+the run ends, in process.  Each sample list lands with one
+:meth:`~repro.telemetry.metrics.Histogram.observe_many`, so the fold
+costs a sort per list rather than a telemetry call per sample.
 
 Shared metric names (``serve.latency.read``/``write``, ``serve.served``)
 add across shards into global aggregates; per-shard names carry the
-``serve.s<id>.`` prefix so gauges never collide under merge's max rule.
+``serve.s<id>.`` prefix.  Every fold is a sum of integers or a per-shard
+gauge, so the snapshot does not depend on the order stations fold in.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List
 
 from ..array.shard import deterministic_snapshot
-from ..experiments.parallel import Cell, GridRunner
-from ..telemetry import TelemetrySession, merge_snapshots
+from ..telemetry import TelemetrySession
 from .config import ServeConfig
 from .station import ShardStation
 
@@ -28,78 +26,31 @@ from .station import ShardStation
 SIZE_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 
-def account_shard_cell(sid: int,
-                       ok_latencies: Sequence[Sequence[int]],
-                       batch_sizes: Sequence[int],
-                       depth_samples: Sequence[int],
-                       served: int, stalls: int, peak_depth: int,
-                       writes_served: int, endurance_budget: float,
-                       alive: bool, died_at: int,
-                       latency_bounds: Sequence[float]
-                       ) -> Dict[str, Dict[str, Any]]:
-    """Fold one shard's raw samples into a telemetry snapshot.
-
-    A module-level function with plain-data arguments, so the grid
-    runner can hand it to worker processes by dotted name.  Everything
-    observed here is a deterministic function of the samples — no wall
-    clock, no randomness — which is what makes the merged snapshot
-    byte-stable across job counts.
-    """
-    session = TelemetrySession()
-    for latency, is_write in ok_latencies:
-        kind = "write" if is_write else "read"
-        session.observe(f"serve.latency.{kind}", latency,
-                        bounds=tuple(latency_bounds))
-    for size in batch_sizes:
-        session.observe(f"serve.s{sid}.batch", size, bounds=SIZE_BOUNDS)
-    for depth in depth_samples:
-        session.observe(f"serve.s{sid}.depth", depth, bounds=SIZE_BOUNDS)
-    session.count("serve.served", served)
-    session.count(f"serve.s{sid}.served", served)
-    session.count(f"serve.s{sid}.stalls", stalls)
-    session.count(f"serve.s{sid}.writes", writes_served)
-    session.set_gauge(f"serve.s{sid}.peak_depth", peak_depth)
-    session.set_gauge(f"serve.s{sid}.wear",
-                      writes_served / endurance_budget)
-    session.set_gauge(f"serve.s{sid}.alive", int(alive))
-    session.set_gauge(f"serve.s{sid}.died_at", died_at)
+def assemble_snapshots(stations: List[ShardStation],
+                       session: TelemetrySession,
+                       config: ServeConfig) -> Dict[str, Dict[str, Any]]:
+    """Fold every station into *session* and return its snapshot."""
+    latency = config.latency_bounds
+    for station in stations:
+        sid = station.sid
+        for name, values, bounds in (
+                ("serve.latency.read", station.read_latencies, latency),
+                ("serve.latency.write", station.write_latencies, latency),
+                (f"serve.s{sid}.batch", station.batch_sizes, SIZE_BOUNDS),
+                (f"serve.s{sid}.depth", station.depth_samples, SIZE_BOUNDS)):
+            if values:  # a histogram exists only once observed
+                session.registry.histogram(name, bounds).observe_many(values)
+        session.count("serve.served", station.served)
+        session.count(f"serve.s{sid}.served", station.served)
+        session.count(f"serve.s{sid}.stalls", station.stalls)
+        session.count(f"serve.s{sid}.writes", station.writes_served)
+        session.set_gauge(f"serve.s{sid}.peak_depth", station.peak_depth)
+        session.set_gauge(f"serve.s{sid}.wear", station.wear_fraction())
+        session.set_gauge(f"serve.s{sid}.alive", int(station.alive))
+        session.set_gauge(f"serve.s{sid}.died_at",
+                          -1 if station.died_at is None
+                          else station.died_at)
     return deterministic_snapshot(session.registry.snapshot())
 
 
-def shard_cell(station: ShardStation, config: ServeConfig) -> Cell:
-    """The accounting cell for one station (plain-data kwargs only)."""
-    return Cell(
-        key=f"serve/s{station.sid}",
-        fn="repro.serve.account:account_shard_cell",
-        kwargs={
-            "sid": station.sid,
-            "ok_latencies": [list(pair) for pair in station.ok_latencies],
-            "batch_sizes": list(station.batch_sizes),
-            "depth_samples": list(station.depth_samples),
-            "served": station.served,
-            "stalls": station.stalls,
-            "peak_depth": station.peak_depth,
-            "writes_served": station.writes_served,
-            "endurance_budget": config.endurance_budget,
-            "alive": station.alive,
-            "died_at": -1 if station.died_at is None else station.died_at,
-            "latency_bounds": list(config.latency_bounds),
-        })
-
-
-def assemble_snapshots(stations: List[ShardStation],
-                       front_session: TelemetrySession,
-                       config: ServeConfig,
-                       jobs: int = 1) -> Dict[str, Dict[str, Any]]:
-    """Fan per-shard accounting over *jobs* workers and merge everything."""
-    runner = GridRunner(jobs=jobs)
-    results = runner.run([shard_cell(station, config)
-                          for station in stations])
-    merged = deterministic_snapshot(front_session.registry.snapshot())
-    for key in sorted(results):
-        merged = merge_snapshots(merged, results[key])
-    return merged
-
-
-__all__ = ["account_shard_cell", "shard_cell", "assemble_snapshots",
-           "SIZE_BOUNDS"]
+__all__ = ["assemble_snapshots", "SIZE_BOUNDS"]

@@ -11,8 +11,8 @@ degraded-mode failover when a fault schedule kills a shard mid-traffic.
 No wall clock, no module-level randomness: every tick is an integer,
 every draw flows through :func:`repro.rng.derive_rng`, and the event
 heap is totally ordered by ``(tick, monotone sequence)`` — so a run is
-a pure function of ``(config, schedule)``, byte-identical at any
-``--jobs`` (parallelism only fans out the post-run accounting cells).
+a pure function of ``(config, schedule)``.  The loop bumps only plain
+tallies and sample lists, folded into telemetry once, after the run.
 
 The zero-drop discipline: a request finishes in exactly one of the
 :data:`~repro.serve.requests.OUTCOMES`; every queue, overflow lane, and
@@ -53,6 +53,9 @@ _ISSUE = 0      # payload: client id
 _ADMIT = 1      # payload: Request (fresh routing at fire time)
 _DISPATCH = 2   # payload: (sid, generation) — batch window closed
 _COMPLETE = 3   # payload: (sid, generation) — batch finished service
+
+#: Think times drawn per refill of a client's buffer.
+_THINK_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -110,6 +113,8 @@ class ServiceEngine:
                          for sid in range(config.num_shards)]
         self.faults = ServeFaultDriver(schedule, config)
         self.session = TelemetrySession()
+        #: Event counters, folded in after the run (absent until bumped).
+        self.tallies: Dict[str, int] = {}
         self.now = 0
         self.issued = 0
         self.finished = 0
@@ -128,6 +133,10 @@ class ServiceEngine:
                              for c in range(config.clients)]
         self._think_rngs = [derive_rng(config.seed, f"serve-think-{c}")
                             for c in range(config.clients)]
+        #: Pre-drawn think times per client, next draw last (each client
+        #: owns its stream, so bulk draws equal successive single ones).
+        self._think_buffers: List[List[int]] = [
+            [] for _ in range(config.clients)]
 
     # --------------------------------------------------------------- set-up
 
@@ -168,13 +177,23 @@ class ServiceEngine:
     def _think(self, client: int) -> int:
         if self.config.arrival == "uniform":
             return self.config.think_ticks
-        return int(self._think_rngs[client].exponential(
-            self.config.think_ticks))
+        buffer = self._think_buffers[client]
+        if not buffer:
+            draws = self._think_rngs[client].exponential(
+                self.config.think_ticks, size=_THINK_BATCH)
+            buffer.extend(draws.astype(np.int64)[::-1].tolist())
+        return buffer.pop()
+
+    def _tally(self, name: str, amount: int = 1) -> None:
+        self.tallies[name] = self.tallies.get(name, 0) + amount
 
     # ------------------------------------------------------------------ run
 
     def run(self, jobs: int = 1) -> ServiceResult:
-        """Drive the service to quiescence and assemble the result."""
+        """Drive the service to quiescence and assemble the result.
+
+        *jobs* is accepted and ignored: accounting folds in process.
+        """
         for client in range(self.config.clients):
             self._push(0, _ISSUE, client)
         while self._events:
@@ -191,7 +210,7 @@ class ServiceEngine:
         self._check_identity()
         self._final_gauges()
         merged = assemble_snapshots(self.stations, self.session,
-                                    self.config, jobs=jobs)
+                                    self.config)
         report = build_report(merged, self.config)
         return ServiceResult(config=self.config.as_dict(), snapshot=merged,
                              report=report, duration=self.now,
@@ -208,6 +227,12 @@ class ServiceEngine:
 
     def _final_gauges(self) -> None:
         session = self.session
+        session.count("serve.issued", self.issued)
+        for name, amount in self.tallies.items():
+            session.count(name, amount)
+        for outcome, amount in self.outcomes.items():
+            if amount:
+                session.count(f"serve.{outcome}", amount)
         session.set_gauge("serve.duration", self.now)
         session.set_gauge("serve.clients", self.config.clients)
         session.set_gauge("serve.shards", len(self.stations))
@@ -238,14 +263,12 @@ class ServiceEngine:
                           is_write=is_write, issued_at=self.now,
                           deadline=self.now + self.config.deadline_ticks)
         self.issued += 1
-        self.session.count("serve.issued")
-        self.session.count(f"serve.issued_{request.kind()}")
+        self._tally(f"serve.issued_{request.kind()}")
         self._route(request)
 
     def _finish(self, request: Request, outcome: str) -> None:
         self.outcomes[outcome] += 1
         self.finished += 1
-        self.session.count(f"serve.{outcome}")
         if self.issued < self.config.total_requests:
             self._push(self.now + self._think(request.client), _ISSUE,
                        request.client)
@@ -278,7 +301,7 @@ class ServiceEngine:
         target = min(fresh,
                      key=lambda s: (self.stations[s].writes_served, s))
         if target != sid:
-            self.session.count("serve.steered")
+            self._tally("serve.steered")
         return target
 
     # ----------------------------------------------------------- admission
@@ -289,11 +312,11 @@ class ServiceEngine:
             return
         if len(station.queue) >= self.config.queue_depth:
             if self.config.admission == "shed":
-                self.session.count("serve.shed_full_queue")
+                self._tally("serve.shed_full_queue")
                 self._finish(request, "shed")
             else:
                 station.waiting.append(request)
-                self.session.count("serve.blocked")
+                self._tally("serve.blocked")
                 station.note_depth()
             return
         self._enqueue(station, request)
@@ -302,12 +325,12 @@ class ServiceEngine:
         """Place a request into a queue slot (capacity already checked)."""
         decision = station.breaker.admit(self.now)
         if decision == "fast-fail":
-            self.session.count("serve.breaker_fast_fail")
+            self._tally("serve.breaker_fast_fail")
             self._retry(station, request, shard_failure=False)
             return
         if decision == "probe":
             request.probe = True
-            self.session.count("serve.breaker_probes")
+            self._tally("serve.breaker_probes")
         station.queue.append(request)
         station.note_depth()
         self._maybe_dispatch(station)
@@ -383,7 +406,7 @@ class ServiceEngine:
         if station.stall_remaining > 0:
             station.stall_remaining -= 1
             station.stalls += 1
-            self.session.count("serve.stalled")
+            self._tally("serve.stalled")
             self._retry(station, request, shard_failure=True)
             return
         if request.is_write:
@@ -392,9 +415,10 @@ class ServiceEngine:
         station.breaker.record_success(request.probe)
         request.probe = False
         latency = self.now - request.issued_at
-        station.ok_latencies.append((latency, int(request.is_write)))
+        (station.write_latencies if request.is_write
+         else station.read_latencies).append(latency)
         if self.now > request.deadline:
-            self.session.count("serve.deadline_miss")
+            self._tally("serve.deadline_miss")
         self._finish(request, "ok")
         if request.is_write and self.faults.poll(station):
             self._kill(station)
@@ -415,7 +439,7 @@ class ServiceEngine:
         request.probe = False
         request.attempts += 1
         if request.attempts >= self.config.retry_limit:
-            self.session.count("serve.retries_exhausted")
+            self._tally("serve.retries_exhausted")
             self._finish(request, "error")
             return
         backoff = self.config.backoff_base * 2 ** (request.attempts - 1)
@@ -423,7 +447,7 @@ class ServiceEngine:
         if retry_at >= request.deadline:
             self._finish(request, "deadline")
             return
-        self.session.count("serve.retries")
+        self._tally("serve.retries")
         self._push(retry_at, _ADMIT, request)
 
     # ------------------------------------------------------------ failover
@@ -443,7 +467,7 @@ class ServiceEngine:
         """Re-home (degraded) or fail (fail-stop) displaced requests."""
         for request in requests:
             request.probe = False
-            self.session.count("serve.failover")
+            self._tally("serve.failover")
             if self.config.policy == "fail-stop":
                 self._finish(request, "failed")
             else:
@@ -466,8 +490,8 @@ class ServiceEngine:
         self.faults.grow()
         assert self.health is not None  # balanced whenever add_shard_at set
         self.health.add_shard()
-        self.session.count("serve.migrated", int(movers.size))
-        self.session.count("serve.shards_added")
+        self._tally("serve.migrated", int(movers.size))
+        self._tally("serve.shards_added")
 
     def _rebalance(self) -> None:
         """One steering checkpoint: wear telemetry -> bounded swaps."""
@@ -481,7 +505,7 @@ class ServiceEngine:
         swaps = plan_swaps(self.decoder, self._demand,
                            self.health.risks(), live, self._policy)
         if swaps:
-            self.session.count("serve.remap_swaps", len(swaps))
+            self._tally("serve.remap_swaps", len(swaps))
 
 
 __all__ = ["ServiceEngine", "ServiceResult"]

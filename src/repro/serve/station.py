@@ -4,9 +4,9 @@ A :class:`ShardStation` owns everything one shard contributes to the
 service: the bounded admission queue, the overflow lane used by the
 ``block`` admission mode, the batching window, the circuit breaker, a
 write-count wear proxy, and the raw *sample lists* (latencies, batch
-sizes, queue depths) that the accounting cells later fold into telemetry
-snapshots.  Stations never touch the clock or the event heap — the
-:class:`~repro.serve.engine.ServiceEngine` drives them.
+sizes, queue depths) that :mod:`repro.serve.account` folds into the
+telemetry snapshot after the run.  Stations never touch the clock or the
+event heap — the :class:`~repro.serve.engine.ServiceEngine` drives them.
 
 :class:`ServeFaultDriver` is the serving layer's interpreter for
 :class:`~repro.faultinject.FaultSchedule` actions, the counterpart of
@@ -58,9 +58,10 @@ class ShardStation:
         #: fault schedule's ``at_write`` pins and brownout steering.
         self.writes_served = 0
 
-        # Raw deterministic samples, folded into telemetry by the
-        # accounting cells (repro.serve.account).
-        self.ok_latencies: List[Tuple[int, int]] = []  # (latency, is_write)
+        # Raw deterministic samples, folded into telemetry once after
+        # the run (repro.serve.account); latencies are of ok requests.
+        self.read_latencies: List[int] = []
+        self.write_latencies: List[int] = []
         self.batch_sizes: List[int] = []
         self.depth_samples: List[int] = []
         self.served = 0

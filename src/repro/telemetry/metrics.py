@@ -140,6 +140,22 @@ class Histogram:
         self.total += 1
         self.sum += value
 
+    def observe_many(self, values: Sequence[Number]) -> None:
+        """Record every value in *values*: one sort, one bisect per bound.
+
+        Buckets and ``total`` match one :meth:`observe` per value; so
+        does ``sum`` for ints (float sums may round differently).
+        """
+        ordered = sorted(values)
+        below = 0
+        for i, bound in enumerate(self.bounds):
+            upto = bisect.bisect_right(ordered, bound)
+            self.counts[i] += upto - below
+            below = upto
+        self.counts[-1] += len(ordered) - below
+        self.total += len(ordered)
+        self.sum += sum(ordered)
+
     def cumulative(self) -> List[int]:
         """Running totals per bucket; non-decreasing, ends at :attr:`total`."""
         out: List[int] = []
@@ -180,6 +196,9 @@ class _NullHistogram(Histogram):
     """Shared no-op histogram handed out by disabled registries."""
 
     def observe(self, value: Number) -> None:  # noqa: D102 - no-op
+        pass
+
+    def observe_many(self, values: Sequence[Number]) -> None:  # noqa: D102
         pass
 
 

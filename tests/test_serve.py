@@ -93,6 +93,17 @@ class TestDeterminism:
         b = ServiceEngine(small_config(seed=2)).run()
         assert a.to_json() != b.to_json()
 
+    def test_buffered_think_draws_equal_single_draws(self):
+        """Think times are drawn in bulk; across refills they equal the
+        successive single draws of the client's own stream."""
+        from repro.rng import derive_rng
+        config = small_config(think_ticks=16)
+        engine = ServiceEngine(config)
+        reference = derive_rng(config.seed, "serve-think-1")
+        expected = [int(reference.exponential(config.think_ticks))
+                    for _ in range(700)]
+        assert [engine._think(1) for _ in range(700)] == expected
+
     def test_jobs_do_not_change_bytes_under_mid_traffic_death(self):
         """The PR's pinned regression: merged telemetry and the SLO
         report are byte-identical at --jobs 1 vs --jobs 2 while a shard
@@ -407,9 +418,104 @@ class TestWorkloadPackageDedupe:
         result = ServiceEngine(config).run()
         assert self.behavior_hash(result) == self.PINS["uniform"]
 
+    #: Configs that drive every counter site the event loop bumps, with
+    #: hashes recorded before the counters moved off the event loop.
+    COUNTER_PINS = [
+        pytest.param(
+            dict(total_requests=400, clients=16, queue_depth=1,
+                 batch_max=1, think_ticks=0, admission="shed",
+                 write_ticks=6, read_ticks=4), None,
+            "d53917041d432d36f6d2e4ec83fdf571"
+            "053fa2186147e4d9cde7e767667bc687", id="shed"),
+        pytest.param(
+            dict(total_requests=600, clients=8, breaker_threshold=3,
+                 breaker_cooldown=16), ("stall", 0, 30, 12),
+            "94159ebaf81151b5b3a601484c91196e"
+            "dc002e68a57c40f46bdfdf228064cb7a", id="stall"),
+        pytest.param(
+            dict(retry_limit=2, deadline_ticks=5_000), ("stall", 0, 20, 40),
+            "56c0f6266c4540db532a5de1b9f22a95"
+            "917b48ce8add0225f9e177a8d86a6575", id="retry-exhaustion"),
+        pytest.param(
+            dict(total_requests=300, clients=16, queue_depth=2,
+                 batch_max=1, think_ticks=0, admission="block",
+                 deadline_ticks=4, write_ticks=6, read_ticks=4), None,
+            "8733be77a7daa8454a9fe87b46fdd732"
+            "f0f3070098b9f89ee4d2e8dba3cfdf7d", id="block-deadline"),
+        pytest.param(
+            dict(policy="fail-stop"), ("death", 1, 40, 128),
+            "8e8540cfb82dcdbf85eb9b82a5d67be7"
+            "fe76e0d0358969a7de75c92294097677", id="fail-stop-kill"),
+        pytest.param(
+            dict(total_requests=400, clients=4, mean_endurance=2.0,
+                 brownout_wear=0.5), None,
+            "0d2df7c52777c417a0ec752d8ed37ed2"
+            "5d01949e3afdc4d64c87cb0bf5092bb5", id="brownout"),
+        pytest.param(
+            dict(num_shards=3, total_requests=1200, mean_endurance=2.0,
+                 brownout_wear=1.0, balance=True, rebalance_every=25,
+                 remap_budget=16, add_shard_at=400, interleave="page"),
+            ("death", 1, 60, 128),
+            "5c4e53e25866e5053483db2a07048255"
+            "43b8b2bc88318ff75bf829f02bcb64b6", id="balanced-grow-kill"),
+    ]
+
+    @pytest.mark.parametrize("overrides, schedule, pin", COUNTER_PINS)
+    def test_counter_sites_are_pinned(self, overrides, schedule, pin):
+        if schedule is not None:
+            kind, shard, at_write, size = schedule
+            build = (shard_stall_schedule if kind == "stall"
+                     else shard_death_schedule)
+            schedule = build(shard, at_write, size)
+        result = ServiceEngine(small_config(**overrides), schedule).run()
+        assert self.behavior_hash(result) == pin
+
     def test_streams_come_from_the_workload_package(self):
         from repro.workloads import (uniform_request_stream,
                                      zipf_request_stream)
         from repro.serve import engine as serve_engine
         assert serve_engine.zipf_request_stream is zipf_request_stream
         assert serve_engine.uniform_request_stream is uniform_request_stream
+
+
+class TestTelemetryOffTheEventLoop:
+    """The event loop makes no telemetry call per event: the session
+    sees one call per metric name, folded after the run, and the
+    accounting never goes through the grid runner."""
+
+    @staticmethod
+    def telemetry_calls(monkeypatch, config):
+        from repro.experiments.parallel import GridRunner
+        from repro.telemetry import TelemetrySession
+        calls = {"count": 0, "observe": 0, "grid": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            patch.setattr(TelemetrySession, "count", counting(
+                "count", TelemetrySession.count))
+            patch.setattr(TelemetrySession, "observe", counting(
+                "observe", TelemetrySession.observe))
+            patch.setattr(GridRunner, "run", counting(
+                "grid", GridRunner.run))
+            ServiceEngine(config).run()
+        return calls
+
+    def test_session_calls_do_not_grow_with_traffic(self, monkeypatch):
+        small = self.telemetry_calls(
+            monkeypatch, small_config(total_requests=300))
+        large = self.telemetry_calls(
+            monkeypatch, small_config(total_requests=3_000))
+        assert small == large
+        assert small["grid"] == 0
+
+    def test_histograms_exist_only_once_observed(self):
+        result = ServiceEngine(small_config(write_ratio=1.0)).run()
+        histograms = result.snapshot["histograms"]
+        assert "serve.latency.read" not in histograms
+        assert histograms["serve.latency.write"]["total"] == \
+            result.outcomes["ok"]

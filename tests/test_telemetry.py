@@ -152,6 +152,13 @@ class TestHistogram:
             hist.observe(value)
         assert hist.cumulative()[-1] == hist.total == 3
 
+    def test_observe_many_of_nothing_changes_nothing(self):
+        hist = Registry().histogram("lat", bounds=(1.0, 10.0))
+        hist.observe(5)
+        before = hist.snapshot()
+        hist.observe_many([])
+        assert hist.snapshot() == before
+
 
 class TestRegistry:
     def test_cross_type_name_collision_is_rejected(self):
@@ -170,6 +177,7 @@ class TestRegistry:
         registry.counter("a").inc(5)
         registry.gauge("b").set(5)
         registry.histogram("c").observe(5)
+        registry.histogram("c").observe_many([1, 5, 9])
         assert NULL_COUNTER.value == 0
         assert NULL_GAUGE.value == 0
         assert NULL_HISTOGRAM.total == 0
@@ -237,6 +245,33 @@ def test_histogram_cumulative_is_monotone(values):
     cumulative = hist.cumulative()
     assert all(a <= b for a, b in zip(cumulative, cumulative[1:]))
     assert cumulative[-1] == hist.total == len(values)
+
+
+_MANY_BOUNDS = (1.0, 4.0, 16.0, 64.0)
+_many_values = st.lists(st.one_of(
+    st.integers(min_value=-100, max_value=0),        # below the first bound
+    st.sampled_from([1, 4, 16, 64]),                 # equal to a bound
+    st.integers(min_value=2, max_value=63),          # between bounds
+    st.integers(min_value=65, max_value=10 ** 9)),   # past the last bound
+    max_size=120)
+
+
+@given(before=_many_values, values=_many_values)
+@settings(max_examples=150, deadline=None)
+def test_observe_many_equals_one_observe_per_value(before, values):
+    """Property: folding int values in bulk gives the same snapshot —
+    buckets, total and exact int sum — as observing them one by one,
+    onto an empty or an already-populated histogram."""
+    one_by_one = Registry().histogram("h", bounds=_MANY_BOUNDS)
+    bulk = Registry().histogram("h", bounds=_MANY_BOUNDS)
+    for value in before:
+        one_by_one.observe(value)
+        bulk.observe(value)
+    for value in values:
+        one_by_one.observe(value)
+    bulk.observe_many(values)
+    assert bulk.snapshot() == one_by_one.snapshot()
+    assert type(bulk.sum) is int
 
 
 def _snapshot_strategy():
