@@ -36,8 +36,7 @@ def campaign(shards: int, policy: str, attack: bool) -> ArrayEngine:
     trace = (shard_attack_workload(decoder, shard=0, hot_share=0.9,
                                    seed=SEED) if attack
              else hotspot_workload(decoder, cov=3.0, seed=SEED))
-    engine = ArrayEngine(config, trace, label=f"{policy}/{shards}x",
-                         jobs=2)
+    engine = ArrayEngine(config, trace, label=f"{policy}/{shards}x")
     engine.run()
     return engine
 

@@ -4,9 +4,9 @@ Everything below :mod:`repro.array` simulates *one* chip; this package
 scales out: N independent shard devices — each a full chip + Start-Gap +
 recovery stack with its own derived seed — behind an
 :class:`InterleavedDecoder` that round-robins the global block space
-across them, driven by an :class:`ArrayEngine` that runs the shards
-shared-nothing on the parallel harness and merges their series and
-telemetry into one array-level result.
+across them, driven by an :class:`ArrayEngine` that advances the shards
+shared-nothing in lockstep on one global write clock and merges their
+series and telemetry into one array-level result.
 
 The new failure regime this opens is *array-level* end of life: with the
 ``fail-stop`` policy the array dies with its first shard; with the
@@ -23,7 +23,7 @@ Run one from the command line with ``python -m repro.array``; the
 from .decoder import INTERLEAVE_MODES, InterleavedDecoder
 from .engine import (ARRAY_POLICIES, ArrayConfig, ArrayEngine, ArrayResult)
 from .report import ArrayEndOfLifeReport, ShardCensus
-from .shard import deterministic_snapshot, run_shard_cell, shard_seed
+from .shard import deterministic_snapshot, shard_seed
 from .trace import SegmentedTrace
 from .workloads import (hotspot_workload, shard_attack_workload,
                         trace_workload, uniform_workload, zipf_workload)
@@ -40,7 +40,6 @@ __all__ = [
     "ShardCensus",
     "deterministic_snapshot",
     "hotspot_workload",
-    "run_shard_cell",
     "shard_attack_workload",
     "shard_seed",
     "trace_workload",

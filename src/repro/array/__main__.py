@@ -4,7 +4,7 @@ Examples::
 
     # 4-shard degraded-mode array under a clustered workload
     python -m repro.array --shards 4 --shard-blocks 512 --page-blocks 16 \
-        --mean 300 --workload hotspot --jobs 2
+        --mean 300 --workload hotspot
 
     # single-shard hot-spot attack against a fail-stop array
     python -m repro.array --policy fail-stop --workload attack \
@@ -68,10 +68,6 @@ def _parser() -> argparse.ArgumentParser:
                         help="global write budget (default: run to death)")
     parser.add_argument("--dead-fraction", type=float, default=0.3)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--batch", type=int, default=1,
-                        help="shards per struct-of-arrays group (default 1: "
-                             "per-shard engines)")
     parser.add_argument("--no-telemetry", action="store_true")
     parser.add_argument("--kill-shard", type=int, default=None,
                         help="inject a whole-shard death on this shard")
@@ -186,8 +182,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             remap_budget=args.remap_budget,
             add_shard_at=args.add_shard_at)
         engine = ArrayEngine(config, _workload(args, config),
-                             label=f"array-{args.workload}", jobs=args.jobs,
-                             batch=args.batch, schedule=schedule)
+                             label=f"array-{args.workload}",
+                             schedule=schedule)
         result = engine.run()
     except ReproError as exc:  # repro: allow(EXC-SWALLOW): CLI boundary — a bad flag combination becomes exit code 2, not a traceback
         print(f"error: {exc}", file=sys.stderr)

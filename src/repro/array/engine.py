@@ -2,9 +2,8 @@
 
 :class:`ArrayEngine` services a single global write distribution with an
 array of independent shard stacks (chip + Start-Gap + recovery), each a
-full :class:`~repro.sim.fast.FastEngine` run as a grid cell of the
-parallel harness.  Shards never share state; what couples them is pure
-arithmetic:
+full :class:`~repro.sim.fast.FastEngine` held in this process.  Shards
+never share state; what couples them is pure arithmetic:
 
 * one address map — a :class:`~repro.balance.BalancedDecoder` over the
   :class:`~repro.array.decoder.InterleavedDecoder` — projects the
@@ -15,18 +14,15 @@ arithmetic:
   shard a piecewise-linear local<->global map that the engine maintains
   as shares change.
 
-End-of-life is decided on the global clock.  Each *round*, the live
-shards run to their own stop conditions, the likeliest casualty first
-so the others can park at its death (the lead rule,
-:meth:`ArrayEngine._run_round`); the earliest death on the global clock
-wins (ties broken by shard id):
+End-of-life is decided on the global clock.  The live shards advance in
+lockstep, the one furthest behind stepping one epoch at a time
+(:meth:`ArrayEngine._advance`), so the first death is found when it
+happens and nothing runs past it (ties broken by shard id):
 
 ``fail-stop``
-    The array dies with its first shard.  Survivors end capped at the
-    death point (epoch-aligned) so the merged result describes the
-    array at the moment it stopped: the lead rule parks them there when
-    the lead was the casualty, and the same round re-runs any that ran
-    past it.
+    The array dies with its first shard.  Survivors end on the epoch
+    boundary covering the death point, so the merged result describes
+    the array at the moment it stopped.
 ``degraded``
     The dead shard drops out of the map: its addresses re-home
     round-robin onto the survivors (:meth:`BalancedDecoder.rehome
@@ -41,15 +37,14 @@ global clock, and a static array simply has none.
 
 Determinism: per-shard seeds derive from the array seed and shard index
 only, segment boundaries and write caps are quantized to whole epochs,
-and per-segment trace generators are independent — so re-running a
-survivor with appended segments replays its prefix byte-identically, a
-shard parked at its write cap continues its saved engine to the state a
-fresh run would reach, and the whole array result (merged telemetry
-snapshot included) is invariant under ``jobs``.
+and per-segment trace generators are independent — so a shard's engine,
+continued epoch by epoch across segment changes, ends in the state a
+fresh run over its final segments would reach.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
@@ -57,9 +52,9 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..experiments.parallel import Cell, GridRunner, ProgressFn
 from ..faultinject import FaultSchedule, for_shard
 from ..rng import SeedLike
+from ..sim.fast import FastEngine
 from ..sim.metrics import LifetimeSeries, SamplePoint
 from ..sim.stop import StopCause, StopReason
 from ..telemetry import TelemetrySession, merge_snapshots
@@ -67,13 +62,12 @@ from ..traces.base import DistributionTrace
 from ..units import blocks_of_pages, ceil_div, page_count
 from .decoder import INTERLEAVE_MODES, InterleavedDecoder
 from .report import ArrayEndOfLifeReport, ShardCensus
-from .shard import idle_result, run_shard_cell, shard_seed
+from .shard import (build_shard_cell, finish_shard_cell, idle_result,
+                    shard_seed)
+from .trace import SegmentedTrace
 
 #: Array end-of-life policies.
 ARRAY_POLICIES: Tuple[str, ...] = ("fail-stop", "degraded")
-
-#: Dotted reference GridRunner workers re-import for each shard cell.
-_CELL_FN = f"{run_shard_cell.__module__}:{run_shard_cell.__name__}"
 
 
 @dataclass
@@ -149,7 +143,7 @@ class ArrayConfig:
 
 @dataclass
 class _ShardState:
-    """Book-keeping the engine keeps per shard between rounds."""
+    """Book-keeping the engine keeps per shard."""
 
     #: Current local mass vector (in global-probability units).
     mass: np.ndarray
@@ -157,17 +151,12 @@ class _ShardState:
     segments: List[Tuple[int, np.ndarray]]
     #: ``(local_start, global_start, share)`` pieces of the clock map.
     pieces: List[Tuple[int, float, float]]
-    result: Optional[dict] = None
-    #: Earliest boundary of a segment appended since ``result`` was
-    #: recorded (``None``: the record matches the trace).
-    changed_at: Optional[int] = None
-    #: ``(engine, context)`` kept from the last run, which stopped at its
-    #: write cap; the next run may continue it (see ``_checkpoint_for``).
-    checkpoint: Optional[tuple] = None
+    #: The shard's stack, built at its first step (``None`` while idle),
+    #: and the context :func:`finish_shard_cell` turns it into a record.
+    engine: Optional[FastEngine] = None
+    context: tuple = ()
     dead: bool = False
     death_global: Optional[float] = None
-    #: Fail-stop: epoch-aligned local write cap for the truncation re-run.
-    forced_cap: Optional[int] = None
 
     @property
     def share(self) -> float:
@@ -186,7 +175,7 @@ class ArrayResult:
     #: Associatively merged per-shard telemetry (plus array counters).
     snapshot: Dict[str, Dict[str, object]]
     report: ArrayEndOfLifeReport
-    #: Raw per-shard cell records, by shard index.
+    #: Raw per-shard records, by shard index.
     shards: List[dict] = field(default_factory=list)
     rounds: int = 0
 
@@ -203,20 +192,19 @@ class ArrayResult:
 
 
 class ArrayEngine:
-    """Round-based lifetime simulation of a shard array."""
+    """Lockstep lifetime simulation of a shard array.
+
+    *jobs* is accepted and ignored: every shard advances in this process.
+    """
 
     def __init__(self, config: ArrayConfig, trace: DistributionTrace,
-                 label: str = "array", jobs: int = 1, batch: int = 1,
-                 schedule: Optional[FaultSchedule] = None,
-                 progress: Optional[ProgressFn] = None) -> None:
+                 label: str = "array", jobs: int = 1,
+                 schedule: Optional[FaultSchedule] = None) -> None:
         # Imported here: repro.balance wraps this package's decoder.
         from ..balance import BalancedDecoder, LevelerPolicy, ShardHealthModel
         self.config = config
         self.label = label
-        self.jobs = jobs
-        self.batch = batch
         self.schedule = schedule
-        self.progress = progress
         self.decoder = BalancedDecoder(InterleavedDecoder(
             config.num_shards, config.software_blocks,
             interleave=config.interleave, page_blocks=config.page_blocks))
@@ -276,22 +264,16 @@ class ArrayEngine:
     def run(self) -> ArrayResult:
         """Simulate the array to its end of life; return the merged result.
 
-        Each round re-runs the live shards whose recorded run is out of
-        date (continuing a shard's saved engine where
-        :meth:`_checkpoint_for` allows, else from write 0), capped at
-        the *horizon*: the next scheduled control event
-        (a steering checkpoint or the shard addition) on the global
-        clock.  A static array has no control events, so its shards run
-        to their own stop conditions, or to the lead's death
-        (:meth:`_run_round`).  The earliest death on the global clock
-        wins; deaths take priority over control events, and an event a
-        death overtakes slips to the death's global time so segment
-        boundaries stay monotone.  Under fail-stop the round that finds
-        the death also re-runs, capped at the death epoch, any survivor
-        that ran past it.  When a round ends with every live shard
-        parked at the horizon, the event fires — feed the health model,
-        add the scheduled shard, plan bounded swaps — and the loop
-        resumes.  ``rounds`` counts the passes of this loop.
+        Each pass of the loop advances the live shards in lockstep
+        (:meth:`_advance`) to the *horizon* — the next scheduled control
+        event (a steering checkpoint or the shard addition) on the global
+        clock — or to the first shard death, whichever comes first.  A
+        static array has no control events, so it advances to the next
+        death.  A death takes priority: the event it overtakes slips to
+        the death's global time so segment boundaries stay monotone.
+        Otherwise the event fires — feed the health model, add the
+        scheduled shard, plan bounded swaps — and the loop resumes.
+        ``rounds`` counts the passes of this loop.
         """
         cfg = self.config
         states = self._states = [self._boot_state(i)
@@ -308,18 +290,15 @@ class ArrayEngine:
         while stop is None:
             horizon = self._next_horizon(min(add_at, next_balance))
             rounds += 1
-            self._run_round(rounds, self._pending_shards(horizon), horizon)
+            death = self._advance(horizon)
             live = [i for i, state in enumerate(states) if not state.dead]
             self._observe_health(live)
-            death = self._first_death()
             if death is not None:
                 death_global, victim = death
                 self._mark_dead(victim, death_global)
                 dead_order.append(victim)
                 live.remove(victim)
                 if cfg.policy == "fail-stop":
-                    self._run_cells(rounds, self._truncate_survivors(
-                        live, death_global), tag="/cap")
                     stop = StopReason(
                         StopCause.SHARD_FAILED,
                         f"shard {victim} at ~{int(death_global):,} "
@@ -353,71 +332,134 @@ class ArrayEngine:
             return None
         return event
 
-    def _pending_shards(self, horizon: Optional[float]) -> List[int]:
-        """Live shards whose recorded run is out of date.
+    def _advance(self, horizon: Optional[float],
+                 ) -> Optional[Tuple[float, int]]:
+        """Step the live shards to *horizon* or the first death.
 
-        A record is out of date when the shard has none yet, when its
-        trace changed after the record was made (``changed_at`` is set),
-        or when it stopped at its write cap and the cap has moved.  A
-        record ending in a death that no trace change touched stands as
-        it is.
+        The shard furthest behind on the global clock steps next, one
+        epoch at a time, capped at the epoch boundary covering the
+        horizon or the earliest death found so far.  Epochs therefore
+        run in order of their start time, and a death found at an
+        epoch's end is never overtaken: when no shard can step, every
+        survivor sits exactly on the epoch boundary of that death (or
+        of the horizon).  Returns ``(global write, shard)`` of the
+        earliest death, ties to the lowest shard id, or ``None``.
+
+        A death an earlier pass found but did not process (it came after
+        that pass's first death) is reported again here.
         """
-        pending = []
-        for i, state in enumerate(self._states):
-            if state.dead or state.share <= 0:
-                if state.result is None:
-                    state.result = idle_result(
-                        i, self.config.software_blocks)
-                continue
-            record = state.result
-            if (record is None or state.changed_at is not None
-                    or (record["stop"] == StopCause.MAX_WRITES.value
-                        and int(record["local_writes"])
-                        != self._cap_for(state, horizon))):
-                pending.append(i)
-        return pending
-
-    def _first_death(self) -> Optional[Tuple[float, int]]:
-        """``(global write, shard)`` of the earliest unprocessed death."""
         deaths: List[Tuple[float, int]] = []
+        ready: List[Tuple[float, int]] = []
+
+        def place(shard: int) -> None:
+            """Queue *shard* at its position, or record its death there."""
+            state = self._states[shard]
+            assert state.engine is not None and state.engine.stop
+            at = self._global_at_local(state, state.engine.total_writes)
+            if state.engine.stop.cause is StopCause.MAX_WRITES:
+                heapq.heappush(ready, (at, shard))
+            else:
+                deaths.append((at, shard))
+
         for i, state in enumerate(self._states):
-            record = state.result
-            if (not state.dead and record is not None
-                    and record["stop"] != StopCause.MAX_WRITES.value):
-                deaths.append((self._global_at_local(
-                    state, int(record["local_writes"])), i))
-        return min(deaths) if deaths else None
+            if not state.dead and state.share > 0:
+                if state.engine is None:
+                    self._build(i, 0)
+                place(i)
+        while ready:
+            _, i = heapq.heappop(ready)
+            state = self._states[i]
+            assert state.engine is not None
+            bound = horizon
+            if deaths:
+                first = min(deaths)[0]
+                bound = first if bound is None else min(bound, first)
+            cap = self._cap_for(state, bound)
+            position = state.engine.total_writes
+            if cap is not None and position >= cap:
+                continue
+            step = position + self.config.batch_writes
+            state.engine.resume(step if cap is None else min(step, cap))
+            place(i)
+        if not deaths:
+            return None
+        death = min(deaths)
+        self._repair_ties(death)
+        return death
+
+    def _repair_ties(self, death: Tuple[float, int]) -> None:
+        """Rebuild every survivor that stepped past *death*'s epoch boundary.
+
+        An exhausted chip reports its death at the start of the epoch it
+        failed in, so a survivor tied with it on the global clock (equal
+        shares put every shard on one clock) may already have stepped
+        that epoch.  Each such survivor runs fresh from its segments to
+        the boundary instead.
+        """
+        death_global, victim = death
+        for i, state in enumerate(self._states):
+            if state.dead or state.engine is None or i == victim:
+                continue
+            ceiling = self._cap_for(state, death_global)
+            assert ceiling is not None
+            if state.engine.total_writes > ceiling:
+                self._build(i, ceiling)
+
+    def _build(self, shard: int, cap: int) -> None:
+        """Build *shard*'s stack from its segments and run it to *cap*."""
+        cfg = self.config
+        state = self._states[shard]
+        schedule_json: Optional[str] = None
+        if self.schedule is not None:
+            schedule_json = for_shard(self.schedule, shard).to_json()
+        state.engine, state.context = build_shard_cell(
+            shard=shard, seed=self._seeds[shard],
+            device_blocks=cfg.shard_blocks,
+            mean_endurance=cfg.mean_endurance,
+            endurance_cov=cfg.endurance_cov, max_order=cfg.max_order,
+            ecp_k=cfg.ecp_k, psi=cfg.psi, batch_writes=cfg.batch_writes,
+            recovery=cfg.recovery, dead_fraction=cfg.dead_fraction,
+            page_blocks=cfg.page_blocks, segments=state.segments,
+            max_writes=cap, schedule=schedule_json,
+            telemetry=cfg.telemetry, label=f"{self.label}/s{shard}")
+        state.engine.run()
+
+    def _cap_for(self, state: _ShardState,
+                 horizon: Optional[float] = None) -> Optional[int]:
+        """Epoch-aligned local write cap for one shard's next step."""
+        cfg = self.config
+        cap: Optional[int] = None
+        if cfg.max_writes is not None:
+            cap = self._epoch_ceil(
+                self._local_at_global(state, float(cfg.max_writes)))
+        if horizon is not None:
+            capped = self._epoch_ceil(self._local_at_global(state, horizon))
+            cap = capped if cap is None else min(cap, capped)
+        return cap
 
     def _mark_dead(self, victim: int, death_global: float) -> None:
         state = self._states[victim]
         state.dead = True
         state.death_global = death_global
         if self.health is not None:
-            record = state.result
-            writes = (float(record["local_writes"])
-                      if record is not None else 0.0)
-            self.health.observe(victim, writes,
-                                self._failed_fraction(record), dead=True)
+            writes, failed = self._reading(state)
+            self.health.observe(victim, writes, failed, dead=True)
 
     def _observe_health(self, live: List[int]) -> None:
-        """Feed every live shard's latest record into the health model."""
+        """Feed every live shard's current reading into the health model."""
         if self.health is None:
             return
         for i in live:
-            record = self._states[i].result
-            if record is not None:
-                self.health.observe(i, float(record["local_writes"]),
-                                    self._failed_fraction(record))
+            writes, failed = self._reading(self._states[i])
+            self.health.observe(i, writes, failed)
 
     @staticmethod
-    def _failed_fraction(record: Optional[dict]) -> float:
-        if record is None:
-            return 0.0
-        report = record.get("report", {})
-        value = report.get("failed_fraction", 0.0) \
-            if isinstance(report, dict) else 0.0
-        return float(value) if isinstance(value, (int, float)) \
-            and not isinstance(value, bool) else 0.0
+    def _reading(state: _ShardState) -> Tuple[float, float]:
+        """``(local writes, failed fraction)`` of a shard's engine now."""
+        if state.engine is None:
+            return 0.0, 0.0
+        return (float(state.engine.total_writes),
+                state.engine.chip.failed_fraction())
 
     def _steer(self, live: List[int]) -> Set[int]:
         """One bounded leveler round; returns the shards whose map changed.
@@ -439,9 +481,9 @@ class ArrayEngine:
         return affected
 
     def add_shard(self, at_global: float) -> Set[int]:
-        """Grow the array by one fresh shard at a round boundary.
+        """Grow the array by one fresh shard at a control event.
 
-        The new chip+reviver cell starts pristine with its local clock
+        The new chip+reviver stack starts pristine with its local clock
         pinned to the global clock at *at_global*; the consistent-hash
         movers give it ~``1/(N+1)`` of the address space.  Returns the
         donor shards whose traffic changed (the new shard's own state is
@@ -453,12 +495,9 @@ class ArrayEngine:
         new_index = len(self._states)
         self._seeds.append(shard_seed(cfg.seed, new_index))
         mass = self.decoder.local_mass(self.probabilities, new_index)
-        state = _ShardState(
+        self._states.append(_ShardState(
             mass=mass, segments=[(0, mass.copy())],
-            pieces=[(0, float(at_global), float(mass.sum()))])
-        if state.share <= 0:
-            state.result = idle_result(new_index, cfg.software_blocks)
-        self._states.append(state)
+            pieces=[(0, float(at_global), float(mass.sum()))]))
         self.health.add_shard()
         self._migration_writes += int(movers.size)
         self._shards_added += 1
@@ -468,166 +507,15 @@ class ArrayEngine:
                       at_global: float) -> None:
         """Re-project masses for *affected* shards at the event boundary."""
         for i in sorted(set(affected)):
-            state = self._states[i]
-            if not state.dead:
+            if not self._states[i].dead:
                 self._append_segment(
-                    state, self.decoder.local_mass(self.probabilities, i),
+                    i, self.decoder.local_mass(self.probabilities, i),
                     at_global)
-
-    # ---------------------------------------------------------------- rounds
 
     def _boot_state(self, shard: int) -> _ShardState:
         mass = self.decoder.local_mass(self.probabilities, shard)
         return _ShardState(mass=mass, segments=[(0, mass.copy())],
                            pieces=[(0, 0.0, float(mass.sum()))])
-
-    def _run_round(self, round_no: int, pending: List[int],
-                   horizon: Optional[float] = None) -> None:
-        """Run the pending shards' cells in two waves (the lead rule).
-
-        *horizon* caps every cell at the epoch boundary covering that
-        global write count, so a control event can fire with all live
-        shards parked at the same point of the clock.  The lead
-        (:meth:`_lead`) runs alone first.  If it dies, the death moves
-        the horizon for the rest of the round: every other pending shard
-        parks at the epoch boundary covering the lead's death, exactly
-        the boundary a degraded re-home or a fail-stop truncation gives
-        it, so its next cell continues the saved engine instead of
-        replaying from write 0.  A shard that dies before the lead
-        still reports its death, and the round does no more work than
-        running every shard to the horizon.
-
-        An array with a health model runs one wave instead: the model
-        reads every live record after the round, and a survivor parked
-        at the lead's death reads differently from one run to the
-        horizon, which would make steering depend on the lead.
-        """
-        if not pending:
-            return
-        if self.health is not None:
-            self._run_cells(round_no, pending, horizon)
-            return
-        lead = self._lead(pending)
-        self._run_cells(round_no, [lead], horizon)
-        state = self._states[lead]
-        assert state.result is not None
-        if state.result["stop"] != StopCause.MAX_WRITES.value:
-            death = self._global_at_local(
-                state, int(state.result["local_writes"]))
-            horizon = death if horizon is None else min(horizon, death)
-        self._run_cells(round_no, [i for i in pending if i != lead],
-                        horizon)
-
-    def _lead(self, pending: List[int]) -> int:
-        """The pending shard likeliest to die first.
-
-        The largest current share wears out first under skewed traffic;
-        ties go to the lowest shard id.  The choice only saves work: the
-        round's result is the same whichever shard leads.
-        """
-        return min(pending, key=lambda i: (-self._states[i].share, i))
-
-    def _run_cells(self, round_no: int, shards: List[int],
-                   horizon: Optional[float] = None, tag: str = "") -> None:
-        """Run one cell per shard in one grid call; record the results.
-
-        Cell keys are ``<label>/r<round>/s<shard><tag>``.
-        """
-        if not shards:
-            return
-        states = self._states
-        keys = {i: f"{self.label}/r{round_no}/s{i}{tag}" for i in shards}
-        cells = [Cell(key=keys[i], fn=_CELL_FN,
-                      kwargs=self._cell_kwargs(i, states[i], self._seeds[i],
-                                               horizon))
-                 for i in shards]
-        runner = GridRunner(jobs=self.jobs, progress=self.progress,
-                            batch=self.batch)
-        values = runner.run(cells)
-        for i in shards:
-            record = values[keys[i]]
-            states[i].checkpoint = record.pop("checkpoint", None)
-            states[i].result = record
-            states[i].changed_at = None
-
-    def _cap_for(self, state: _ShardState,
-                 horizon: Optional[float] = None) -> Optional[int]:
-        """Epoch-aligned local write cap for one shard's next cell run."""
-        cfg = self.config
-        cap: Optional[int] = None
-        if cfg.max_writes is not None:
-            cap = self._epoch_ceil(
-                self._local_at_global(state, float(cfg.max_writes)))
-        if horizon is not None:
-            capped = self._epoch_ceil(self._local_at_global(state, horizon))
-            cap = capped if cap is None else min(cap, capped)
-        if state.forced_cap is not None:
-            cap = (state.forced_cap if cap is None
-                   else min(cap, state.forced_cap))
-        return cap
-
-    @staticmethod
-    def _checkpoint_for(state: _ShardState,
-                        cap: Optional[int]) -> Optional[tuple]:
-        """The saved engine *state*'s next run continues, if any.
-
-        Only a record that stopped at its write cap keeps a checkpoint.
-        The shard continues it when the new *cap* is not behind that
-        record's ``local_writes`` and no segment appended since starts
-        behind it either.  Everything else runs fresh from write 0: a
-        degraded re-home behind the shard's position, a fail-stop
-        truncation, a shard's first run.
-        """
-        record = state.result
-        if state.checkpoint is None or record is None:
-            return None
-        writes = int(record["local_writes"])
-        if cap is not None and cap < writes:
-            return None
-        if state.changed_at is not None and state.changed_at < writes:
-            return None
-        return state.checkpoint
-
-    def _cell_kwargs(self, shard: int, state: _ShardState, seed: int,
-                     horizon: Optional[float] = None) -> dict:
-        cfg = self.config
-        cap = self._cap_for(state, horizon)
-        schedule_json: Optional[str] = None
-        if self.schedule is not None:
-            schedule_json = for_shard(self.schedule, shard).to_json()
-        segments = [[start, [float(x) for x in mass]]
-                    for start, mass in state.segments]
-        return dict(shard=shard, seed=seed,
-                    device_blocks=cfg.shard_blocks,
-                    mean_endurance=cfg.mean_endurance,
-                    endurance_cov=cfg.endurance_cov,
-                    max_order=cfg.max_order, ecp_k=cfg.ecp_k, psi=cfg.psi,
-                    batch_writes=cfg.batch_writes, recovery=cfg.recovery,
-                    dead_fraction=cfg.dead_fraction,
-                    page_blocks=cfg.page_blocks, segments=segments,
-                    max_writes=cap, schedule=schedule_json,
-                    telemetry=cfg.telemetry,
-                    label=f"{self.label}/s{shard}",
-                    checkpoint=self._checkpoint_for(state, cap))
-
-    def _truncate_survivors(self, live: List[int],
-                            death_global: float) -> List[int]:
-        """Fail-stop: cap every survivor at the death point (epoch-aligned).
-
-        Returns the shards that must re-run; a survivor already parked
-        at that cap (the lead rule parks them there when the lead was
-        the casualty) keeps its result.
-        """
-        pending = []
-        for i in live:
-            state = self._states[i]
-            cap = self._epoch_ceil(
-                self._local_at_global(state, death_global))
-            assert state.result is not None
-            if int(state.result["local_writes"]) != cap:
-                state.forced_cap = cap
-                pending.append(i)
-        return pending
 
     def _redistribute(self, victim: int, live: List[int],
                       death_global: float) -> None:
@@ -636,8 +524,7 @@ class ArrayEngine:
         The map decides where it goes (:meth:`BalancedDecoder.rehome`
         holds the re-home rule); each survivor then gains the dead
         shard's mass at exactly the slots it received, on a new trace
-        segment.  Survivors that inherit no mass keep their trace and
-        their recorded run.
+        segment.  Survivors that inherit no mass keep their trace.
 
         Survivor masses are carried incrementally rather than
         re-projected with ``local_mass``: its scatter-add sums a slot's
@@ -655,23 +542,23 @@ class ArrayEngine:
             inherited = dead_mass[take]
             if inherited.sum() <= 0:
                 continue
-            state = self._states[survivor]
-            mass = state.mass.copy()
+            mass = self._states[survivor].mass.copy()
             mass[take] += inherited
-            self._append_segment(state, mass, death_global)
+            self._append_segment(survivor, mass, death_global)
 
-    def _append_segment(self, state: _ShardState, mass: np.ndarray,
+    def _append_segment(self, shard: int, mass: np.ndarray,
                         at_global: float) -> None:
-        """Switch *state* to traffic *mass* from the event at *at_global*.
+        """Switch *shard* to traffic *mass* from the event at *at_global*.
 
         The new trace segment and clock piece start at the first epoch
         boundary the shard reaches at or after *at_global*.  A boundary
         equal to the last segment's start *replaces* it — the shard had
         not consumed any of that segment yet (e.g. an idle shard
         inheriting its first traffic, or two events at one boundary).
-        The shard's recorded run no longer matches its trace from the
-        boundary on, so ``changed_at`` keeps the earliest such boundary.
+        Every live shard is parked at or before the boundary, so its
+        engine's trace takes the new segments as they are.
         """
+        state = self._states[shard]
         boundary = max(self._epoch_ceil(self._local_at_global(state,
                                                               at_global)),
                        state.segments[-1][0])
@@ -683,8 +570,10 @@ class ArrayEngine:
         state.segments.append((boundary, mass.copy()))
         state.pieces.append((boundary, global_start, float(mass.sum())))
         state.mass = mass
-        state.changed_at = (boundary if state.changed_at is None
-                            else min(state.changed_at, boundary))
+        if state.engine is not None and state.share > 0:
+            trace = state.engine.trace
+            assert isinstance(trace, SegmentedTrace)
+            trace.reschedule(state.segments)
 
     # -------------------------------------------------------------- assembly
 
@@ -697,12 +586,14 @@ class ArrayEngine:
         # and well-defined for shards added mid-run.
         base_shares = [float(state.segments[0][1].sum())
                        for state in states]
+        records = [finish_shard_cell(state.engine, state.context)
+                   if state.engine is not None
+                   else idle_result(i, cfg.software_blocks)
+                   for i, state in enumerate(states)]
         census = []
         rescaled = []
         total_writes = 0
-        for i, state in enumerate(states):
-            record = state.result
-            assert record is not None
+        for i, (state, record) in enumerate(zip(states, records)):
             report = record["report"]
             local_writes = int(record["local_writes"])
             total_writes += local_writes
@@ -717,15 +608,14 @@ class ArrayEngine:
             rescaled, access_weights=(base_shares
                                       if any(base_shares) else None),
             label=self.label)
-        snapshot = self._merged_snapshot(states, dead_order, rounds,
-                                         total_writes)
+        snapshot = self._merged_snapshot(states, records, dead_order,
+                                         rounds, total_writes)
         report_out = self._array_report(states, census, dead_order, stop,
                                         rounds, total_writes)
         self.result = ArrayResult(
             label=self.label, config=cfg, series=merged, snapshot=snapshot,
             report=report_out,
-            shards=[dict(s.result) for s in states if s.result is not None],
-            rounds=rounds)
+            shards=records, rounds=rounds)
         return self.result
 
     def _global_series(self, shard: int, state: _ShardState,
@@ -746,14 +636,13 @@ class ArrayEngine:
         return LifetimeSeries(label=f"s{shard}", points=points)
 
     def _merged_snapshot(self, states: List[_ShardState],
-                         dead_order: List[int], rounds: int,
-                         total_writes: int,
+                         records: List[dict], dead_order: List[int],
+                         rounds: int, total_writes: int,
                          ) -> Dict[str, Dict[str, object]]:
         merged: Dict[str, Dict[str, object]] = {
             "counters": {}, "gauges": {}, "histograms": {}}
-        for state in states:
-            assert state.result is not None
-            snapshot = state.result.get("snapshot")
+        for record in records:
+            snapshot = record.get("snapshot")
             if snapshot:
                 merged = merge_snapshots(merged, snapshot)
         extra: Dict[str, Dict[str, object]] = {

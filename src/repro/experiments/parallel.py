@@ -84,10 +84,8 @@ class Cell:
     #: Dotted reference ``"package.module:function"`` to a module-level
     #: function (workers re-import it, so it must not be a closure).
     fn: str
-    #: Keyword arguments; they must pickle.  Most grids pass plain data
-    #: that round-trips JSON.  An array shard cell may also carry its
-    #: saved engine as ``checkpoint``, which only pickles; the array runs
-    #: its grids without a resume file.
+    #: Keyword arguments; they must pickle.  Grids pass plain data that
+    #: round-trips JSON, so a resume file can record them.
     kwargs: Dict[str, Any]
 
 

@@ -6,6 +6,7 @@ degraded lifecycle — every shard worn to death, traffic re-decoded after
 each casualty — finishes in well under a second.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -15,12 +16,12 @@ from hypothesis import strategies as st
 
 from repro.array import (ArrayConfig, ArrayEngine, InterleavedDecoder,
                          SegmentedTrace, deterministic_snapshot,
-                         hotspot_workload, run_shard_cell,
-                         shard_attack_workload, shard_seed,
-                         uniform_workload)
+                         hotspot_workload, shard_attack_workload, shard_seed,
+                         uniform_workload, zipf_workload)
+from repro.array.shard import build_shard_cell, finish_shard_cell
 from repro.array.__main__ import main as array_main
 from repro.errors import ConfigurationError
-from repro.faultinject import shard_death_schedule
+from repro.faultinject import FaultSchedule, shard_death_schedule
 
 PAGE = 16
 
@@ -229,16 +230,21 @@ SHARD_EPOCH = 500
 SHARD_SPACE = make_config(shard_blocks=128).software_blocks
 
 
-def shard_kwargs(segments, max_writes):
-    """One shard cell's kwargs, in the form the array engine builds."""
-    return dict(shard=0, seed=shard_seed(7, 0), device_blocks=128,
-                mean_endurance=150.0, endurance_cov=0.2, max_order=16,
-                ecp_k=6, psi=8, batch_writes=SHARD_EPOCH,
-                recovery="reviver", dead_fraction=0.3, page_blocks=PAGE,
-                segments=[[start, [float(x) for x in table]]
-                          for start, table in segments],
-                max_writes=max_writes, schedule=None, telemetry=True,
-                label="resume")
+def build_shard(segments, max_writes):
+    """One shard stack, built the way the array engine builds it."""
+    return build_shard_cell(
+        shard=0, seed=shard_seed(7, 0), device_blocks=128,
+        mean_endurance=150.0, endurance_cov=0.2, max_order=16, ecp_k=6,
+        psi=8, batch_writes=SHARD_EPOCH, recovery="reviver",
+        dead_fraction=0.3, page_blocks=PAGE, segments=segments,
+        max_writes=max_writes, schedule=None, telemetry=True,
+        label="resume")
+
+
+def fresh_record(segments, max_writes):
+    engine, context = build_shard(segments, max_writes)
+    engine.run()
+    return finish_shard_cell(engine, context)
 
 
 class TestShardResume:
@@ -247,30 +253,26 @@ class TestShardResume:
                           min_size=1, max_size=5),
            table_seed=st.integers(0, 2 ** 16))
     def test_resumed_shard_equals_a_fresh_run(self, steps, table_seed):
+        # The lockstep step: one engine resumed cap by cap, its trace
+        # taking each new segment at the cap it is parked on.
         rng = np.random.default_rng(table_seed)
         segments = [(0, rng.random(SHARD_SPACE) + 0.01)]
+        engine, context = build_shard(segments, 0)
+        engine.run()
         cap = 0
-        record, checkpoint = None, None
         for epochs, switch in steps:
             cap += epochs * SHARD_EPOCH
-            record = run_shard_cell(checkpoint=checkpoint,
-                                    **shard_kwargs(segments, cap))
-            checkpoint = record.pop("checkpoint", None)
-            if checkpoint is None:
+            engine.resume(cap)
+            if engine.stopped_reason != "max-writes":
                 break  # the shard died, and a death cannot be continued
             if switch:
                 segments.append((cap, rng.random(SHARD_SPACE) + 0.01))
-        fresh = run_shard_cell(**shard_kwargs(segments, cap))
-        fresh.pop("checkpoint", None)
+                engine.trace.reschedule(segments)
+        record = finish_shard_cell(engine, context)
+        fresh = fresh_record(segments, cap)
         for key in ("series", "report", "snapshot"):
             assert record[key] == fresh[key]
         assert record == fresh
-
-    def test_a_dead_shard_keeps_no_checkpoint(self):
-        record = run_shard_cell(**shard_kwargs(
-            [(0, np.full(SHARD_SPACE, 1.0))], None))
-        assert record["stop"] != "max-writes"
-        assert "checkpoint" not in record
 
 
 # ------------------------------------------------------------ end of life
@@ -286,6 +288,8 @@ def run_array(jobs=1, policy="degraded", schedule=None, workload="hotspot",
     elif workload == "attack":
         trace = shard_attack_workload(decoder, shard=0, hot_share=0.9,
                                       seed=7)
+    elif workload == "zipf":
+        trace = zipf_workload(decoder, exponent=1.0, seed=7)
     else:
         trace = uniform_workload(decoder, seed=7)
     engine = ArrayEngine(config, trace, label="t", jobs=jobs,
@@ -336,10 +340,9 @@ class TestArrayEndOfLife:
         assert report.stop.cause.value == "shard-failed"
         assert "shard 2" in report.stop.detail
         assert report.dead_shards == (2,)
-        # Truncating the survivors belongs to the round that found the
-        # death, whichever shard led it.
+        # The first pass of the run loop finds the death and ends the run.
         assert result.rounds == 1
-        # Survivors are truncated at the death epoch, still alive.
+        # Survivors end on the death's epoch boundary, still alive.
         for census in report.shards:
             if census.shard != 2:
                 assert census.stop == "max-writes"
@@ -359,60 +362,122 @@ class TestArrayEndOfLife:
         assert result.report.dead_shards[0] == 0
 
 
-def _lead_choices():
-    """``ArrayEngine._lead`` stand-ins: each pending position, smallest share."""
-    choices = [(f"pending[{k}]",
-                lambda self, pending, k=k: pending[k % len(pending)])
-               for k in range(4)]
-    choices.append(("smallest-share", lambda self, pending: min(
-        pending, key=lambda i: (self._states[i].share, i))))
-    return choices
-
-
 FORCED_KILL = dict(workload="uniform", mean_endurance=200.0,
                    schedule=shard_death_schedule(2, at_write=3_000,
                                                  num_blocks=256))
 
 
-class TestLeadRule:
+def counted_draws(monkeypatch):
+    """Record every batch size the shard traces draw from now on."""
+    drawn = []
+    batch_counts = SegmentedTrace.batch_counts
+
+    def counting(trace, batch):
+        drawn.append(batch)
+        return batch_counts(trace, batch)
+
+    monkeypatch.setattr(SegmentedTrace, "batch_counts", counting)
+    return drawn
+
+
+def survivor_headroom(result):
+    """The least endurance headroom left on a shard that did not die."""
+    cfg = result.config
+    return min(1.0 - census.local_writes
+               / (cfg.shard_blocks * cfg.mean_endurance)
+               for census in result.report.shards
+               if census.died_at_global is None)
+
+
+class TestLockstep:
     @pytest.mark.parametrize("overrides", [
-        dict(policy="degraded", workload="uniform"),
-        dict(policy="degraded", workload="attack"),
-        dict(policy="fail-stop", workload="uniform"),
-        dict(policy="fail-stop", workload="attack"),
-        dict(policy="degraded", **FORCED_KILL),
-        dict(policy="fail-stop", **FORCED_KILL),
-        # The health model reads survivors' records after each round,
-        # so a balanced array must not park them at the lead's death.
-        dict(policy="fail-stop", workload="attack", balance=True,
-             remap_budget=16),
-    ], ids=["degraded-uniform", "degraded-attack", "fail-stop-uniform",
-            "fail-stop-attack", "degraded-kill", "fail-stop-kill",
-            "fail-stop-balanced"])
-    def test_result_does_not_depend_on_the_lead(self, monkeypatch,
-                                                overrides):
-        expected = json.dumps(run_array(**overrides).as_dict(),
-                              sort_keys=True)
-        for name, choose in _lead_choices():
-            monkeypatch.setattr(ArrayEngine, "_lead", choose)
-            got = json.dumps(run_array(**overrides).as_dict(),
-                             sort_keys=True)
-            assert got == expected, name
-
-    @pytest.mark.parametrize("policy", ["degraded", "fail-stop"])
-    def test_no_writes_replay_when_the_lead_dies_first(self, monkeypatch,
-                                                       policy):
-        drawn = []
-        batch_counts = SegmentedTrace.batch_counts
-
-        def counting(trace, batch):
-            drawn.append(batch)
-            return batch_counts(trace, batch)
-
-        monkeypatch.setattr(SegmentedTrace, "batch_counts", counting)
-        result = run_array(policy=policy, workload="attack", num_shards=2)
-        assert result.report.dead_shards[0] == 0
+        dict(policy="degraded", workload="attack", num_shards=2),
+        dict(policy="fail-stop", workload="attack", num_shards=2),
+        # Near-equal shares: endurance noise decides the death order.
+        dict(policy="degraded", workload="uniform", mean_endurance=200.0),
+        dict(policy="fail-stop", workload="uniform", mean_endurance=200.0,
+             batch_writes=500, seed=1),
+        # A health model reading every survivor at each event.
+        dict(policy="degraded", workload="zipf", interleave="page",
+             mean_endurance=200.0, balance=True, balance_every=4_000),
+    ], ids=["degraded", "fail-stop", "uniform-block-degraded",
+            "uniform-block-fail-stop", "zipf-page-balanced"])
+    def test_writes_drawn_equal_writes_kept(self, monkeypatch, overrides):
+        # Deaths here come from wear alone, and no shard steps past one,
+        # so every write a trace hands out is kept.
+        drawn = counted_draws(monkeypatch)
+        result = run_array(**overrides)
+        assert result.report.dead_shards
         assert sum(drawn) == result.report.total_writes
+
+    #: sha256 of each run's sorted ``as_dict()`` JSON, recorded with the
+    #: round-based engine the lockstep driver replaced, so they check the
+    #: driver against an independent implementation.
+    PINS = {
+        "degraded-kill": (
+            dict(policy="degraded", **FORCED_KILL),
+            "b18b648bae767150f8d6eb7b8876f979eaf1096fce9b61ac068a791000684878"),
+        "fail-stop-kill": (
+            dict(policy="fail-stop", **FORCED_KILL),
+            "d422c083c9fba876713fc2e884ffe8787d894a7007bba38eff22994c284a1aa3"),
+        "degraded-early-kill": (
+            dict(policy="degraded", workload="uniform",
+                 schedule=shard_death_schedule(1, 1_000, 256)),
+            "2793ea4cebed8b35417ceeb67872e575c41e7e77e7575110b6475d9859caa139"),
+        "fail-stop-attack-page-kill": (
+            dict(policy="fail-stop", workload="attack", interleave="page",
+                 schedule=shard_death_schedule(2, 3_000, 256)),
+            "7ce6e28ddd05f4500c91be1aa64c98b10df588781799003f0b814ff0f72e2f64"),
+        "degraded-uniform": (
+            dict(policy="degraded", workload="uniform"),
+            "1be6743fef83968c20b758e4b470f14f852902ecd9145c239f90ca525b69ac50"),
+        "degraded-attack": (
+            dict(policy="degraded", workload="attack"),
+            "84c42ba7da1096bc41fdfb3812ea2d06f5a4cbbb65c7df958590f8f93c94e36f"),
+        "fail-stop-uniform": (
+            dict(policy="fail-stop", workload="uniform"),
+            "1b8b5139723c71565292ceb54ffe4a18de8676a0c1323535b3e82639677a8782"),
+        "fail-stop-attack": (
+            dict(policy="fail-stop", workload="attack"),
+            "3f0de65dfcc36b73ef0cec47d267a62093bda2f8c034bcc7341ef1d3727ab84d"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_static_output_is_pinned(self, name):
+        # The forced kills tie the victim with the survivors on the
+        # global clock, so these also pin the tie repair.
+        overrides, digest = self.PINS[name]
+        payload = json.dumps(run_array(**overrides).as_dict(),
+                             sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+    def test_a_tied_second_death_is_not_in_the_fail_stop_census(self):
+        # Two shards killed on the same local write under equal shares
+        # die at one global instant.  The lower id stops the array, and
+        # the other is reported as it was at that instant, before the
+        # epoch that would kill it.
+        kills = (shard_death_schedule(1, 1_000, 256).actions
+                 + shard_death_schedule(2, 1_000, 256).actions)
+        result = run_array(policy="fail-stop", workload="uniform",
+                           mean_endurance=200.0,
+                           schedule=FaultSchedule(actions=kills, seed=None,
+                                                  name="two-kills"))
+        assert result.report.dead_shards == (1,)
+        tied = result.report.shards[2]
+        assert (tied.stop, tied.local_writes) == ("max-writes", 1_000)
+        assert tied.report["failed_fraction"] == 0.0
+
+    @pytest.mark.parametrize("overrides", [
+        dict(workload="attack", balance=True, remap_budget=16),
+        dict(workload="uniform", add_shard_at=2_500),
+    ], ids=["balanced", "growing"])
+    def test_health_gauge_reads_survivors_at_the_death(self, overrides):
+        # A fail-stop array ends at its first death, so the health model's
+        # last reading of every survivor is the census's.
+        result = run_array(policy="fail-stop", **overrides)
+        assert result.report.dead_shards
+        gauge = result.snapshot["gauges"]["balance.headroom"]["value"]
+        assert gauge == pytest.approx(survivor_headroom(result))
 
 
 class TestArrayDeterminism:
@@ -453,7 +518,7 @@ class TestArrayCli:
                            "--page-blocks", "16", "--mean", "200",
                            "--batch-writes", "1000", "--workload",
                            "uniform", "--max-writes", "6000",
-                           "--jobs", "2", "--json", str(out)])
+                           "--json", str(out)])
         assert code == 0
         captured = capsys.readouterr()
         assert "array[2x]" in captured.out

@@ -349,8 +349,8 @@ class TestArrayBalance:
 
     def test_death_only_steering_without_budget_is_the_static_run(self):
         # balance_every=None steers only at shard deaths; with no swap
-        # budget the run must equal the static one, which re-runs every
-        # survivor that inherits a dead shard's traffic.
+        # budget the run must equal the static one, in which every
+        # survivor that inherits a dead shard's traffic serves it.
         static = _array_result()
         steered = _array_result(balance=True, balance_every=None,
                                 remap_budget=0)
@@ -400,29 +400,15 @@ class TestArrayBalance:
         assert result.report.stop is not None
 
     @pytest.mark.parametrize("kill", [False, True])
-    def test_every_resumed_shard_cell_equals_a_fresh_run(self, monkeypatch,
-                                                         kill):
+    def test_every_resumed_shard_cell_equals_a_fresh_run(self, kill):
         # The benchmark's array-elastic workload at its smoke size.  Each
-        # resumed cell is checked against a fresh run from write 0; the
-        # kill re-homes shard 1's traffic behind the survivors' positions,
-        # which must send them back to a fresh run.
-        from repro.array import shard as shard_module
-        original = shard_module.run_shard_cell
-        calls = []
-
-        def checked(checkpoint=None, **kwargs):
-            if checkpoint is None:
-                calls.append((kwargs["shard"], "fresh"))
-                return original(**kwargs)
-            fresh = original(**kwargs)
-            fresh.pop("checkpoint", None)
-            resumed = original(checkpoint=checkpoint, **kwargs)
-            assert {key: value for key, value in resumed.items()
-                    if key != "checkpoint"} == fresh
-            calls.append((kwargs["shard"], "resumed"))
-            return resumed
-
-        monkeypatch.setattr(shard_module, "run_shard_cell", checked)
+        # shard's engine is continued epoch by epoch across steering,
+        # growth and (with the kill) re-homing; its record must equal a
+        # fresh stack built over the shard's final segments and run to
+        # the same point.
+        from repro.array import shard_seed
+        from repro.array.shard import build_shard_cell, finish_shard_cell
+        from repro.faultinject import for_shard
         config = ArrayConfig(num_shards=3, shard_blocks=256,
                              interleave="page", page_blocks=16, psi=12,
                              mean_endurance=200.0, batch_writes=666,
@@ -432,19 +418,25 @@ class TestArrayBalance:
         decoder = InterleavedDecoder(3, config.software_blocks,
                                      interleave="page", page_blocks=16)
         schedule = (shard_death_schedule(1, 4_000, 256) if kill else None)
-        result = ArrayEngine(config,
+        engine = ArrayEngine(config,
                              zipf_workload(decoder, exponent=1.0, seed=1),
-                             label="resume", schedule=schedule).run()
-        assert any(kind == "resumed" for _, kind in calls)
-        # A fresh call for a shard that already ran is a re-run from 0.
-        reruns = [shard for n, (shard, kind) in enumerate(calls)
-                  if kind == "fresh"
-                  and any(s == shard for s, _ in calls[:n])]
-        if kill:
-            assert 1 in result.report.dead_shards
-            assert reruns
-        else:
-            assert not reruns
+                             label="resume", schedule=schedule)
+        result = engine.run()
+        assert (1 in result.report.dead_shards) == kill
+        for shard, record in enumerate(result.shards):
+            cap = (int(record["local_writes"])
+                   if record["stop"] == "max-writes" else None)
+            fresh, context = build_shard_cell(
+                shard=shard, seed=shard_seed(config.seed, shard),
+                device_blocks=256, mean_endurance=200.0, endurance_cov=0.2,
+                max_order=16, ecp_k=6, psi=12, batch_writes=666,
+                recovery="reviver", dead_fraction=0.3, page_blocks=16,
+                segments=engine._states[shard].segments, max_writes=cap,
+                schedule=(for_shard(schedule, shard).to_json()
+                          if kill else None),
+                telemetry=True, label=f"resume/s{shard}")
+            fresh.run()
+            assert finish_shard_cell(fresh, context) == record
 
     def test_array_cli_balance_flags(self, tmp_path, capsys):
         from repro.array.__main__ import main

@@ -215,7 +215,6 @@ class TestBatchedEngineValidation:
 class TestCellRegistry:
     def test_campaign_cell_is_batchable(self):
         assert is_batchable("repro.sim.campaign:campaign_cell")
-        assert is_batchable("repro.array.shard:run_shard_cell")
         assert not is_batchable("repro.sim.campaign:no_such_function")
         assert not is_batchable("not-a-dotted-ref")
 
@@ -275,36 +274,6 @@ class TestCampaignEquivalence:
         assert first["cells"].keys() <= second["cells"].keys()
 
 
-class TestArrayBatchedEquivalence:
-    def test_array_engine_batch_matches(self):
-        from repro.array.engine import ArrayConfig, ArrayEngine
-        cfg = dict(num_shards=4, shard_blocks=256, mean_endurance=300.0,
-                   batch_writes=1000, seed=7)
-        trace = hotspot_distribution(4 * 256, 2.5, seed=11)
-        solo = ArrayEngine(ArrayConfig(**cfg), trace).run().as_dict()
-        batched = ArrayEngine(ArrayConfig(**cfg), trace,
-                              batch=4).run().as_dict()
-        assert json.dumps(solo, sort_keys=True) == \
-            json.dumps(batched, sort_keys=True)
-
-    def test_balanced_growing_array_batch_matches(self):
-        # Five shards in chunks of four leave shard 4 as a per-cell
-        # single, which keeps a checkpoint; after the sixth shard joins it
-        # lands in a group, so build_shard_cell must decline it and only
-        # fresh engines reach the batched kernel.
-        from repro.array.engine import ArrayConfig, ArrayEngine
-        cfg = dict(num_shards=5, shard_blocks=256, mean_endurance=300.0,
-                   batch_writes=1000, seed=7, balance=True,
-                   balance_every=4000, add_shard_at=8000, max_writes=20_000)
-        trace = hotspot_distribution(5 * 256, 2.5, seed=11)
-        solo = ArrayEngine(ArrayConfig(**cfg), trace).run().as_dict()
-        batched = ArrayEngine(ArrayConfig(**cfg), trace,
-                              batch=4).run().as_dict()
-        assert solo["num_shards"] == 6
-        assert json.dumps(solo, sort_keys=True) == \
-            json.dumps(batched, sort_keys=True)
-
-
 class TestFigureBatchedEquivalence:
     def test_fig5_batch_matches(self):
         from repro.experiments import fig5
@@ -343,7 +312,9 @@ class TestBatchedEnginesPickle:
         engine, context = cells[0]
         assert engine.stopped_reason == "max-writes"
         copy, copy_context = pickle.loads(pickle.dumps((engine, context)))
-        records = [finish_shard_cell(e, e.resume(8000), c)
+        for resumed in (copy, engine):
+            resumed.resume(8000)
+        records = [finish_shard_cell(e, c)
                    for e, c in [(copy, copy_context), (engine, context)]]
         assert records[0]["local_writes"] == 8000
         assert records[0] == records[1]

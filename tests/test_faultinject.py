@@ -234,9 +234,9 @@ class TestHooks:
         assert hooks.fired == ["mid-migration"]
 
     def test_fast_engine_with_a_driver_pickles(self):
-        # Array shard checkpoints cross the process pool by pickle, so an
-        # engine with a driver attached must survive the round trip with
-        # the driver still bound to *its* engine's spare pool.
+        # An engine may cross a process pool by pickle, so an engine with
+        # a driver attached must survive the round trip with the driver
+        # still bound to *its* engine's spare pool.
         from repro.config import StartGapConfig
         from repro.ecc import ECP
         from repro.pcm import AddressGeometry, EnduranceModel, PCMChip
