@@ -40,8 +40,9 @@ def assemble_snapshots(stations: List[ShardStation],
                 (f"serve.s{sid}.depth", station.depth_samples, SIZE_BOUNDS)):
             if values:  # a histogram exists only once observed
                 session.registry.histogram(name, bounds).observe_many(values)
-        session.count("serve.served", station.served)
-        session.count(f"serve.s{sid}.served", station.served)
+        served = len(station.read_latencies) + len(station.write_latencies)
+        session.count("serve.served", served)
+        session.count(f"serve.s{sid}.served", served)
         session.count(f"serve.s{sid}.stalls", station.stalls)
         session.count(f"serve.s{sid}.writes", station.writes_served)
         session.set_gauge(f"serve.s{sid}.peak_depth", station.peak_depth)

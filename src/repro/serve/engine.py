@@ -26,7 +26,9 @@ a violated identity is a framework bug and raises
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
+from array import array
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -48,11 +50,12 @@ from .report import build_report
 from .requests import OUTCOMES, Request
 from .station import ServeFaultDriver, ShardStation
 
-# Event kinds, in tie-break-free heap entries (tick, seq, kind, payload).
+# Event kinds, in tie-break-free heap entries (tick, seq, kind, payload,
+# generation); station events carry the generation they were armed at.
 _ISSUE = 0      # payload: client id
 _ADMIT = 1      # payload: Request (fresh routing at fire time)
-_DISPATCH = 2   # payload: (sid, generation) — batch window closed
-_COMPLETE = 3   # payload: (sid, generation) — batch finished service
+_DISPATCH = 2   # payload: ShardStation — batch window closed
+_COMPLETE = 3   # payload: ShardStation — batch finished service
 
 #: Think times drawn per refill of a client's buffer.
 _THINK_BATCH = 256
@@ -94,19 +97,18 @@ class ServiceEngine:
         self.decoder = BalancedDecoder(InterleavedDecoder(
             config.num_shards, config.shard_blocks,
             interleave=config.interleave, page_blocks=config.page_blocks))
-        #: True when the repro.balance control plane is live: steering,
-        #: elastic growth, or both.
-        self.balanced = config.balance or config.add_shard_at is not None
+        # The repro.balance control plane: steering, growth, or both.
         self.health: Optional[ShardHealthModel] = None
         self._policy: Optional[LevelerPolicy] = None
-        if self.balanced:
+        if config.balance or config.add_shard_at is not None:
             self.health = ShardHealthModel(config.num_shards,
                                            config.endurance_budget,
                                            seed=config.seed)
             self._policy = LevelerPolicy(budget=config.remap_budget)
-        #: Empirical per-address write demand, sampled at issue time —
-        #: the distribution the leveler steers against.
+        #: Empirical per-address write demand the leveler steers against;
+        #: writes issued since the last checkpoint wait in _new_demand.
         self._demand = np.zeros(config.global_blocks, dtype=np.float64)
+        self._new_demand: List[int] = []
         self._shard_added = False
         self._writes_seen = 0
         self.stations = [ShardStation(sid, config)
@@ -117,14 +119,14 @@ class ServiceEngine:
         self.tallies: Dict[str, int] = {}
         self.now = 0
         self.issued = 0
+        self.issued_writes = 0
         self.finished = 0
         self.outcomes: Dict[str, int] = {o: 0 for o in OUTCOMES}
-        self._events: List[Tuple[int, int, int, Any]] = []
-        self._seq = 0
-        #: Every issued request as ``(address, is_write)``, in issue
-        #: order — the serving side of the per-shard trace-equivalence
-        #: pin (not part of :class:`ServiceResult`).
-        self.issue_log: List[Tuple[int, int]] = []
+        self._events: List[Tuple[int, int, int, Any, int]] = []
+        self._seq = itertools.count()
+        # Issued addresses and write flags, unboxed (see issue_log).
+        self._issued_addresses = array("q")
+        self._issued_flags = bytearray()
         if config.workload == "trace":
             replay = self._trace_replay()
             self._streams: List[Any] = [replay] * config.clients
@@ -170,9 +172,16 @@ class ServiceEngine:
                 f"decodes {self.config.global_blocks}")
         return replay
 
-    def _push(self, tick: int, kind: int, payload: Any) -> None:
-        heapq.heappush(self._events, (tick, self._seq, kind, payload))
-        self._seq += 1
+    @property
+    def issue_log(self) -> List[Tuple[int, int]]:
+        """Issued requests as ``(address, is_write)``, in issue order:
+        the serving side of the per-shard trace-equivalence pin."""
+        return list(zip(self._issued_addresses, self._issued_flags))
+
+    def _push(self, tick: int, kind: int, payload: Any,
+              generation: int = 0) -> None:
+        heapq.heappush(self._events,
+                       (tick, next(self._seq), kind, payload, generation))
 
     def _think(self, client: int) -> int:
         if self.config.arrival == "uniform":
@@ -196,17 +205,21 @@ class ServiceEngine:
         """
         for client in range(self.config.clients):
             self._push(0, _ISSUE, client)
-        while self._events:
-            tick, _seq, kind, payload = heapq.heappop(self._events)
+        events, pop = self._events, heapq.heappop
+        issue, complete = self._issue, self._complete
+        while events:
+            tick, _seq, kind, payload, generation = pop(events)
             self.now = tick
             if kind == _ISSUE:
-                self._issue(payload)
-            elif kind == _ADMIT:
-                self._route(payload)
+                issue(payload)
+            elif kind == _COMPLETE:
+                complete(payload, generation)
             elif kind == _DISPATCH:
-                self._window_closed(*payload)
+                # A current window finds its shard idle with work queued.
+                if payload.generation == generation and payload.alive:
+                    self._dispatch(payload)
             else:
-                self._complete(*payload)
+                self._route(payload)
         self._check_identity()
         self._final_gauges()
         merged = assemble_snapshots(self.stations, self.session,
@@ -228,6 +241,10 @@ class ServiceEngine:
     def _final_gauges(self) -> None:
         session = self.session
         session.count("serve.issued", self.issued)
+        for kind, amount in (("write", self.issued_writes),
+                             ("read", self.issued - self.issued_writes)):
+            if amount:
+                session.count(f"serve.issued_{kind}", amount)
         for name, amount in self.tallies.items():
             session.count(name, amount)
         for outcome, amount in self.outcomes.items():
@@ -239,8 +256,7 @@ class ServiceEngine:
         session.set_gauge("serve.live_shards", len(self._live()))
         if self.health is not None:
             self.health.publish(session)
-        session.count("serve.deaths",
-                      sum(1 for s in self.stations if not s.alive))
+        session.count("serve.deaths", sum(not s.alive for s in self.stations))
         session.count("serve.breaker_opened",
                       sum(s.breaker.opened for s in self.stations))
         session.count("serve.breaker_closed",
@@ -250,184 +266,170 @@ class ServiceEngine:
     # ------------------------------------------------------------- clients
 
     def _issue(self, client: int) -> None:
-        if self.issued >= self.config.total_requests:
+        config = self.config
+        if self.issued >= config.total_requests:
             return  # quota reached while this client was thinking
-        if (self.config.add_shard_at is not None and not self._shard_added
-                and self.issued >= self.config.add_shard_at):
+        if (config.add_shard_at is not None and not self._shard_added
+                and self.issued >= config.add_shard_at):
             self._add_shard()
         address, is_write = self._streams[client].next_request()
-        if self.balanced and is_write:
-            self._demand[address] += 1.0
-        self.issue_log.append((address, int(is_write)))
-        request = Request(rid=self.issued, client=client, address=address,
-                          is_write=is_write, issued_at=self.now,
-                          deadline=self.now + self.config.deadline_ticks)
-        self.issued += 1
-        self._tally(f"serve.issued_{request.kind()}")
-        self._route(request)
+        self._issued_addresses.append(address)
+        self._issued_flags.append(is_write)
+        if is_write:
+            self.issued_writes += 1
+            if config.balance:
+                self._new_demand.append(address)
+        rid, now = self.issued, self.now
+        self.issued = rid + 1
+        self._route(Request(rid, client, address, is_write, now,
+                            now + config.deadline_ticks))
 
     def _finish(self, request: Request, outcome: str) -> None:
+        """End *request* (the ok arm folds its counts in _complete)."""
         self.outcomes[outcome] += 1
         self.finished += 1
-        if self.issued < self.config.total_requests:
-            self._push(self.now + self._think(request.client), _ISSUE,
-                       request.client)
+        self._rearm(request.client)
 
-    # ------------------------------------------------------------- routing
+    def _rearm(self, client: int) -> None:
+        """Schedule *client*'s next issue after a think, unless at quota."""
+        if self.issued < self.config.total_requests:
+            self._push(self.now + self._think(client), _ISSUE, client)
 
     def _live(self) -> List[int]:
         return [s.sid for s in self.stations if s.alive]
 
-    def _route(self, request: Request) -> None:
-        sid = int(self.decoder.shard_of(request.address))
-        if not self.stations[sid].alive:
-            # A degraded death re-homes its addresses in the map at the
-            # kill, so a dead home means fail-stop (or no survivor).
-            self._finish(request, "failed")
-            return
-        if request.is_write:
-            sid = self._steer(sid)
-        self._admit(self.stations[sid], request)
+    # ------------------------------------------------------ the route step
 
-    def _steer(self, sid: int) -> int:
-        """Wear-fed brownout: steer writes off a worn-out shard."""
+    def _route(self, request: Request,
+               station: Optional[ShardStation] = None
+               ) -> Optional[ShardStation]:
+        """Home, steer, admit (deadline -> capacity -> breaker), queue and
+        kick one request; promotion passes the station it is parked at.
+        Returns the station it queued on, else None."""
         config = self.config
-        if self.stations[sid].wear_fraction() < config.brownout_wear:
-            return sid
-        fresh = [s for s in self._live()
-                 if self.stations[s].wear_fraction() < config.brownout_wear]
-        if not fresh:
-            return sid  # everything is browned out; wear evenly
-        target = min(fresh,
-                     key=lambda s: (self.stations[s].writes_served, s))
-        if target != sid:
-            self._tally("serve.steered")
-        return target
-
-    # ----------------------------------------------------------- admission
-
-    def _admit(self, station: ShardStation, request: Request) -> None:
+        if station is None:
+            station = self.stations[
+                int(self.decoder.shard_of(request.address))]
+            if not station.alive:
+                # A degraded death re-homes its addresses at the kill,
+                # so a dead home means fail-stop (or no survivor).
+                self._finish(request, "failed")
+                return None
+            if (request.is_write
+                    and station.wear_fraction() >= config.brownout_wear):
+                station = self._steer(station)
         if self.now >= request.deadline:
             self._finish(request, "deadline")
-            return
-        if len(station.queue) >= self.config.queue_depth:
-            if self.config.admission == "shed":
+            return None
+        queue = station.queue
+        if len(queue) >= config.queue_depth:
+            if config.admission == "shed":
                 self._tally("serve.shed_full_queue")
                 self._finish(request, "shed")
             else:
                 station.waiting.append(request)
                 self._tally("serve.blocked")
                 station.note_depth()
-            return
-        self._enqueue(station, request)
-
-    def _enqueue(self, station: ShardStation, request: Request) -> None:
-        """Place a request into a queue slot (capacity already checked)."""
-        decision = station.breaker.admit(self.now)
-        if decision == "fast-fail":
-            self._tally("serve.breaker_fast_fail")
-            self._retry(station, request, shard_failure=False)
-            return
-        if decision == "probe":
+            return None
+        if station.breaker.state != "closed":
+            if station.breaker.admit(self.now) == "fast-fail":
+                self._tally("serve.breaker_fast_fail")
+                self._retry(station, request, shard_failure=False)
+                return None
             request.probe = True
             self._tally("serve.breaker_probes")
-        station.queue.append(request)
+        queue.append(request)
         station.note_depth()
-        self._maybe_dispatch(station)
+        if not station.busy:
+            self._kick(station)
+        return station
 
-    def _promote(self, station: ShardStation) -> None:
-        """Pull overflow-parked requests into freed queue slots."""
-        while station.waiting \
-                and len(station.queue) < self.config.queue_depth:
-            request = station.waiting.popleft()
-            if self.now >= request.deadline:
-                self._finish(request, "deadline")
-                continue
-            self._enqueue(station, request)
+    def _steer(self, home: ShardStation) -> ShardStation:
+        """Wear-fed brownout: steer a write off a worn-out *home*."""
+        line = self.config.brownout_wear
+        fresh = [s for s in self.stations
+                 if s.alive and s.wear_fraction() < line]
+        if not fresh:
+            return home  # everything is browned out; wear evenly
+        self._tally("serve.steered")
+        return min(fresh, key=lambda s: (s.writes_served, s.sid))
 
     # ------------------------------------------------------------ batching
 
-    def _maybe_dispatch(self, station: ShardStation) -> None:
-        if station.busy or not station.queue or not station.alive:
-            return
+    def _kick(self, station: ShardStation) -> None:
+        """Start a full batch on an idle shard, else arm its window."""
         if len(station.queue) >= self.config.batch_max:
             self._dispatch(station)
-            return
-        if not station.window_armed:
+        elif station.queue and not station.window_armed:
             station.window_armed = True
             self._push(self.now + self.config.batch_window, _DISPATCH,
-                       (station.sid, station.generation))
-
-    def _window_closed(self, sid: int, generation: int) -> None:
-        station = self.stations[sid]
-        if station.generation != generation or not station.alive:
-            return  # stale: the batch filled early or the shard died
-        station.window_armed = False
-        if station.busy or not station.queue:
-            return
-        self._dispatch(station)
+                       station, station.generation)
 
     def _dispatch(self, station: ShardStation) -> None:
-        batch: List[Request] = []
-        while station.queue and len(batch) < self.config.batch_max:
-            batch.append(station.queue.popleft())
+        config, queue = self.config, station.queue
+        batch = [queue.popleft()
+                 for _ in range(min(len(queue), config.batch_max))]
         station.in_service = batch
         station.busy = True
         station.window_armed = False
         station.generation += 1
         station.batch_sizes.append(len(batch))
-        duration = self.config.service_base + sum(
-            self.config.write_ticks if r.is_write
-            else self.config.read_ticks for r in batch)
-        self._push(self.now + max(1, duration), _COMPLETE,
-                   (station.sid, station.generation))
-        self._promote(station)
+        writes = sum([request.is_write for request in batch])
+        duration = (config.service_base + writes * config.write_ticks
+                    + (len(batch) - writes) * config.read_ticks)
+        self._push(self.now + max(1, duration), _COMPLETE, station,
+                   station.generation)
+        # Promote parked requests into freed slots (busy: no new batch).
+        waiting = station.waiting
+        while waiting and len(queue) < config.queue_depth:
+            self._route(waiting.popleft(), station)
 
-    # ------------------------------------------------------------- service
+    # ------------------------------------------------- the completion step
 
-    def _complete(self, sid: int, generation: int) -> None:
-        station = self.stations[sid]
+    def _complete(self, station: ShardStation, generation: int) -> None:
+        """Serve a finished batch: each request stalls and retries, or
+        succeeds and re-arms its client; writes advance faults/steering."""
         if station.generation != generation or not station.alive:
             return  # stale: the shard died and drained mid-service
-        batch = list(station.in_service)
-        station.in_service.clear()
+        batch, station.in_service = station.in_service, []
         station.busy = False
+        config, now, breaker = self.config, self.now, station.breaker
+        rearm, poll = self._rearm, self.faults.poll
+        rebalance_every = config.rebalance_every if config.balance else 0
+        served = 0
         for index, request in enumerate(batch):
             if not station.alive:
                 # Death fired mid-batch: the rest of the batch joins the
                 # displaced set the drain already re-homed.
                 self._displace(batch[index:])
                 break
-            self._serve_one(station, request)
-        if station.alive:
-            self._maybe_dispatch(station)
-
-    def _serve_one(self, station: ShardStation, request: Request) -> None:
-        if station.stall_remaining > 0:
-            station.stall_remaining -= 1
-            station.stalls += 1
-            self._tally("serve.stalled")
-            self._retry(station, request, shard_failure=True)
-            return
-        if request.is_write:
+            if station.stall_remaining > 0:
+                station.stall_remaining -= 1
+                station.stalls += 1
+                self._tally("serve.stalled")
+                self._retry(station, request, shard_failure=True)
+                continue
+            if request.probe or breaker.failures:
+                breaker.record_success(request.probe)
+            served += 1
+            if now > request.deadline:
+                self._tally("serve.deadline_miss")
+            rearm(request.client)
+            if not request.is_write:
+                station.read_latencies.append(now - request.issued_at)
+                continue
+            station.write_latencies.append(now - request.issued_at)
             station.writes_served += 1
-        station.served += 1
-        station.breaker.record_success(request.probe)
-        request.probe = False
-        latency = self.now - request.issued_at
-        (station.write_latencies if request.is_write
-         else station.read_latencies).append(latency)
-        if self.now > request.deadline:
-            self._tally("serve.deadline_miss")
-        self._finish(request, "ok")
-        if request.is_write and self.faults.poll(station):
-            self._kill(station)
-        if self.balanced and request.is_write:
-            self._writes_seen += 1
-            if (self.config.balance
-                    and self._writes_seen % self.config.rebalance_every
-                    == 0):
-                self._rebalance()
+            if poll(station):
+                self._kill(station)
+            if rebalance_every:
+                self._writes_seen += 1
+                if self._writes_seen % rebalance_every == 0:
+                    self._rebalance()
+        self.outcomes["ok"] += served
+        self.finished += served
+        if station.alive:
+            self._kick(station)
 
     # ------------------------------------------------------- retry/backoff
 
@@ -496,10 +498,13 @@ class ServiceEngine:
     def _rebalance(self) -> None:
         """One steering checkpoint: wear telemetry -> bounded swaps."""
         assert self.health is not None and self._policy is not None
-        for station in self.stations:
-            if station.alive:
-                self.health.observe(station.sid, station.writes_served, 0.0)
+        if self._new_demand:
+            # Integer-valued float64 counts, so the fold is exact.
+            np.add.at(self._demand, self._new_demand, 1.0)
+            self._new_demand.clear()
         live = self._live()
+        for sid in live:
+            self.health.observe(sid, self.stations[sid].writes_served, 0.0)
         if len(live) < 2:
             return
         swaps = plan_swaps(self.decoder, self._demand,

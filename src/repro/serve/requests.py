@@ -10,7 +10,6 @@ request, never a fork or a silent drop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 #: Terminal outcomes; every issued request ends in exactly one.
@@ -32,29 +31,31 @@ from typing import Tuple
 OUTCOMES: Tuple[str, ...] = ("ok", "shed", "deadline", "error", "failed")
 
 
-@dataclass
 class Request:
     """One in-flight service request (mutable: attempts accumulate)."""
 
-    #: Globally unique id, in issue order.
-    rid: int
-    #: Issuing client (responses re-arm this client's think timer).
-    client: int
-    #: Global block address (decoded to a shard at admission time).
-    address: int
-    is_write: bool
-    #: Virtual tick the client issued it.
-    issued_at: int
-    #: Absolute virtual-tick deadline.
-    deadline: int
-    #: Failed attempts so far (stalls and breaker fast-fails).
-    attempts: int = 0
-    #: True while this request is the breaker's half-open probe.
-    probe: bool = False
+    # Slotted by hand (dataclass(slots=True) needs Python 3.10).
+    __slots__ = ("rid", "client", "address", "is_write", "issued_at",
+                 "deadline", "attempts", "probe")
 
-    def kind(self) -> str:
-        """``"write"`` or ``"read"`` — the latency histogram key."""
-        return "write" if self.is_write else "read"
+    def __init__(self, rid: int, client: int, address: int, is_write: bool,
+                 issued_at: int, deadline: int, attempts: int = 0,
+                 probe: bool = False) -> None:
+        #: Globally unique id, in issue order.
+        self.rid = rid
+        #: Issuing client (responses re-arm this client's think timer).
+        self.client = client
+        #: Global block address (decoded to a shard at admission time).
+        self.address = address
+        self.is_write = is_write
+        #: Virtual tick the client issued it.
+        self.issued_at = issued_at
+        #: Absolute virtual-tick deadline.
+        self.deadline = deadline
+        #: Failed attempts so far (stalls and breaker fast-fails).
+        self.attempts = attempts
+        #: True while this request is the breaker's half-open probe.
+        self.probe = probe
 
 
 __all__ = ["Request", "OUTCOMES"]

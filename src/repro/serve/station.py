@@ -35,7 +35,6 @@ class ShardStation:
 
     def __init__(self, sid: int, config: ServeConfig) -> None:
         self.sid = sid
-        self.config = config
         self.alive = True
         #: Bounded admission queue (depth enforced by the engine).
         self.queue: Deque[Request] = deque()
@@ -57,6 +56,7 @@ class ShardStation:
         #: Lifetime writes served — the wear proxy driving both the
         #: fault schedule's ``at_write`` pins and brownout steering.
         self.writes_served = 0
+        self.budget = config.endurance_budget  # wear_fraction's scale
 
         # Raw deterministic samples, folded into telemetry once after
         # the run (repro.serve.account); latencies are of ok requests.
@@ -64,28 +64,23 @@ class ShardStation:
         self.write_latencies: List[int] = []
         self.batch_sizes: List[int] = []
         self.depth_samples: List[int] = []
-        self.served = 0
         self.stalls = 0
         self.peak_depth = 0
         self.died_at: Optional[int] = None
 
     # ------------------------------------------------------------- queueing
 
-    @property
-    def backlog(self) -> int:
-        """Queued plus overflow-parked requests (dispatchable work)."""
-        return len(self.queue) + len(self.waiting)
-
     def note_depth(self) -> None:
-        """Sample the instantaneous backlog for the depth histogram."""
-        depth = self.backlog
+        """Sample the backlog (queued plus overflow-parked requests) for
+        the depth histogram."""
+        depth = len(self.queue) + len(self.waiting)
         self.depth_samples.append(depth)
         if depth > self.peak_depth:
             self.peak_depth = depth
 
     def wear_fraction(self) -> float:
         """Wear proxy in [0, ~1]: lifetime writes over endurance budget."""
-        return self.writes_served / self.config.endurance_budget
+        return self.writes_served / self.budget
 
     def drain(self) -> List[Request]:
         """Remove and return every live request this station holds.
@@ -94,10 +89,8 @@ class ShardStation:
         and the overflow lane are emptied in deterministic order so the
         engine can re-home (degraded) or fail (fail-stop) each request.
         """
-        drained = list(self.in_service)
-        drained.extend(self.queue)
-        drained.extend(self.waiting)
-        self.in_service.clear()
+        drained = [*self.in_service, *self.queue, *self.waiting]
+        self.in_service = []
         self.queue.clear()
         self.waiting.clear()
         self.busy = False

@@ -16,6 +16,7 @@ themselves are history-less).
 from __future__ import annotations
 
 import abc
+from array import array
 from typing import Optional, Tuple
 
 import numpy as np
@@ -135,22 +136,25 @@ class RequestStream:
         self.name = name
         self._seed = seed
         self._rng = derive_rng(seed, f"requests-{name}")
-        self._addresses: Optional[np.ndarray] = None
-        self._writes: Optional[np.ndarray] = None
+        # Draw buffers, unboxed: items index straight to Python ints.
+        self._addresses: Optional[array[int]] = None
+        self._writes: Optional[bytes] = None
         self._pos = 0
 
     def next_request(self) -> Tuple[int, bool]:
         """Next request as ``(virtual address, is_write)``."""
         if self._addresses is None or self._writes is None \
                 or self._pos >= len(self._addresses):
-            self._addresses = self._rng.choice(
+            addresses = self._rng.choice(
                 self.virtual_blocks, size=self._BUFFER, p=self.probabilities)
-            self._writes = self._rng.random(self._BUFFER) < self.write_ratio
+            writes = self._rng.random(self._BUFFER) < self.write_ratio
+            self._addresses = array(
+                "q", addresses.astype(np.int64).tobytes())
+            self._writes = writes.tobytes()
             self._pos = 0
-        address = int(self._addresses[self._pos])
-        is_write = bool(self._writes[self._pos])
-        self._pos += 1
-        return address, is_write
+        pos = self._pos
+        self._pos = pos + 1
+        return self._addresses[pos], self._writes[pos] == 1
 
     def reset(self) -> None:
         """Restart the stream from its first request."""

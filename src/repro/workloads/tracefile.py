@@ -329,6 +329,12 @@ class TraceReplay(Workload):
             return np.empty((0, 2), dtype=np.int64)
         return np.concatenate(rows, axis=0)
 
+    def next_request(self) -> Tuple[int, bool]:
+        """Next record, read in place (the same stream as :meth:`take`)."""
+        address, is_write = self.records[self._cursor]
+        self._cursor = (self._cursor + 1) % len(self.records)
+        return int(address), bool(is_write)
+
     def segments(self) -> List[Tuple[int, np.ndarray]]:
         counts = np.bincount(self.records[:, 0],
                              minlength=self.virtual_blocks)

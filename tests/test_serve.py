@@ -192,18 +192,20 @@ class TestAccounting:
                    .actions)
         engine = ServiceEngine(config, FaultSchedule(actions=actions))
         kills, routed = [], []
-        kill, admit = engine._kill, engine._admit
+        kill, route = engine._kill, engine._route
 
         def spy_kill(station):
             kills.append(station.sid)
             kill(station)
 
-        def spy_admit(station, request):
-            if len(kills) == 2 and not request.is_write:
-                routed.append((request.address, station.sid))
-            admit(station, request)
+        def spy_route(request, station=None):
+            queued = route(request, station)
+            if len(kills) == 2 and not request.is_write \
+                    and queued is not None:
+                routed.append((request.address, queued.sid))
+            return queued
 
-        engine._kill, engine._admit = spy_kill, spy_admit
+        engine._kill, engine._route = spy_kill, spy_route
         engine.run()
         reference = BalancedDecoder(InterleavedDecoder(
             config.num_shards, config.shard_blocks,
@@ -476,6 +478,65 @@ class TestWorkloadPackageDedupe:
         from repro.serve import engine as serve_engine
         assert serve_engine.zipf_request_stream is zipf_request_stream
         assert serve_engine.uniform_request_stream is uniform_request_stream
+
+
+class TestRouteAndCompletionPins:
+    """sha256 of ``to_json()``, recorded before each request's path was
+    merged into one route step and one completion step."""
+
+    @staticmethod
+    def digest(result):
+        import hashlib
+        return hashlib.sha256(result.to_json().encode()).hexdigest()
+
+    def test_failover_smoke_shape_is_pinned(self):
+        """The benchmark's serve-failover smoke shape: shard 1 dies at
+        local write 1,500 and a fifth shard joins at request 12,000,
+        under block admission and steering."""
+        config = ServeConfig(
+            num_shards=4, shard_blocks=512, clients=32,
+            total_requests=20_000, workload="zipf", zipf_exponent=1.0,
+            write_ratio=0.5, arrival="poisson", think_ticks=16,
+            admission="block", mean_endurance=5.0, balance=True,
+            add_shard_at=12_000, seed=1)
+        result = ServiceEngine(
+            config, shard_death_schedule(1, 1_500, 512)).run()
+        assert self.digest(result) == (
+            "a9ef01e27ca7adf0abae24fdbf6f7bb3"
+            "c05923799bf41931492cc164fb62f5bb")
+
+    def test_probe_served_inside_a_batch_is_pinned(self):
+        """A one-tick cooldown lets the half-open probe queue behind a
+        request admitted before the trip, so the probe succeeds inside
+        a two-request batch; slow service makes successes late."""
+        config = small_config(
+            clients=16, total_requests=600, breaker_threshold=3,
+            breaker_cooldown=1, batch_max=2, deadline_ticks=200,
+            write_ticks=20, read_ticks=20)
+        result = ServiceEngine(config, shard_stall_schedule(0, 30, 4)).run()
+        counters = result.snapshot["counters"]
+        assert counters["serve.breaker_probes"] > 0
+        assert counters["serve.breaker_closed"] > 0
+        assert counters["serve.deadline_miss"] > 0
+        assert self.digest(result) == (
+            "3d6f14649b3f9cccb0aea5856cbdd353"
+            "c72a56082d8c5adb3bc5cb340f030af3")
+
+    def test_success_between_short_stalls_resets_the_streak(self):
+        """Two 2-request stalls under a threshold of 3: the successes
+        between them reset the failure streak, so the breaker never
+        opens."""
+        config = small_config(breaker_threshold=3)
+        schedule = FaultSchedule(actions=tuple(
+            FaultAction("shard-stall", at_write=at, requests=2, shard=0)
+            for at in (20, 40)))
+        result = ServiceEngine(config, schedule).run()
+        counters = result.snapshot["counters"]
+        assert counters["serve.stalled"] == 4
+        assert counters["serve.breaker_opened"] == 0
+        assert self.digest(result) == (
+            "cb858cbfe666e4ff157456abf2296bc0"
+            "cfb90888940621eb664c2fcf987218a7")
 
 
 class TestTelemetryOffTheEventLoop:

@@ -16,7 +16,9 @@ geometries:
   exactly;
 * **prefix-replay equivalence** — appending phases never rewrites an
   earlier prefix (the :class:`~repro.array.trace.SegmentedTrace`
-  contract), and ``segments()`` feeds ``SegmentedTrace`` verbatim.
+  contract), and ``segments()`` feeds ``SegmentedTrace`` verbatim;
+* **replay cursor** — :meth:`TraceReplay.next_request` reads the same
+  records as :meth:`TraceReplay.take`, wrap-around included.
 """
 
 import numpy as np
@@ -24,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.array.trace import SegmentedTrace
-from repro.workloads import (TraceReplay, canonical_bytes,
+from repro.workloads import (TraceMeta, TraceReplay, canonical_bytes,
                              phase_shifting_hotspot, record_workload,
                              sequential_workload, uniform_workload,
                              zipf_workload)
@@ -143,3 +145,22 @@ def test_segments_feed_segmented_trace_verbatim(seed, blocks):
     again = SegmentedTrace(workload.segments(), name=workload.name,
                            seed=seed)
     assert np.array_equal(counts, again.batch_counts(100))
+
+
+@given(seed=seeds, blocks=spaces, kind=st.sampled_from(KINDS),
+       records=st.integers(min_value=1, max_value=64),
+       calls=st.integers(min_value=1, max_value=200))
+@settings(max_examples=40, deadline=None)
+def test_replay_next_request_reads_the_take_stream(seed, blocks, kind,
+                                                   records, calls):
+    stored = build(kind, blocks, seed).take(records)
+    meta = TraceMeta(name="replay", virtual_blocks=blocks,
+                     requests=records, epoch_requests=records,
+                     write_ratio=0.5)
+    single, bulk = TraceReplay(stored, meta), TraceReplay(stored, meta)
+    served = [single.next_request() for _ in range(calls)]
+    assert served == [(int(address), bool(is_write))
+                      for address, is_write in bulk.take(calls)]
+    assert all(type(a) is int and type(w) is bool for a, w in served)
+    # Both cursors stand at the same record afterwards.
+    assert np.array_equal(single.take(records), bulk.take(records))
