@@ -6,11 +6,15 @@ stationary*: one distribution up to the re-decode point, another after
 it.  :class:`SegmentedTrace` models exactly that — an ordered list of
 ``(start_write, probabilities)`` segments over one virtual block space.
 
-Replay determinism is the load-bearing property.  A shard parked at its
-write cap continues its saved trace, which :meth:`SegmentedTrace.reschedule`
-hands the segments it has not reached yet; a shard whose trace changed
-behind its position re-runs from write zero with the new segments.  Either
-way the result must equal a fresh run over the final segment list, so the
+Replay determinism is the load-bearing property.  The array engine
+steps its live shards in lockstep on the global clock, so when a death or
+a control event changes a shard's traffic, the shard has not yet passed
+the epoch boundary where the change starts, and
+:meth:`SegmentedTrace.reschedule` hands its trace the new segments from
+that boundary on.  A survivor tied with a death may already have stepped
+past the death's boundary; the engine's ``_repair_ties`` rebuilds that
+shard and runs it fresh from its segments to the boundary.  Either way
+the result must equal a fresh run over the final segment list, so the
 shared prefix must reproduce **byte-identical** draws.  Two design points
 guarantee it:
 

@@ -11,8 +11,9 @@ blocks, not from the host's hot set):
 
 * per (workload x GC policy) cell, a recorded host write stream is
   pushed through a :class:`~repro.workloads.ftl.PageMappingFTL`; the
-  resulting physical program stream replays into the single-chip fast
-  engine twice — recovery ``reviver`` vs ``none``;
+  resulting physical program stream replays, as an all-write
+  :class:`~repro.workloads.tracefile.TraceReplay`, into the single-chip
+  fast engine twice — recovery ``reviver`` vs ``none``;
 * write-amplification counters flow through ``repro.telemetry``
   (``wa.host_writes`` / ``wa.gc_writes``) exactly as a production cell
   would report them;
@@ -26,14 +27,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+import numpy as np
+
 from ..config import StartGapConfig
 from ..sim import FastConfig, FastEngine
 from ..telemetry import TelemetrySession, attach_ftl
-from ..traces import FileTrace
 from ..wl import StartGap
-from ..workloads import (FTLConfig, GC_POLICIES, PageMappingFTL,
-                         phase_shifting_hotspot, uniform_workload,
-                         zipf_workload)
+from ..workloads import (FTLConfig, GC_POLICIES, PageMappingFTL, TraceMeta,
+                         TraceReplay, phase_shifting_hotspot,
+                         uniform_workload, zipf_workload)
 from .common import build_chip, scaled_parameters
 from .parallel import Cell, GridRunner, ProgressFn, cell_seed, make_runner
 
@@ -115,14 +117,18 @@ def _cell(scale: str, workload: str, policy: str, seed: int) -> dict:
     attach_ftl(session, ftl)
     programmed = ftl.replay(addresses,
                             epoch_writes=params.batch_writes // 4)
+    records = np.column_stack([programmed, np.ones_like(programmed)])
+    meta = TraceMeta(name=f"wa-{workload}-{policy}",
+                     virtual_blocks=params.num_blocks,
+                     requests=len(records), epoch_requests=len(records),
+                     write_ratio=1.0)
 
     lifetimes: Dict[str, Dict[str, Any]] = {}
     for recovery in ("reviver", "none"):
         chip = build_chip(params, seed=seed)
         wl = StartGap(params.num_blocks,
                       config=StartGapConfig(psi=params.psi))
-        trace = FileTrace(programmed, params.num_blocks,
-                          name=f"wa-{workload}-{policy}")
+        trace = TraceReplay(records, meta)
         config = FastConfig(recovery=recovery,
                             batch_writes=params.batch_writes, seed=seed)
         engine = FastEngine(chip, wl, trace, config,

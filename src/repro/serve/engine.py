@@ -41,9 +41,8 @@ from ..errors import ConfigurationError, ProtocolError
 from ..faultinject import FaultSchedule
 from ..rng import derive_rng
 from ..telemetry import TelemetrySession
-from ..traces import RequestStream
-from ..workloads import (TraceReplay, uniform_request_stream,
-                         zipf_request_stream)
+from ..traces import DistributionTrace, zipf_distribution
+from ..workloads import TraceReplay
 from .account import assemble_snapshots
 from .config import ServeConfig
 from .report import build_report
@@ -131,8 +130,11 @@ class ServiceEngine:
             replay = self._trace_replay()
             self._streams: List[Any] = [replay] * config.clients
         else:
-            self._streams = [self._client_stream(c)
-                             for c in range(config.clients)]
+            law = self._address_law()
+            self._streams = [
+                law.request_stream(config.write_ratio,
+                                   name=f"serve-client-{c}")
+                for c in range(config.clients)]
         self._think_rngs = [derive_rng(config.seed, f"serve-think-{c}")
                             for c in range(config.clients)]
         #: Pre-drawn think times per client, next draw last (each client
@@ -142,23 +144,17 @@ class ServiceEngine:
 
     # --------------------------------------------------------------- set-up
 
-    def _client_stream(self, client: int) -> RequestStream:
-        """Per-client stream, built from the shared workload vocabulary.
-
-        Both builders live in :mod:`repro.workloads`; the distribution
-        identity is ``("serve", config.seed)`` and each client draws its
-        own ``serve-client-<c>`` stream from it.
-        """
+    def _address_law(self) -> DistributionTrace:
+        """The clients' shared address law, ``("serve", config.seed)``;
+        each client draws its own ``serve-client-<c>`` stream from it."""
         config = self.config
         if config.workload == "zipf":
-            return zipf_request_stream(
+            return zipf_distribution(
                 config.global_blocks, exponent=config.zipf_exponent,
-                write_ratio=config.write_ratio, name="serve",
-                seed=config.seed, stream_name=f"serve-client-{client}")
-        return uniform_request_stream(
-            config.global_blocks, write_ratio=config.write_ratio,
-            name="serve", seed=config.seed,
-            stream_name=f"serve-client-{client}")
+                name="serve", seed=config.seed)
+        blocks = config.global_blocks
+        return DistributionTrace(np.full(blocks, 1.0 / blocks),
+                                 name="serve", seed=config.seed)
 
     def _trace_replay(self) -> TraceReplay:
         """One shared file cursor for every client: requests are issued

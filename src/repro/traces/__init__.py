@@ -11,7 +11,9 @@ that matters for page retirement and for LLS's restricted randomization.
 
 Also provided: Zipf-mixture generators, malicious attack streams (the
 birthday-paradox attack of Seznec that wear-leveling papers must survive),
-a simple trace file format, and CoV estimators.
+and CoV estimators.  Recorded traffic lives in :mod:`repro.workloads`:
+its :class:`~repro.workloads.tracefile.TraceReplay` is the one replay
+path, and is itself a :class:`WriteTrace`.
 """
 
 from .base import WriteTrace, DistributionTrace, RequestStream
@@ -20,19 +22,16 @@ from .synthetic import (
     lognormal_distribution,
     solve_hot_fraction,
     zipf_distribution,
-    zipf_request_stream,
 )
 from .benchmarks import BENCHMARKS, BenchmarkSpec, benchmark_trace, benchmark_names
 from .attacks import birthday_paradox_attack, hammer_attack, sequential_sweep
-from .fileio import FileTrace, write_trace_file, read_trace_file
 from .stats import write_cov, counts_cov, distribution_cov
 
 __all__ = [
     "WriteTrace", "DistributionTrace", "RequestStream",
     "hotspot_distribution", "lognormal_distribution", "zipf_distribution",
-    "zipf_request_stream", "solve_hot_fraction",
+    "solve_hot_fraction",
     "BENCHMARKS", "BenchmarkSpec", "benchmark_trace", "benchmark_names",
     "birthday_paradox_attack", "hammer_attack", "sequential_sweep",
-    "FileTrace", "write_trace_file", "read_trace_file",
     "write_cov", "counts_cov", "distribution_cov",
 ]

@@ -42,6 +42,14 @@ class WriteTrace(abc.ABC):
     def batch_counts(self, batch: int) -> np.ndarray:
         """Per-virtual-block write counts for the next *batch* writes."""
 
+    @abc.abstractmethod
+    def restricted_to(self, virtual_blocks: int) -> "WriteTrace":
+        """This trace folded onto a space of *virtual_blocks* blocks.
+
+        Engines whose software space is smaller than the trace's call
+        this; a trace that already fits returns itself.
+        """
+
     def reset(self) -> None:
         """Restart the stream (optional for stationary traces)."""
 
@@ -81,12 +89,16 @@ class DistributionTrace(WriteTrace):
         self._buffer_pos = 0
 
     def request_stream(self, write_ratio: float = 0.5,
-                       name: Optional[str] = None,
-                       seed: SeedLike = None) -> "RequestStream":
-        """A read/write request stream drawing addresses from this trace."""
+                       name: Optional[str] = None) -> "RequestStream":
+        """A read/write request stream drawing addresses from this trace.
+
+        *name* names the stream's draws apart from the distribution, so
+        several consumers (the serving layer's clients) can share one
+        address law while drawing disjoint streams.
+        """
         return RequestStream(self.probabilities, write_ratio=write_ratio,
                              name=self.name if name is None else name,
-                             seed=self._seed if seed is None else seed)
+                             seed=self._seed)
 
     def restricted_to(self, virtual_blocks: int) -> "DistributionTrace":
         """Fold the distribution onto a smaller virtual space.

@@ -22,7 +22,7 @@ from scipy import optimize
 
 from ..errors import ConfigurationError
 from ..rng import SeedLike, derive_rng
-from .base import DistributionTrace, RequestStream
+from .base import DistributionTrace
 
 
 def mixture_cov(hot_fraction: float, hot_share: float) -> float:
@@ -180,26 +180,3 @@ def zipf_distribution(virtual_blocks: int, exponent: float = 1.0,
     order = rng.permutation(virtual_blocks)
     return DistributionTrace(probabilities[order], name=name, seed=seed)
 
-
-def zipf_request_stream(virtual_blocks: int, exponent: float = 1.0,
-                        write_ratio: float = 0.5,
-                        target_cov: Optional[float] = None,
-                        name: str = "zipf",
-                        seed: SeedLike = None,
-                        stream_name: Optional[str] = None) -> RequestStream:
-    """Zipf-popularity request stream with a read/write mix.
-
-    The address law is exactly :func:`zipf_distribution` (same arguments,
-    same seeded permutation); on top of it the stream tags each request as
-    a read or a write with probability *write_ratio*.  This is the default
-    workload of the online serving layer: web- and KV-store traffic is
-    classically Zipf-popular, and the skew concentrates both queueing and
-    wear on the shards owning the head of the ranking.
-
-    *stream_name* names the per-consumer draw stream independently of the
-    distribution identity, so several consumers (the serving layer's
-    clients) can share one address law while drawing disjoint streams.
-    """
-    trace = zipf_distribution(virtual_blocks, exponent=exponent,
-                              target_cov=target_cov, name=name, seed=seed)
-    return trace.request_stream(write_ratio=write_ratio, name=stream_name)

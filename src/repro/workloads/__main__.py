@@ -34,8 +34,8 @@ import numpy as np
 
 from ..array.decoder import INTERLEAVE_MODES, InterleavedDecoder
 from ..errors import ReproError
-from .generators import (Workload, phase_shifting_hotspot,
-                         sequential_workload, uniform_workload,
+from .generators import (SequentialWorkload, Workload,
+                         phase_shifting_hotspot, uniform_workload,
                          zipf_workload)
 from .shards import shard_digests
 from .tracefile import (TraceReplay, check_canonical, read_meta,
@@ -138,9 +138,9 @@ def build_workload(args: argparse.Namespace) -> Workload:
                              write_ratio=args.write_ratio, name=name,
                              seed=args.seed)
     if args.kind == "sequential":
-        return sequential_workload(args.blocks, stride=args.stride,
-                                   write_ratio=args.write_ratio,
-                                   name=name, seed=args.seed)
+        return SequentialWorkload(args.blocks, stride=args.stride,
+                                  write_ratio=args.write_ratio,
+                                  name=name, seed=args.seed)
     return phase_shifting_hotspot(args.blocks, phases=args.phases,
                                   phase_requests=max(
                                       1, args.requests // args.phases),

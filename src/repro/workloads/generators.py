@@ -17,11 +17,11 @@ Determinism discipline (the same contract as
   the stream is identical whether consumed one request at a time
   (:meth:`Workload.next_request`) or in bulk (:meth:`Workload.take`).
 
-Every workload also projects down to the stationary world: ``segments()``
-returns ``(start, probabilities)`` pairs accepted verbatim by
-:class:`~repro.array.trace.SegmentedTrace`, and ``stationary()`` folds
-the phases into one request-weighted
-:class:`~repro.traces.base.DistributionTrace` for the batch engines.
+The serving layer draws its i.i.d. client streams straight from an
+address law (:meth:`~repro.traces.base.DistributionTrace.request_stream`);
+the batch engines see recorded traffic through
+:class:`~repro.workloads.tracefile.TraceReplay`, which is also a
+:class:`~repro.traces.base.WriteTrace`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..rng import SeedLike, derive_rng
-from ..traces import DistributionTrace, RequestStream, zipf_distribution
+from ..traces import zipf_distribution
 
 #: Fixed draw-chunk size: the stream is chunked at these boundaries no
 #: matter how it is consumed, which is what makes ``take(1)`` n times
@@ -88,33 +88,10 @@ class Workload(abc.ABC):
     def reset(self) -> None:
         """Restart the stream from its first request."""
 
-    @abc.abstractmethod
-    def segments(self) -> List[Tuple[int, np.ndarray]]:
-        """First-cycle ``(start_request, probabilities)`` segments.
-
-        The returned list is accepted verbatim by
-        :class:`~repro.array.trace.SegmentedTrace`.
-        """
-
     def next_request(self) -> Tuple[int, bool]:
         """Next request as ``(address, is_write)`` — same stream as take."""
         row = self.take(1)[0]
         return int(row[0]), bool(row[1])
-
-    def cycle_total(self) -> int:
-        """Requests in one full cycle (weights :meth:`stationary`)."""
-        return self.segments()[-1][0] + 1
-
-    def stationary(self) -> DistributionTrace:
-        """Request-weighted fold of the segments into one distribution."""
-        weights = np.zeros(self.virtual_blocks, dtype=np.float64)
-        segs = self.segments()
-        bounds = [start for start, _ in segs[1:]] + [self.cycle_total()]
-        for (start, table), end in zip(segs, bounds):
-            weights += max(1, end - start) * np.asarray(table,
-                                                        dtype=np.float64)
-        return DistributionTrace(weights, name=f"{self.name}-stationary",
-                                 seed=getattr(self, "_seed", None))
 
 
 class PhasedWorkload(Workload):
@@ -140,14 +117,6 @@ class PhasedWorkload(Workload):
         self.phases = list(phases)
         self._seed = seed
         self.reset()
-
-    @property
-    def cycle_requests(self) -> int:
-        """Requests in one full pass over the phases."""
-        return sum(phase.requests for phase in self.phases)
-
-    def cycle_total(self) -> int:
-        return self.cycle_requests
 
     def reset(self) -> None:
         self._cycle = 0
@@ -202,14 +171,6 @@ class PhasedWorkload(Workload):
         if not rows:
             return np.empty((0, 2), dtype=np.int64)
         return np.concatenate(rows, axis=0)
-
-    def segments(self) -> List[Tuple[int, np.ndarray]]:
-        out: List[Tuple[int, np.ndarray]] = []
-        start = 0
-        for phase in self.phases:
-            out.append((start, phase.probabilities))
-            start += phase.requests
-        return out
 
     def then(self, other: "PhasedWorkload") -> "PhasedWorkload":
         """This workload followed by *other*'s phases.
@@ -276,11 +237,6 @@ class SequentialWorkload(Workload):
             return np.empty((0, 2), dtype=np.int64)
         return np.concatenate(rows, axis=0)
 
-    def segments(self) -> List[Tuple[int, np.ndarray]]:
-        # A full-period sweep touches every block equally.
-        uniform = np.full(self.virtual_blocks, 1.0 / self.virtual_blocks)
-        return [(0, uniform)]
-
 
 # ------------------------------------------------------------- builders
 
@@ -309,14 +265,6 @@ def zipf_workload(virtual_blocks: int, exponent: float = 1.0,
     return PhasedWorkload(
         [Phase(requests, trace.probabilities, write_ratio)],
         name=name, seed=seed)
-
-
-def sequential_workload(virtual_blocks: int, start: int = 0, stride: int = 1,
-                        write_ratio: float = 0.5, name: str = "sequential",
-                        seed: SeedLike = None) -> SequentialWorkload:
-    """Strided sweep builder (mirrors the other builders' shape)."""
-    return SequentialWorkload(virtual_blocks, start=start, stride=stride,
-                              write_ratio=write_ratio, name=name, seed=seed)
 
 
 def phase_shifting_hotspot(virtual_blocks: int, phases: int = 4,
@@ -354,24 +302,7 @@ def phase_shifting_hotspot(virtual_blocks: int, phases: int = 4,
     return PhasedWorkload(phase_list, name=name, seed=seed)
 
 
-def uniform_request_stream(virtual_blocks: int, write_ratio: float = 0.5,
-                           name: str = "uniform", seed: SeedLike = None,
-                           stream_name: Optional[str] = None,
-                           ) -> RequestStream:
-    """Uniform-address request stream (serving-layer counterpart).
-
-    ``stream_name`` names the per-consumer draw stream independently of
-    the distribution identity, mirroring
-    :func:`~repro.traces.synthetic.zipf_request_stream`.
-    """
-    size = virtual_blocks
-    trace = DistributionTrace(np.full(size, 1.0 / size), name=name,
-                              seed=seed)
-    return trace.request_stream(write_ratio=write_ratio, name=stream_name)
-
-
 __all__ = [
     "CHUNK", "Phase", "Workload", "PhasedWorkload", "SequentialWorkload",
-    "uniform_workload", "zipf_workload", "sequential_workload",
-    "phase_shifting_hotspot", "uniform_request_stream",
+    "uniform_workload", "zipf_workload", "phase_shifting_hotspot",
 ]

@@ -14,22 +14,24 @@ reproduce the file byte-for-byte (:func:`canonical_bytes`, checked by
 ``python -m repro.workloads replay --check`` and the golden fixture), so
 any format drift fails loudly instead of silently forking replays.
 
-:class:`TraceReplay` is the in-memory side: a
-:class:`~repro.workloads.generators.Workload` that replays the records
-with wrap-around, projecting empirical distributions for the batch
-engines.
+:class:`TraceReplay` is the in-memory side and the one replay path for
+recorded traffic: a :class:`~repro.workloads.generators.Workload` that
+replays every record with wrap-around for the serving layer, and a
+:class:`~repro.traces.base.WriteTrace` that replays the write records
+for the batch engines.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (IO, Any, Dict, Iterator, List, Optional, Tuple, Union)
 
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..traces.base import WriteTrace
 from .generators import Workload
 
 MAGIC = "#REPRO-WORKLOAD"
@@ -209,11 +211,15 @@ class TraceReader:
         self.path = Path(path)
         self._handle: IO[str] = open(self.path, "r", encoding="utf-8",
                                      newline="\n")
-        self.meta = TraceMeta.decode(self._handle.readline())
-        self._lineno = 1
-        #: Byte offsets of the line *after* each seen ``#EPOCH k``.
-        self._epoch_offsets: Dict[int, int] = {}
-        self._scan_to_epoch(0)
+        try:
+            self.meta = TraceMeta.decode(self._handle.readline())
+            self._lineno = 1
+            #: Byte offsets of the line *after* each seen ``#EPOCH k``.
+            self._epoch_offsets: Dict[int, int] = {}
+            self._scan_to_epoch(0)
+        except BaseException:
+            self._handle.close()
+            raise
 
     # --------------------------------------------------------- lifecycle
 
@@ -296,15 +302,22 @@ def check_canonical(path: PathLike) -> bool:
     return Path(path).read_bytes() == expected
 
 
-class TraceReplay(Workload):
+class TraceReplay(Workload, WriteTrace):
     """Replays stored records with wrap-around (the paper replays its
-    Pin traces "multiple times to produce the required wear-out effect")."""
+    Pin traces "multiple times to produce the required wear-out effect").
+
+    Two independent cursors walk the records: the request cursor
+    (:meth:`take`, :meth:`next_request`) visits every record, the write
+    cursor (:meth:`next_write`, :meth:`batch_counts`) only the writes.
+    """
 
     def __init__(self, records: np.ndarray, meta: TraceMeta) -> None:
         super().__init__(meta.virtual_blocks, name=meta.name)
         self.records = _checked_records(records, meta.virtual_blocks)
         self.meta = meta
         self._cursor = 0
+        self._writes: Optional[np.ndarray] = None
+        self._write_cursor = 0
 
     @classmethod
     def load(cls, path: PathLike) -> "TraceReplay":
@@ -314,6 +327,7 @@ class TraceReplay(Workload):
 
     def reset(self) -> None:
         self._cursor = 0
+        self._write_cursor = 0
 
     def take(self, count: int) -> np.ndarray:
         if count < 0:
@@ -335,25 +349,56 @@ class TraceReplay(Workload):
         self._cursor = (self._cursor + 1) % len(self.records)
         return int(address), bool(is_write)
 
-    def segments(self) -> List[Tuple[int, np.ndarray]]:
-        counts = np.bincount(self.records[:, 0],
-                             minlength=self.virtual_blocks)
-        return [(0, counts / counts.sum())]
-
-    def cycle_total(self) -> int:
-        return len(self.records)
-
     def write_addresses(self) -> np.ndarray:
         """The write-record addresses, in file order."""
         return self.records[self.records[:, 1] == 1, 0]
 
+    def _write_walk(self) -> np.ndarray:
+        """The write addresses the write cursor walks (never empty)."""
+        if self._writes is None:
+            writes = self.write_addresses()
+            if len(writes) == 0:
+                raise ConfigurationError(
+                    f"trace {self.name!r} contains no writes")
+            self._writes = writes
+        return self._writes
+
+    def next_write(self) -> int:
+        writes = self._write_walk()
+        value = int(writes[self._write_cursor])
+        self._write_cursor = (self._write_cursor + 1) % len(writes)
+        return value
+
+    def batch_counts(self, batch: int) -> np.ndarray:
+        writes = self._write_walk()
+        counts = np.zeros(self.virtual_blocks, dtype=np.int64)
+        remaining = batch
+        while remaining > 0:
+            take = min(remaining, len(writes) - self._write_cursor)
+            chunk = writes[self._write_cursor:self._write_cursor + take]
+            counts += np.bincount(chunk, minlength=self.virtual_blocks)
+            self._write_cursor = (self._write_cursor + take) % len(writes)
+            remaining -= take
+        return counts
+
+    def restricted_to(self, virtual_blocks: int) -> "TraceReplay":
+        """Fold the records onto a smaller virtual space.
+
+        Addresses wrap modulo the smaller space, which keeps the stream's
+        temporal structure while every record stays in range.
+        """
+        if virtual_blocks >= self.virtual_blocks:
+            return self
+        folded = self.records.copy()
+        folded[:, 0] %= virtual_blocks
+        meta = replace(self.meta, name=f"{self.name}-folded",
+                       virtual_blocks=virtual_blocks)
+        return TraceReplay(folded, meta)
+
     def write_distribution(self) -> "np.ndarray":
         """Empirical per-block write counts (the batch engines' view)."""
-        writes = self.write_addresses()
-        if len(writes) == 0:
-            raise ConfigurationError(
-                f"trace {self.name!r} contains no writes")
-        return np.bincount(writes, minlength=self.virtual_blocks)
+        return np.bincount(self._write_walk(),
+                           minlength=self.virtual_blocks)
 
 
 __all__ = [

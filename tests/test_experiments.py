@@ -278,6 +278,16 @@ class TestFigWA:
         assert "greedy" in text
         assert set(fig_wa.as_dict(result)) == {"uniform", "zipf"}
 
+    def test_rows_are_pinned(self, result):
+        # Any drift in how the program stream replays into the fast
+        # engine changes this digest.
+        import hashlib
+        import json
+        blob = json.dumps(fig_wa.as_dict(result), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "675b69c58dd0f4cd112110f49b4a3aa8"
+            "43d774169100c15344d6c6b971322d8b")
+
     def test_bad_policy_is_rejected(self):
         with pytest.raises(ConfigurationError):
             fig_wa.run(scale="tiny", benchmarks=["uniform"],

@@ -8,6 +8,7 @@ and the degraded re-home rule directly.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.array import InterleavedDecoder
@@ -389,9 +390,9 @@ class TestCli:
 
 
 class TestWorkloadPackageDedupe:
-    """The client streams now come from ``repro.workloads``; these pins
-    prove the dedupe kept the served behavior byte-identical (hashes
-    recorded from the pre-refactor engine)."""
+    """The clients draw from one shared address law; these pins hold
+    the served behavior byte-identical (hashes recorded from an earlier
+    engine)."""
 
     PINS = {
         "zipf": ("b05ed60ead7efee49140783b2deb1c897"
@@ -472,12 +473,22 @@ class TestWorkloadPackageDedupe:
         result = ServiceEngine(small_config(**overrides), schedule).run()
         assert self.behavior_hash(result) == pin
 
-    def test_streams_come_from_the_workload_package(self):
-        from repro.workloads import (uniform_request_stream,
-                                     zipf_request_stream)
-        from repro.serve import engine as serve_engine
-        assert serve_engine.zipf_request_stream is zipf_request_stream
-        assert serve_engine.uniform_request_stream is uniform_request_stream
+    @pytest.mark.parametrize("workload", ["zipf", "uniform"])
+    def test_clients_share_one_address_law(self, workload):
+        from repro.traces import DistributionTrace, zipf_distribution
+        config = small_config(workload=workload, clients=3)
+        blocks = config.global_blocks
+        law = (zipf_distribution(blocks, exponent=config.zipf_exponent,
+                                 name="serve", seed=config.seed)
+               if workload == "zipf" else
+               DistributionTrace(np.full(blocks, 1.0 / blocks),
+                                 name="serve", seed=config.seed))
+        engine = ServiceEngine(config)
+        for client, stream in enumerate(engine._streams):
+            expected = law.request_stream(config.write_ratio,
+                                          name=f"serve-client-{client}")
+            assert [stream.next_request() for _ in range(64)] == \
+                [expected.next_request() for _ in range(64)]
 
 
 class TestRouteAndCompletionPins:

@@ -18,14 +18,12 @@ from repro.traces import (
     hammer_attack,
     hotspot_distribution,
     lognormal_distribution,
-    read_trace_file,
     sequential_sweep,
     write_cov,
-    write_trace_file,
     zipf_distribution,
-    zipf_request_stream,
 )
 from repro.traces.synthetic import mixture_cov, solve_hot_fraction
+from repro.workloads import TraceMeta, TraceReplay, write_records
 
 
 class TestCovMath:
@@ -127,14 +125,14 @@ class TestDistributionTrace:
 
 class TestRequestStream:
     def test_addresses_and_flags_in_range(self):
-        stream = zipf_request_stream(256, write_ratio=0.3, seed=5)
+        stream = zipf_distribution(256, seed=5).request_stream(0.3)
         for _ in range(200):
             address, is_write = stream.next_request()
             assert 0 <= address < 256
             assert isinstance(is_write, bool)
 
     def test_reset_reproduces_the_stream(self):
-        stream = zipf_request_stream(256, write_ratio=0.5, seed=5)
+        stream = zipf_distribution(256, seed=5).request_stream(0.5)
         first = [stream.next_request() for _ in range(100)]
         stream.reset()
         second = [stream.next_request() for _ in range(100)]
@@ -143,21 +141,21 @@ class TestRequestStream:
     def test_same_seed_same_stream(self):
         draws = []
         for _ in range(2):
-            stream = zipf_request_stream(128, write_ratio=0.5, seed=9)
+            stream = zipf_distribution(128, seed=9).request_stream(0.5)
             draws.append([stream.next_request() for _ in range(64)])
         assert draws[0] == draws[1]
 
     def test_write_ratio_extremes(self):
-        all_writes = zipf_request_stream(64, write_ratio=1.0, seed=1)
+        all_writes = zipf_distribution(64, seed=1).request_stream(1.0)
         assert all(all_writes.next_request()[1] for _ in range(50))
-        no_writes = zipf_request_stream(64, write_ratio=0.0, seed=1)
+        no_writes = zipf_distribution(64, seed=1).request_stream(0.0)
         assert not any(no_writes.next_request()[1] for _ in range(50))
 
     def test_write_ratio_validation(self):
         with pytest.raises(ConfigurationError):
-            zipf_request_stream(64, write_ratio=-0.1, seed=1)
+            zipf_distribution(64, seed=1).request_stream(-0.1)
         with pytest.raises(ConfigurationError):
-            zipf_request_stream(64, write_ratio=1.5, seed=1)
+            zipf_distribution(64, seed=1).request_stream(1.5)
 
     def test_from_any_distribution_trace(self):
         stream = hotspot_distribution(256, 4.0, seed=2).request_stream()
@@ -169,7 +167,8 @@ class TestRequestStream:
         # Zipf ranks are spread over a seeded permutation, so skew shows
         # up as concentration on few addresses, not as low-address mass.
         from collections import Counter
-        stream = zipf_request_stream(1024, exponent=1.2, seed=4)
+        stream = zipf_distribution(1024, exponent=1.2,
+                                   seed=4).request_stream()
         addresses = [stream.next_request()[0] for _ in range(2000)]
         top = Counter(addresses).most_common(1)[0][1]
         assert top > (2000 / 1024) * 10  # far above the uniform share
@@ -225,33 +224,63 @@ class TestAttacks:
 
 
 class TestFileIO:
+    """Recorded traces replay through the canonical workload format; as a
+    write trace, :class:`TraceReplay` walks the write records."""
+
+    @staticmethod
+    def store(path, addresses, virtual_blocks, flags=None):
+        addresses = np.asarray(addresses)
+        if flags is None:
+            flags = np.ones_like(addresses)
+        meta = TraceMeta(name="t", virtual_blocks=virtual_blocks,
+                         requests=len(addresses), epoch_requests=4,
+                         write_ratio=float(np.mean(flags)))
+        write_records(path, np.column_stack([addresses, flags]), meta)
+        return TraceReplay.load(path)
+
     def test_round_trip(self, tmp_path):
-        path = tmp_path / "trace.rptr"
         addresses = np.array([3, 1, 4, 1, 5, 9, 2, 6])
-        write_trace_file(path, addresses, virtual_blocks=16)
-        trace = read_trace_file(path)
+        trace = self.store(tmp_path / "t.trace", addresses, 16)
         assert trace.virtual_blocks == 16
         assert [trace.next_write() for _ in range(8)] == addresses.tolist()
 
     def test_wraps_around(self, tmp_path):
-        path = tmp_path / "trace.rptr"
-        write_trace_file(path, np.array([1, 2]), virtual_blocks=4)
-        trace = read_trace_file(path)
+        trace = self.store(tmp_path / "t.trace", [1, 2], 4)
         assert [trace.next_write() for _ in range(5)] == [1, 2, 1, 2, 1]
 
     def test_batch_counts_match_stream(self, tmp_path):
-        path = tmp_path / "trace.rptr"
-        write_trace_file(path, np.array([0, 0, 1, 3]), virtual_blocks=4)
-        trace = read_trace_file(path)
+        trace = self.store(tmp_path / "t.trace", [0, 0, 1, 3], 4)
         counts = trace.batch_counts(8)
         assert counts.tolist() == [4, 2, 0, 2]
 
+    def test_write_walk_skips_reads(self, tmp_path):
+        trace = self.store(tmp_path / "t.trace", [0, 1, 2, 3], 4,
+                           flags=[1, 0, 1, 0])
+        assert [trace.next_write() for _ in range(3)] == [0, 2, 0]
+        assert trace.batch_counts(3).tolist() == [1, 0, 2, 0]
+        # The request cursor is independent of the write cursor.
+        assert trace.next_request() == (0, True)
+
+    def test_read_only_trace_has_no_write_walk(self, tmp_path):
+        trace = self.store(tmp_path / "t.trace", [0, 1], 4, flags=[0, 0])
+        with pytest.raises(ConfigurationError):
+            trace.batch_counts(4)
+        with pytest.raises(ConfigurationError):
+            trace.next_write()
+
+    def test_restricted_to_folds_addresses(self, tmp_path):
+        trace = self.store(tmp_path / "t.trace", [0, 5, 7, 2], 8)
+        assert trace.restricted_to(8) is trace
+        folded = trace.restricted_to(3)
+        assert folded.virtual_blocks == 3
+        assert [folded.next_write() for _ in range(4)] == [0, 2, 1, 2]
+
     def test_rejects_out_of_range_addresses(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            write_trace_file(tmp_path / "t", np.array([99]), virtual_blocks=4)
+            self.store(tmp_path / "t", [99], 4)
 
     def test_rejects_corrupt_file(self, tmp_path):
         path = tmp_path / "junk"
         path.write_bytes(b"NOPE" + b"\x00" * 12)
         with pytest.raises(ConfigurationError):
-            read_trace_file(path)
+            TraceReplay.load(path)

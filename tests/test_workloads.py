@@ -3,7 +3,9 @@ FTL write-amplification accounting, the CLI, and the cross-stack
 equivalence pin (one recorded trace drives serve and array with
 byte-identical per-shard address sequences)."""
 
+import gc
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,16 +16,18 @@ from repro.array.decoder import InterleavedDecoder
 from repro.array.__main__ import trace_digest_lines
 from repro.array.engine import ArrayConfig
 from repro.errors import ConfigurationError
+from repro.experiments.common import build_chip, scaled_parameters
 from repro.serve import ServeConfig, ServiceEngine
+from repro.sim import FastConfig, FastEngine
+from repro.wl import StartGap
 from repro.workloads import (CHUNK, FTLConfig, PageMappingFTL, Phase,
-                             PhasedWorkload, TraceMeta, TraceReader,
-                             TraceReplay, canonical_bytes, check_canonical,
-                             convert_msr, fold_addresses,
+                             PhasedWorkload, SequentialWorkload, TraceMeta,
+                             TraceReader, TraceReplay, canonical_bytes,
+                             check_canonical, convert_msr, fold_addresses,
                              per_shard_streams, phase_shifting_hotspot,
                              read_meta, read_msr_csv, record_workload,
-                             sequential_workload, shard_digests,
-                             stream_digest, uniform_workload, write_records,
-                             zipf_workload)
+                             shard_digests, stream_digest, uniform_workload,
+                             write_records, zipf_workload)
 from repro.workloads.__main__ import main as workloads_main
 from repro.workloads.convert import parse_msr_row
 
@@ -84,22 +88,22 @@ class TestGenerators:
         assert not np.array_equal(two_cycles[:50], two_cycles[50:])
 
     def test_sequential_addresses_are_arithmetic(self):
-        workload = sequential_workload(10, start=3, stride=4, seed=1)
+        workload = SequentialWorkload(10, start=3, stride=4, seed=1)
         addresses = workload.take(25)[:, 0]
         expected = (3 + 4 * np.arange(25)) % 10
         assert np.array_equal(addresses, expected)
 
     def test_sequential_rejects_zero_stride(self):
         with pytest.raises(ConfigurationError):
-            sequential_workload(10, stride=0)
+            SequentialWorkload(10, stride=0)
 
     def test_hotspot_rotates_per_phase(self):
         workload = phase_shifting_hotspot(100, phases=4,
                                           phase_requests=2000,
                                           hot_share=1.0, seed=3)
-        segments = workload.segments()
-        assert [start for start, _ in segments] == [0, 2000, 4000, 6000]
-        hot_sets = [set(np.flatnonzero(table)) for _, table in segments]
+        assert [phase.requests for phase in workload.phases] == [2000] * 4
+        hot_sets = [set(np.flatnonzero(phase.probabilities))
+                    for phase in workload.phases]
         assert all(a != b for a, b in zip(hot_sets, hot_sets[1:]))
 
     def test_hotspot_validation(self):
@@ -107,15 +111,6 @@ class TestGenerators:
             phase_shifting_hotspot(100, phases=0)
         with pytest.raises(ConfigurationError):
             phase_shifting_hotspot(100, hot_fraction=1.0)
-
-    def test_stationary_weights_by_requests(self):
-        workload = phase_shifting_hotspot(50, phases=2, phase_requests=100,
-                                          hot_share=1.0, seed=4)
-        stationary = workload.stationary()
-        total = np.zeros(50)
-        for _, table in workload.segments():
-            total += 100 * table
-        assert np.allclose(stationary.probabilities, total / total.sum())
 
     def test_negative_take_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -237,6 +232,22 @@ class TestTraceFile:
         assert parsed == meta
         assert parsed.extra["kind"] == "zipf"
 
+    @pytest.mark.parametrize("body", [
+        "not a trace\n",
+        TraceMeta(name="t", virtual_blocks=4, requests=1, epoch_requests=1,
+                  write_ratio=1.0).encode() + "\n0,W\n",
+    ], ids=["bad-header", "no-epoch-0"])
+    def test_failed_open_closes_the_file(self, tmp_path, body):
+        path = tmp_path / "bad.trace"
+        path.write_text(body)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConfigurationError):
+                TraceReplay.load(path)
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+
 
 class TestTraceReplay:
     def test_wrap_around(self, tmp_path):
@@ -246,7 +257,6 @@ class TestTraceReplay:
         replay = TraceReplay.load(path)
         doubled = replay.take(20)
         assert np.array_equal(doubled[:10], doubled[10:])
-        assert replay.cycle_total() == 10
 
     def test_write_distribution_counts_only_writes(self, tmp_path):
         path = tmp_path / "w.trace"
@@ -263,6 +273,24 @@ class TestTraceReplay:
                         10, epoch_requests=10)
         with pytest.raises(ConfigurationError):
             TraceReplay.load(path).write_distribution()
+
+    def test_fast_engine_folds_an_oversized_write_replay(self):
+        # fig_wa's path: the FTL's program stream covers the whole chip,
+        # the engine's page pool is smaller, so the replay folds.
+        params = scaled_parameters("tiny")
+        addresses = np.arange(params.num_blocks, dtype=np.int64)[::-1]
+        meta = TraceMeta(name="programs", virtual_blocks=params.num_blocks,
+                         requests=len(addresses),
+                         epoch_requests=len(addresses), write_ratio=1.0)
+        replay = TraceReplay(
+            np.column_stack([addresses, np.ones_like(addresses)]), meta)
+        engine = FastEngine(build_chip(params), StartGap(params.num_blocks),
+                            replay, FastConfig(seed=1))
+        pool = engine.ospool.virtual_blocks
+        assert pool < params.num_blocks
+        assert engine.trace.virtual_blocks == pool
+        walked = [engine.trace.next_write() for _ in range(len(addresses))]
+        assert walked == (addresses % pool).tolist()
 
 
 # -------------------------------------------------------------------- FTL

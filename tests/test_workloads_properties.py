@@ -16,7 +16,7 @@ geometries:
   exactly;
 * **prefix-replay equivalence** — appending phases never rewrites an
   earlier prefix (the :class:`~repro.array.trace.SegmentedTrace`
-  contract), and ``segments()`` feeds ``SegmentedTrace`` verbatim;
+  contract);
 * **replay cursor** — :meth:`TraceReplay.next_request` reads the same
   records as :meth:`TraceReplay.take`, wrap-around included.
 """
@@ -25,10 +25,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.array.trace import SegmentedTrace
-from repro.workloads import (TraceMeta, TraceReplay, canonical_bytes,
-                             phase_shifting_hotspot, record_workload,
-                             sequential_workload, uniform_workload,
+from repro.workloads import (SequentialWorkload, TraceMeta, TraceReplay,
+                             canonical_bytes, phase_shifting_hotspot,
+                             record_workload, uniform_workload,
                              zipf_workload)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -43,8 +42,8 @@ def build(kind, blocks, seed, write_ratio=0.5):
         return zipf_workload(blocks, requests=512,
                              write_ratio=write_ratio, seed=seed)
     if kind == "sequential":
-        return sequential_workload(blocks, stride=3,
-                                   write_ratio=write_ratio, seed=seed)
+        return SequentialWorkload(blocks, stride=3,
+                                  write_ratio=write_ratio, seed=seed)
     return phase_shifting_hotspot(blocks, phases=3, phase_requests=200,
                                   write_ratio=write_ratio, seed=seed)
 
@@ -129,22 +128,6 @@ def test_appending_phases_never_rewrites_the_prefix(seed, blocks,
     span = prefix_phases * 150
     prefix = base.take(span)
     assert np.array_equal(prefix, base.then(extra).take(span))
-
-
-@given(seed=seeds, blocks=spaces)
-@settings(max_examples=30, deadline=None)
-def test_segments_feed_segmented_trace_verbatim(seed, blocks):
-    workload = phase_shifting_hotspot(blocks, phases=3,
-                                      phase_requests=100, seed=seed)
-    trace = SegmentedTrace(workload.segments(), name=workload.name,
-                           seed=seed)
-    assert trace.virtual_blocks == workload.virtual_blocks
-    counts = trace.batch_counts(100)
-    assert counts.sum() == 100
-    # Draws are reproducible from the same segments and seed.
-    again = SegmentedTrace(workload.segments(), name=workload.name,
-                           seed=seed)
-    assert np.array_equal(counts, again.batch_counts(100))
 
 
 @given(seed=seeds, blocks=spaces, kind=st.sampled_from(KINDS),
