@@ -9,8 +9,8 @@ as the local scheme.
 
 Model: block *da*'s threshold starts at its 2nd cell-death time (ECP1).  A
 ``try_extend`` consumes one pool entry and bumps the threshold to the next
-order statistic.  When the pool is empty, or the endurance model has no more
-materialized order statistics for the block, the block is uncorrectable.
+order statistic.  When the pool is empty, or the next order statistic lies
+beyond the endurance model's ``max_order``, the block is uncorrectable.
 """
 
 from __future__ import annotations
@@ -75,12 +75,12 @@ class PAYG(ErrorCorrection):
             return False
         new_capacity = int(self._capacity[da]) + 1
         # Uncorrectable threshold for capacity c is the (c+1)-th cell death;
-        # we must have it materialized in the endurance matrix.
+        # it must lie within the endurance model's ``max_order``.
         if new_capacity + 1 > self.endurance.max_order:
             return False
         self.pool_entries -= 1
         self._capacity[da] = new_capacity
-        self._thresholds[da] = self.endurance.failure_times[da, new_capacity]
+        self._thresholds[da] = self.endurance.nth_failure(new_capacity + 1)[da]
         return True
 
     @property

@@ -20,10 +20,14 @@ PAYG with a deep pool).  We sample these directly:
    where the ``V_i`` are independent Uniform(0,1) draws (this is the standard
    record-value construction; each step is vectorized over all blocks);
 2. map through the normal quantile function:
-   ``T_(i) = mean + sd * Phi^-1(U_(i))``.
+   ``T_(i) = mean + sd * Phi^-1(U_(i))``, with ``Phi^-1`` the Cephes
+   ``ndtri`` port in :mod:`repro.numeric`.
 
 The result is an exact sample of the joint distribution of the first k cell
-failure times of every block, at cost O(num_blocks * k).
+failure times of every block, at cost O(num_blocks * k).  Step 1 is cheap;
+step 2 dominates, so :class:`EnduranceModel` draws every uniform up front (the
+RNG order never depends on what is read) and maps a column through step 2 only
+when it is first read.
 """
 
 from __future__ import annotations
@@ -31,10 +35,43 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..errors import ConfigurationError
+from ..numeric import ndtri
 from ..rng import SeedLike, make_rng
+
+
+def order_uniforms(num_blocks: int, cells_per_block: int, k: int,
+                   rng: SeedLike = None) -> np.ndarray:
+    """Step 1: the first *k* uniform order statistics of every block.
+
+    Returns a float64 ``(num_blocks, k)`` matrix with non-decreasing rows,
+    clipped to ``[1e-15, 1 - 1e-15]``.
+    """
+    if k <= 0:
+        raise ConfigurationError("k must be positive")
+    if k > cells_per_block:
+        raise ConfigurationError(
+            f"cannot take {k} order statistics of {cells_per_block} cells")
+    generator = make_rng(rng)
+    n = cells_per_block
+    uniforms = np.empty((num_blocks, k), dtype=np.float64)
+    # Sequential minima construction, vectorized across blocks.
+    previous = np.zeros(num_blocks, dtype=np.float64)
+    for i in range(k):
+        v = generator.random(num_blocks)
+        previous = 1.0 - (1.0 - previous) * v ** (1.0 / (n - i))
+        uniforms[:, i] = previous
+    # Guard against a pathological 1.0 from floating-point round-off.
+    np.clip(uniforms, 1e-15, 1.0 - 1e-15, out=uniforms)
+    return uniforms
+
+
+def lifetimes_from_uniforms(uniforms: np.ndarray, mean: float,
+                            cov: float) -> np.ndarray:
+    """Step 2: map uniforms to integer write counts, clipped to at least 1."""
+    lifetimes = mean + mean * cov * ndtri(uniforms)
+    return np.maximum(np.rint(lifetimes), 1.0).astype(np.int64)
 
 
 def sample_failure_times(num_blocks: int,
@@ -65,35 +102,21 @@ def sample_failure_times(num_blocks: int,
         block-write count at which block *b*'s ``(i+1)``-th cell dies.  Rows
         are non-decreasing.  Values are clipped to at least 1.
     """
-    if k <= 0:
-        raise ConfigurationError("k must be positive")
-    if k > cells_per_block:
-        raise ConfigurationError(
-            f"cannot take {k} order statistics of {cells_per_block} cells")
-    generator = make_rng(rng)
-    n = cells_per_block
-    uniforms = np.empty((num_blocks, k), dtype=np.float64)
-    # Sequential minima construction, vectorized across blocks.
-    previous = np.zeros(num_blocks, dtype=np.float64)
-    for i in range(k):
-        v = generator.random(num_blocks)
-        previous = 1.0 - (1.0 - previous) * v ** (1.0 / (n - i))
-        uniforms[:, i] = previous
-    # Guard against a pathological 1.0 from floating-point round-off.
-    np.clip(uniforms, 1e-15, 1.0 - 1e-15, out=uniforms)
-    sd = mean * cov
-    lifetimes = mean + sd * stats.norm.ppf(uniforms)
-    lifetimes = np.maximum(np.rint(lifetimes), 1.0)
-    return lifetimes.astype(np.int64)
+    return lifetimes_from_uniforms(
+        order_uniforms(num_blocks, cells_per_block, k, rng), mean, cov)
 
 
 @dataclass
 class EnduranceModel:
     """Lazy owner of a chip's failure-time matrix.
 
-    ECC schemes index into :attr:`failure_times` to derive per-block
-    uncorrectable thresholds; PAYG walks along a row as it allocates
-    overflow entries.
+    Construction draws the ``(num_blocks, max_order)`` uniforms (so the
+    result is identical to :func:`sample_failure_times` with the same
+    arguments, whatever is read later); each order's column of lifetimes is
+    computed the first time it is read and cached.  ECC schemes read the
+    one column that is their uncorrectable threshold; PAYG reads a further
+    column each time a block extends past every capacity seen so far, and
+    :attr:`failure_times` materialises them all.
     """
 
     num_blocks: int
@@ -108,13 +131,18 @@ class EnduranceModel:
             raise ConfigurationError("mean endurance must be positive")
         if not 0.0 <= self.cov < 1.0:
             raise ConfigurationError("cov must be in [0, 1)")
-        self._failure_times: np.ndarray = sample_failure_times(
-            self.num_blocks, self.cells_per_block, self.mean, self.cov,
-            self.max_order, rng=self.seed)
+        self._uniforms = order_uniforms(
+            self.num_blocks, self.cells_per_block, self.max_order,
+            rng=self.seed)
+        self._failure_times = np.zeros((self.num_blocks, self.max_order),
+                                       dtype=np.int64)
+        self._converted = [False] * self.max_order
 
     @property
     def failure_times(self) -> np.ndarray:
         """``(num_blocks, max_order)`` matrix of cell death times."""
+        for order in range(1, self.max_order + 1):
+            self.nth_failure(order)
         return self._failure_times
 
     def nth_failure(self, order: int) -> np.ndarray:
@@ -122,7 +150,12 @@ class EnduranceModel:
         if not 1 <= order <= self.max_order:
             raise ConfigurationError(
                 f"order {order} outside materialized range [1, {self.max_order}]")
-        return self._failure_times[:, order - 1]
+        column = order - 1
+        if not self._converted[column]:
+            self._failure_times[:, column] = lifetimes_from_uniforms(
+                self._uniforms[:, column], self.mean, self.cov)
+            self._converted[column] = True
+        return self._failure_times[:, column]
 
     def uncorrectable_threshold(self, capacity: int) -> np.ndarray:
         """Per-block wear at which an ECC correcting *capacity* faults gives up.

@@ -18,9 +18,9 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
 from ..errors import ConfigurationError
+from ..numeric import brentq
 from ..rng import SeedLike, derive_rng
 from .base import DistributionTrace
 
@@ -57,7 +57,7 @@ def solve_hot_fraction(target_cov: float, hot_share: float = 0.9) -> float:
     if gap(hi) > 0:
         raise ConfigurationError(
             f"CoV {target_cov} below the mixture's minimum at q={hot_share}")
-    return float(optimize.brentq(gap, lo, hi, xtol=1e-12))
+    return brentq(gap, lo, hi, xtol=1e-12)
 
 
 def hotspot_distribution(virtual_blocks: int, target_cov: float,
@@ -135,8 +135,7 @@ def lognormal_distribution(virtual_blocks: int, target_cov: float,
     if realized(hi) < target_cov:
         raise ConfigurationError(
             f"cannot calibrate CoV {target_cov} over {virtual_blocks} blocks")
-    alpha = float(optimize.brentq(
-        lambda a: realized(a) - target_cov, lo, hi, xtol=1e-9))
+    alpha = brentq(lambda a: realized(a) - target_cov, lo, hi, xtol=1e-9)
     rates = np.exp(alpha * (log_base - log_base.max()))
     if clustered:
         start = int(rng.integers(0, virtual_blocks))
@@ -174,7 +173,7 @@ def zipf_distribution(virtual_blocks: int, exponent: float = 1.0,
         if gap(lo) > 0 or gap(hi) < 0:
             raise ConfigurationError(
                 f"CoV {target_cov} unreachable by Zipf over {virtual_blocks}")
-        exponent = float(optimize.brentq(gap, lo, hi, xtol=1e-10))
+        exponent = brentq(gap, lo, hi, xtol=1e-10)
     probabilities = build(exponent)
     rng = derive_rng(seed, f"zipf-{name}")
     order = rng.permutation(virtual_blocks)
