@@ -19,11 +19,6 @@ package documents:
   :mod:`repro.faultinject`'s registration contract.
 * **TELEM-API** — telemetry counter/span misuse outside the
   :mod:`repro.telemetry` facade.
-* **SOA-ALIAS** — chained advanced-index stores and copy-semantics rebinds
-  on values that must alias the batched kernel's struct-of-arrays rows
-  (whole-program: ``register_batchable`` build/finish pairs are exempt).
-* **SHM-LIFE** — ``SharedMemory`` handles that miss ``close()`` on some
-  path or ``unlink()`` twice, tracked through try/finally.
 * **DET-WALLCLOCK** — wall-clock and unseeded-random reads
   (``time.time``, ``datetime.now``, ``random.*``) outside the
   telemetry-exempt modules.
@@ -42,8 +37,7 @@ from __future__ import annotations
 
 from .baseline import apply_baseline, load_baseline, write_baseline
 from .cache import RULESET_VERSION, AnalysisCache, CacheStats
-from .core import Finding, ProjectRule, Rule, SourceFile
-from .project import ProjectModel, build_project
+from .core import Finding, Rule, SourceFile
 from .registry import all_rules, get_rule, rule_ids
 from .runner import lint_paths, lint_source
 from .sarif import to_sarif, validate_sarif
@@ -52,14 +46,11 @@ __all__ = [
     "AnalysisCache",
     "CacheStats",
     "Finding",
-    "ProjectModel",
-    "ProjectRule",
     "RULESET_VERSION",
     "Rule",
     "SourceFile",
     "all_rules",
     "apply_baseline",
-    "build_project",
     "get_rule",
     "lint_paths",
     "lint_source",

@@ -12,9 +12,7 @@ last run.  The cache keys a full run on two fingerprints:
 A hit replays the stored findings with zero re-parses; the
 :class:`CacheStats` counters make that property testable.  Any change —
 one edited file, a different file set, a rule bump — misses and the whole
-tree re-lints: the project-model rules can move findings into files that
-did not themselves change, so per-file reuse would be unsound for them,
-and parsing is the dominant cost either way.
+tree re-lints (the cache holds one entry per tree, not per file).
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from .core import Finding, Rule
 
 #: Bump whenever any rule's behavior changes, so cached findings produced
 #: by the old semantics cannot satisfy the new gate.
-RULESET_VERSION = "2026.08.1"
+RULESET_VERSION = "2026.10.1"
 
 
 def ruleset_fingerprint(rules: Sequence[Rule]) -> str:

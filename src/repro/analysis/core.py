@@ -3,13 +3,6 @@
 A :class:`Rule` owns one bug class.  It sees a fully parsed
 :class:`SourceFile` and returns :class:`Finding` records; the runner applies
 suppressions and path exemptions so rules stay purely syntactic.
-
-:class:`ProjectRule` extends the contract for whole-program analyses: the
-runner builds one :class:`~repro.analysis.project.ProjectModel` over every
-file in the run and hands it to :meth:`ProjectRule.check_project` alongside
-each source, so cross-module facts (batchable build/finish registration,
-import edges) inform per-file findings.  Linting a lone file still works —
-the fallback builds a single-file model.
 """
 
 from __future__ import annotations
@@ -18,12 +11,9 @@ import ast
 import fnmatch
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Tuple
 
 from .suppressions import SuppressionIndex, scan_suppressions
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .project import ProjectModel
 
 
 @dataclass(frozen=True)
@@ -96,20 +86,3 @@ class Rule:
                        col=getattr(node, "col_offset", 0),
                        message=message)
 
-
-class ProjectRule(Rule):
-    """A rule whose findings depend on the whole-program model.
-
-    Subclasses implement :meth:`check_project`; :meth:`check` stays valid
-    for single-file use (fixtures, editor integration) by building a
-    one-module project on the fly.
-    """
-
-    def check(self, src: SourceFile) -> List[Finding]:
-        from .project import build_project
-        return self.check_project(src, build_project([src]))
-
-    def check_project(self, src: SourceFile,
-                      project: Optional["ProjectModel"]) -> List[Finding]:
-        """Return every violation in *src* given the project model."""
-        raise NotImplementedError

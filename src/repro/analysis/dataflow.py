@@ -1,40 +1,28 @@
 """Flow-sensitive forward dataflow over one function body.
 
-The whole-program rules all ask path questions a syntactic walk cannot
-answer: *is this hook call dominated by an ``is not None`` guard*, *does
-every path from this ``SharedMemory`` reach ``close()``*, *does this name
-still alias a batch row here*.  :class:`FunctionFlow` is the shared
-engine: an abstract interpreter over a function's statement list that
+HOOK-NONE asks a path question a syntactic walk cannot answer: *is this
+hook call dominated by an ``is not None`` guard*.  :class:`FunctionFlow`
+answers it: an abstract interpreter over a function's statement list that
 
 * threads an environment (``name -> abstract value``) through straight-line
   code, joining at ``if``/loop/``try`` merge points;
 * runs loops to a bounded fixpoint (two passes — the lattices here have
   no infinite ascending chains through a loop body);
-* models ``try``/``except``/``finally`` the way the SHM lifecycle needs:
-  the ``finally`` suite runs against the fall-through state *and* against
-  every early exit and exceptional escape recorded inside the protected
-  region, where the exceptional state of a body is the join of the
-  environments *entering* each statement (a statement that raises never
-  completed its own binding);
+* walks a ``try`` statement's handlers and ``finally`` suite against its
+  exceptional state — the join of the environments *entering* each
+  statement of the protected region (a statement that raises never
+  completed its own binding), which also covers every early exit;
 * refines environments on ``x is None`` / ``x is not None`` tests, through
   ``not`` and the conjuncts of ``and`` chains and ``assert`` statements.
 
 Exceptions are modeled at statement granularity via explicit control flow
 (``raise``, ``try`` escape edges); an arbitrary expression is not assumed
 to raise.  Rules subclass and override the ``on_*`` transfer hooks.
-
-The module also hosts the numpy **view-ness** abstract domain the
-SOA-ALIAS rule interprets with: values are classified VIEW (may alias
-memory the caller scans — ndarray parameters, basic subscripts of
-attributes, ``ravel``/``reshape``/slices of views), FRESH (owns its
-buffer — ``.copy()``, arithmetic, advanced indexing), MASK (a boolean
-index built from a comparison), or UNKNOWN.
 """
 
 from __future__ import annotations
 
 import ast
-import enum
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 Env = Dict[str, object]
@@ -71,21 +59,13 @@ class FunctionFlow:
         """Join two abstract values bound to the same name."""
         return a if a == b else None
 
-    def join_missing(self, value: object) -> Optional[object]:
-        """Join a value with "unbound": return None to drop the fact."""
-        return None
-
     def join_env(self, a: Env, b: Env) -> Env:
+        """Join two environments; a fact bound on one side only is dropped."""
         out: Env = {}
-        for key in set(a) | set(b):
-            if key in a and key in b:
-                joined = self.join_values(a[key], b[key])
-                if joined is not None:
-                    out[key] = joined
-            else:
-                kept = self.join_missing(a.get(key, b.get(key)))
-                if kept is not None:
-                    out[key] = kept
+        for key in set(a) & set(b):
+            joined = self.join_values(a[key], b[key])
+            if joined is not None:
+                out[key] = joined
         return out
 
     def _join_all(self, envs: Sequence[Env]) -> Optional[Env]:
@@ -118,18 +98,13 @@ class FunctionFlow:
                      test: ast.expr) -> None:
         """Refine *env* under a known-outcome ``key is [not] None`` test."""
 
-    def on_exit(self, env: Env, stmt: Optional[ast.stmt], kind: str) -> None:
-        """A path leaves the function (kind: return/raise/fallthrough)."""
-
     # ---------------------------------------------------------- entry point
 
     def run(self, node: ast.AST, initial: Optional[Env] = None) -> None:
         """Interpret one FunctionDef/AsyncFunctionDef body."""
         body = getattr(node, "body", [])
         env: Env = dict(initial) if initial else {}
-        out = self._walk_body(list(body), env, loop_exits=None)
-        if out is not None:
-            self.on_exit(out, None, "fallthrough")
+        self._walk_body(list(body), env, loop_exits=None)
 
     # --------------------------------------------------------- statement walk
 
@@ -171,13 +146,10 @@ class FunctionFlow:
         if isinstance(stmt, ast.Return):
             if stmt.value is not None:
                 self.on_expr(stmt.value, env, stmt)
-            self.on_exit(env, stmt, "return")
             return None
         if isinstance(stmt, ast.Raise):
             if stmt.exc is not None:
                 self.on_expr(stmt.exc, env, stmt)
-            if not self._try_collectors:
-                self.on_exit(env, stmt, "raise")
             return None
         if isinstance(stmt, ast.If):
             return self._walk_if(stmt, env, loop_exits)
@@ -317,196 +289,35 @@ class FunctionFlow:
     def _walk_try(self, stmt: ast.Try, env: Env,
                   loop_exits: Optional[Tuple[List[Env], List[Env]]]
                   ) -> Optional[Env]:
-        # Capture every exit taken inside the protected region so the
-        # ``finally`` suite can be applied to it.
-        pending_exits: List[Tuple[Env, Optional[ast.stmt], str]] = []
-        real_on_exit = self.on_exit
-
-        def capture_exit(exit_env: Env, exit_stmt: Optional[ast.stmt],
-                         kind: str) -> None:
-            pending_exits.append((dict(exit_env), exit_stmt, kind))
-
+        # Every statement's entry state, joined, is where an exception (or
+        # an early exit) can leave the region: the body's for the
+        # handlers, the body's and the handlers' for ``finally``.
         collector: List[Env] = [dict(env)]
+        handler_outs: List[Env] = []
         self._try_collectors.append(collector)
-        if stmt.finalbody:
-            self.on_exit = capture_exit  # type: ignore[method-assign]
         try:
             body_out = self._walk_body(stmt.body, dict(env), loop_exits)
             escape = self._join_all(collector)
+            assert escape is not None  # the entry state is always collected
+            for handler in stmt.handlers:
+                handler_env = dict(escape)
+                if handler.name:
+                    handler_env.pop(handler.name, None)
+                out = self._walk_body(handler.body, handler_env, loop_exits)
+                if out is not None:
+                    handler_outs.append(out)
         finally:
             self._try_collectors.pop()
-        handler_outs: List[Env] = []
-        uncaught: Optional[Env] = escape
-        for handler in stmt.handlers:
-            handler_env = dict(escape) if escape is not None else {}
-            if handler.name:
-                env_copy = handler_env
-                env_copy.pop(handler.name, None)
-            out = self._walk_body(handler.body, handler_env, loop_exits)
-            if out is not None:
-                handler_outs.append(out)
-            if handler.type is None or (
-                    isinstance(handler.type, ast.Name)
-                    and handler.type.id in ("Exception", "BaseException")):
-                uncaught = None  # a catch-all handler stops propagation
         if stmt.orelse and body_out is not None:
             body_out = self._walk_body(stmt.orelse, body_out, loop_exits)
-        falls = [e for e in [body_out] + handler_outs if e is not None]
-        fall_through = self._join_all(falls)
-        if stmt.finalbody:
-            self.on_exit = real_on_exit  # type: ignore[method-assign]
-            # Early exits re-run through finally, then leave the function.
-            if pending_exits:
-                joined = self._join_all([e for e, _, _ in pending_exits])
-                assert joined is not None
-                fin = self._walk_body(list(stmt.finalbody), joined,
-                                      loop_exits=None)
-                if fin is not None:
-                    kinds = {kind for _, _, kind in pending_exits}
-                    last = pending_exits[-1][1]
-                    self.on_exit(fin, last,
-                                 "raise" if kinds == {"raise"} else "return")
-            # An uncaught exception also unwinds through finally.
-            if uncaught is not None:
-                fin = self._walk_body(list(stmt.finalbody), dict(uncaught),
-                                      loop_exits=None)
-                if fin is not None and not self._try_collectors:
-                    self.on_exit(fin, stmt, "raise")
-            if fall_through is None:
-                return None
-            return self._walk_body(list(stmt.finalbody), fall_through,
-                                   loop_exits)
-        if uncaught is not None and not self._try_collectors \
-                and stmt.handlers:
-            self.on_exit(uncaught, stmt, "raise")
-        return fall_through
-
-
-# ------------------------------------------------------- view-ness domain
-
-
-class Viewness(enum.Enum):
-    """Abstract aliasing class of a bound numpy value."""
-
-    VIEW = "view"        # may alias caller-visible / batch-row memory
-    FRESH = "fresh"      # owns its buffer; rebinding is harmless
-    MASK = "mask"        # boolean/index array built from a comparison
-    UNKNOWN = "unknown"
-
-
-#: ndarray method calls that *propagate* view-ness from their receiver.
-_VIEW_METHODS = frozenset({"ravel", "reshape", "view", "squeeze",
-                           "swapaxes", "transpose"})
-#: ndarray method calls that always return a fresh buffer.
-_FRESH_METHODS = frozenset({"copy", "astype", "tolist", "sum", "cumsum",
-                            "flatten", "nonzero", "argsort", "take"})
-
-#: Parameter annotations naming an ndarray (the tree is mypy-strict, so
-#: array parameters are reliably annotated).
-NDARRAY_ANNOTATIONS = frozenset({
-    "np.ndarray", "numpy.ndarray", "ndarray",
-    "Optional[np.ndarray]", "Optional[numpy.ndarray]",
-})
-
-
-def is_basic_index(index: ast.expr, env: Env) -> bool:
-    """Whether subscripting with *index* yields a numpy *view* (not a copy).
-
-    Basic indexing — integers, slices, tuples of those — returns views;
-    advanced indexing (arrays, masks, lists) copies.  Unknown names count
-    as basic: loop indices and scalar locals dominate that population, and
-    the rules built on this domain only act on definite facts.
-    """
-    if isinstance(index, ast.Slice):
-        return True
-    if isinstance(index, ast.Constant):
-        return not isinstance(index.value, (list, tuple))
-    if isinstance(index, ast.Tuple):
-        return all(is_basic_index(element, env) for element in index.elts)
-    if isinstance(index, ast.UnaryOp):
-        return isinstance(index.op, ast.USub) \
-            and is_basic_index(index.operand, env)
-    if isinstance(index, (ast.List, ast.Compare, ast.BoolOp)):
-        return False
-    if isinstance(index, ast.Name):
-        return env.get(index.id) not in (Viewness.MASK, Viewness.VIEW,
-                                         Viewness.FRESH)
-    if isinstance(index, ast.Call):
-        return False
-    if isinstance(index, (ast.Attribute, ast.BinOp)):
-        # ``x[self.gap]`` / ``x[i + 1]``: scalar arithmetic, assume basic.
-        return True
-    return False
-
-
-def viewness_of(value: ast.expr, env: Env) -> Viewness:
-    """Classify the aliasing behavior of evaluating *value* under *env*."""
-    if isinstance(value, ast.Name):
-        bound = env.get(value.id)
-        return bound if isinstance(bound, Viewness) else Viewness.UNKNOWN
-    if isinstance(value, ast.Subscript):
-        base = viewness_of(value.value, env)
-        if isinstance(value.value, ast.Attribute):
-            base = Viewness.VIEW  # ``self.wear[i]``: a row of owned state
-        if base in (Viewness.VIEW, Viewness.UNKNOWN):
-            if not is_basic_index(value.slice, env):
-                return Viewness.FRESH  # advanced indexing copies
-            return base
-        return base
-    if isinstance(value, ast.Attribute):
-        return Viewness.UNKNOWN
-    if isinstance(value, ast.Call):
-        func = value.func
-        if isinstance(func, ast.Attribute):
-            if func.attr in _VIEW_METHODS:
-                return viewness_of(func.value, env)
-            if func.attr in _FRESH_METHODS:
-                return Viewness.FRESH
-            if isinstance(func.value, ast.Name) \
-                    and func.value.id in ("np", "numpy"):
-                if func.attr in ("nonzero", "where", "flatnonzero"):
-                    return Viewness.MASK
-                return Viewness.FRESH  # np.zeros/np.add/... own their output
-        return Viewness.UNKNOWN
-    if isinstance(value, ast.Compare):
-        return Viewness.MASK
-    if isinstance(value, ast.BinOp):
-        return Viewness.FRESH  # arithmetic allocates a result array
-    if isinstance(value, ast.UnaryOp):
-        inner = viewness_of(value.operand, env)
-        if isinstance(value.op, (ast.Invert, ast.Not)) \
-                and inner is Viewness.MASK:
-            return Viewness.MASK
-        return Viewness.FRESH if inner is not Viewness.UNKNOWN \
-            else Viewness.UNKNOWN
-    if isinstance(value, (ast.List, ast.ListComp, ast.Dict, ast.Set)):
-        return Viewness.FRESH
-    return Viewness.UNKNOWN
-
-
-class ViewnessFlow(FunctionFlow):
-    """Reaching view-ness of every local; base for SOA-ALIAS."""
-
-    def __init__(self, ndarray_params: Sequence[str] = ()) -> None:
-        super().__init__()
-        self.ndarray_params = set(ndarray_params)
-
-    def initial_env(self) -> Env:
-        return {name: Viewness.VIEW for name in self.ndarray_params}
-
-    def join_values(self, a: object, b: object) -> object:
-        if a == b:
-            return a
-        values = {a, b}
-        if Viewness.VIEW in values:
-            return Viewness.VIEW  # may-alias wins: stay conservative
-        return Viewness.UNKNOWN
-
-    def on_assign(self, target: ast.expr, value: Optional[ast.expr],
-                  env: Env, stmt: ast.stmt) -> None:
-        if not isinstance(target, ast.Name):
-            return  # attribute/subscript stores do not rebind locals
-        if value is None:
-            env[target.id] = Viewness.UNKNOWN
-            return
-        env[target.id] = viewness_of(value, env)
+        fall_through = self._join_all(
+            [e for e in [body_out] + handler_outs if e is not None])
+        if not stmt.finalbody:
+            return fall_through
+        unwind = self._join_all(collector)
+        assert unwind is not None
+        self._walk_body(list(stmt.finalbody), unwind, loop_exits=None)
+        if fall_through is None:
+            return None
+        return self._walk_body(list(stmt.finalbody), fall_through,
+                               loop_exits)

@@ -8,8 +8,7 @@ class it bans either shipped in a past PR or breaks a documented guarantee.
 from __future__ import annotations
 
 from . import (det_wallclock, exc_swallow, fault_hook, float_eq, hook_none,
-               link_mut, raw_geom, rng_det, shm_life, soa_alias, telem_api)
+               link_mut, raw_geom, rng_det, telem_api)
 
 __all__ = ["det_wallclock", "exc_swallow", "fault_hook", "float_eq",
-           "hook_none", "link_mut", "raw_geom", "rng_det", "shm_life",
-           "soa_alias", "telem_api"]
+           "hook_none", "link_mut", "raw_geom", "rng_det", "telem_api"]

@@ -1,9 +1,9 @@
 """DET-WALLCLOCK: wall-clock and ambient-entropy reads in simulation code.
 
 The repository's reproducibility contract is byte-level: the golden-trace
-regression, the batched kernel's equivalence matrix and the ``--check``
-differential campaigns all compare canonical JSON payloads across runs and
-process counts.  One ``time.time()`` folded into a result — or a
+regression, the hash-pinned figure and campaign payloads, the ``--jobs``
+identity checks and the differential chaos campaigns all compare
+canonical JSON payloads across runs and process counts.  One ``time.time()`` folded into a result — or a
 ``datetime.now()`` timestamp in a report, or a module-level ``random.*``
 draw — makes two correct runs differ and turns every byte-diff oracle
 into noise.  Until now the only thing catching such a leak was the golden
@@ -68,7 +68,7 @@ class WallClockRule(Rule):
                "random.* outside the telemetry-exempt modules")
     rationale = ("one wall-clock or ambient-entropy read folded into a "
                  "result payload breaks every byte-identical oracle "
-                 "(golden trace, batched --check, campaign resume diffs); "
+                 "(golden trace, hash pins, --jobs and resume diffs); "
                  "only telemetry may measure time, and it strips those "
                  "counters before payloads are compared")
     exempt_patterns: Tuple[str, ...] = (

@@ -6,13 +6,10 @@ findings exist outside the rule registry: ``PARSE`` (a file that does not
 parse cannot be certified clean) and ``ALLOW-REASON`` (a suppression comment
 without a justification).
 
-``lint_paths`` is the whole-program entry point: it parses every file
-first, builds one :class:`~repro.analysis.project.ProjectModel` over the
-parse-clean subset, and hands that model to every
-:class:`~repro.analysis.core.ProjectRule` so cross-module facts inform
-per-file findings.  An optional :class:`~repro.analysis.cache.AnalysisCache`
-makes re-runs incremental: when no file changed and the ruleset is the
-same, findings replay from the cache with zero re-parses.
+``lint_paths`` lints every file under a set of paths.  An optional
+:class:`~repro.analysis.cache.AnalysisCache` makes re-runs incremental:
+when no file changed and the ruleset is the same, findings replay from
+the cache with zero re-parses.
 """
 
 from __future__ import annotations
@@ -21,8 +18,7 @@ from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from .cache import AnalysisCache, ruleset_fingerprint, tree_digest
-from .core import Finding, ProjectRule, Rule, SourceFile
-from .project import ProjectModel, build_project
+from .core import Finding, Rule, SourceFile
 from .registry import all_rules
 
 
@@ -56,19 +52,14 @@ def _parse_finding(path: Path, exc: SyntaxError) -> Finding:
                    message=f"file does not parse: {exc.msg}")
 
 
-def _check_source(src: SourceFile, rules: Sequence[Rule],
-                  project: Optional[ProjectModel]) -> List[Finding]:
+def _check_source(src: SourceFile, rules: Sequence[Rule]) -> List[Finding]:
     """Run every applicable rule on one parsed file, apply suppressions."""
     findings: List[Finding] = []
     for rule in rules:
         if not rule.applies_to(src):
             continue
-        if isinstance(rule, ProjectRule) and project is not None:
-            raw = rule.check_project(src, project)
-        else:
-            raw = rule.check(src)
         findings.extend(
-            finding for finding in raw
+            finding for finding in rule.check(src)
             if not src.suppressions.is_suppressed(rule.id, finding.line))
     for line, col in src.suppressions.missing_reason:
         findings.append(Finding(
@@ -80,15 +71,14 @@ def _check_source(src: SourceFile, rules: Sequence[Rule],
 
 
 def lint_source(text: str, path: Path,
-                rules: Optional[Iterable[Rule]] = None,
-                project: Optional[ProjectModel] = None) -> List[Finding]:
+                rules: Optional[Iterable[Rule]] = None) -> List[Finding]:
     """Lint one module's source; returns findings sorted by position."""
     selected = list(rules) if rules is not None else all_rules()
     try:
         src = SourceFile(path, text)
     except SyntaxError as exc:
         return [_parse_finding(path, exc)]
-    return _check_source(src, selected, project)
+    return _check_source(src, selected)
 
 
 def lint_paths(paths: Sequence[Path],
@@ -96,11 +86,9 @@ def lint_paths(paths: Sequence[Path],
                cache: Optional[AnalysisCache] = None) -> List[Finding]:
     """Lint every python file under *paths*; findings sorted by location.
 
-    All files are parsed before any rule runs so the project model sees
-    the whole program.  With *cache*, an unchanged tree (same contents,
-    same ruleset) replays stored findings without parsing anything; any
-    change re-lints the full tree, because whole-program rules may move
-    findings in files that did not themselves change.
+    With *cache*, an unchanged tree (same contents, same ruleset) replays
+    stored findings without parsing anything; any change re-lints the
+    full tree.
     """
     selected = list(rules) if rules is not None else all_rules()
     files = iter_python_files(paths)
@@ -114,17 +102,15 @@ def lint_paths(paths: Sequence[Path],
         if cached is not None:
             return cached
     findings: List[Finding] = []
-    sources: List[SourceFile] = []
     for path, text in contents:
         try:
-            sources.append(SourceFile(path, text))
+            src = SourceFile(path, text)
         except SyntaxError as exc:
             findings.append(_parse_finding(path, exc))
-    if cache is not None:
-        cache.stats.parses += len(sources)
-    project = build_project(sources)
-    for src in sources:
-        findings.extend(_check_source(src, selected, project))
+            continue
+        if cache is not None:
+            cache.stats.parses += 1
+        findings.extend(_check_source(src, selected))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     if cache is not None:
         cache.store(ruleset, digest, findings)

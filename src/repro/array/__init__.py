@@ -23,7 +23,7 @@ Run one from the command line with ``python -m repro.array``; the
 from .decoder import INTERLEAVE_MODES, InterleavedDecoder
 from .engine import (ARRAY_POLICIES, ArrayConfig, ArrayEngine, ArrayResult)
 from .report import ArrayEndOfLifeReport, ShardCensus
-from .shard import deterministic_snapshot, shard_seed
+from .shard import shard_seed
 from .trace import SegmentedTrace
 from .workloads import (hotspot_workload, shard_attack_workload,
                         trace_workload, uniform_workload, zipf_workload)
@@ -38,7 +38,6 @@ __all__ = [
     "InterleavedDecoder",
     "SegmentedTrace",
     "ShardCensus",
-    "deterministic_snapshot",
     "hotspot_workload",
     "shard_attack_workload",
     "shard_seed",

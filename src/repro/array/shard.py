@@ -16,14 +16,15 @@ byte-identically, and a continued engine ends where a fresh run to the
 same cap ends.
 
 Telemetry: the per-shard snapshot is filtered through
-:func:`deterministic_snapshot` before it leaves the shard — phase timers
-record wall-clock seconds, which would make the merged array snapshot
-differ between runs; their deterministic ``.calls`` twins stay.
+:func:`~repro.telemetry.deterministic_snapshot` before it leaves the
+shard — phase timers record wall-clock seconds, which would make the
+merged array snapshot differ between runs; their deterministic
+``.calls`` twins stay.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -33,7 +34,8 @@ from ..faultinject import FaultSchedule, ScheduleDriver
 from ..pcm import AddressGeometry, EnduranceModel, PCMChip
 from ..rng import SeedLike, derive_rng, spawn_seed
 from ..sim.fast import FastConfig, FastEngine
-from ..telemetry import TelemetrySession, attach_fast
+from ..telemetry import (TelemetrySession, attach_fast,
+                         deterministic_snapshot)
 from ..wl import StartGap
 from .trace import SegmentedTrace
 
@@ -41,23 +43,6 @@ from .trace import SegmentedTrace
 def shard_seed(array_seed: SeedLike, shard: int) -> int:
     """The shard's root seed: a function of array seed and shard id only."""
     return spawn_seed(derive_rng(array_seed, f"array-shard-{shard}"))
-
-
-def deterministic_snapshot(snapshot: Dict[str, Dict[str, object]],
-                           ) -> Dict[str, Dict[str, object]]:
-    """Drop wall-clock phase counters so snapshots are run-stable.
-
-    ``phase.<name>.seconds`` counters measure real elapsed time and differ
-    between otherwise identical runs; every other metric in a seeded
-    shard run is deterministic (``phase.<name>.calls`` included).
-    """
-    counters = {name: value
-                for name, value in snapshot.get("counters", {}).items()
-                if not (name.startswith("phase.")
-                        and name.endswith(".seconds"))}
-    return {"counters": counters,
-            "gauges": dict(snapshot.get("gauges", {})),
-            "histograms": dict(snapshot.get("histograms", {}))}
 
 
 def _segment_tables(segments: list) -> List[Tuple[int, np.ndarray]]:

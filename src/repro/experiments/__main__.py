@@ -48,11 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes for the experiment grid "
                              "(default: 1 = serial; results are identical "
                              "at any job count)")
-    parser.add_argument("--batch", type=_positive_int, default=1,
-                        metavar="N",
-                        help="cells per struct-of-arrays group (default: "
-                             "1 = per-cell engines; results are identical "
-                             "at any batch size)")
     parser.add_argument("--resume", type=Path, default=None, metavar="DIR",
                         help="persist per-cell results under DIR as JSON "
                              "and skip cells already completed there")
@@ -68,7 +63,7 @@ def _progress_printer(outcome: CellOutcome, done: int, total: int) -> None:
 
 def run_experiment(name: str, scale: str, seed: int,
                    benchmarks: Optional[List[str]],
-                   jobs: int = 1, batch: int = 1,
+                   jobs: int = 1,
                    resume: Optional[Path] = None,
                    quiet: bool = False) -> tuple:
     """Run one experiment; returns (rendered report, machine-readable)."""
@@ -79,7 +74,7 @@ def run_experiment(name: str, scale: str, seed: int,
     if name == "table1":
         kwargs.pop("seed")
     runner = GridRunner(
-        jobs=jobs, batch=batch,
+        jobs=jobs,
         resume=resume / f"{name}-{scale}.json" if resume else None,
         progress=None if quiet else _progress_printer)
     started = time.time()  # repro: allow(DET-WALLCLOCK): CLI progress line, never enters a result payload
@@ -102,7 +97,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     for name in names:
         rendered, data = run_experiment(name, args.scale, args.seed,
                                         args.benchmarks,
-                                        jobs=args.jobs, batch=args.batch,
+                                        jobs=args.jobs,
                                         resume=args.resume)
         collected[name] = data
         print(rendered)

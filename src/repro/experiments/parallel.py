@@ -11,8 +11,13 @@ across worker processes:
   so results do not depend on worker scheduling and the serial and
   parallel paths are bit-for-bit identical;
 * cell outputs are JSON-serializable records; with ``resume`` pointing at
-  a JSON file, completed cells are persisted after every finish and
-  skipped on reruns (an interrupted sweep continues where it stopped);
+  a JSON file, completed cells are persisted as they finish and skipped
+  on reruns (an interrupted sweep continues where it stopped).  Each
+  record carries a digest of its cell's function and kwargs, so a record
+  computed from other parameters under the same key is recomputed, never
+  replayed;
+* pooled results return over the pool's own pickle pipe (cell payloads
+  are a few KiB);
 * :meth:`GridRunner.report` summarizes per-cell wall/CPU time, queue
   wait, and worker utilization.
 
@@ -27,6 +32,7 @@ the default, and the reference the parallel path must reproduce exactly.
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import json
 import os
@@ -41,9 +47,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..rng import SeedLike, derive_rng, spawn_seed
-from ..sim.batched import is_batchable, run_cell_batch
 from ..telemetry.timing import timed_call
-from .shm import pack_result, unpack_result
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry.session import TelemetrySession
@@ -88,6 +92,12 @@ class Cell:
     #: round-trips JSON, so a resume file can record them.
     kwargs: Dict[str, Any]
 
+    def digest(self) -> str:
+        """Hash of the function and canonical kwargs (resume validity)."""
+        blob = json.dumps({"fn": self.fn, "kwargs": jsonify(self.kwargs)},
+                          sort_keys=True)
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
 
 @dataclass(frozen=True)
 class CellOutcome:
@@ -124,32 +134,6 @@ def _execute_timed(fn: str,
     return value, timing.wall, timing.cpu
 
 
-def _execute_group(fn: str,
-                   items: List[Tuple[str, Dict[str, Any]]]) -> Any:
-    """Run a batchable same-function cell group through the SoA kernel."""
-    return jsonify(run_cell_batch(fn, items))
-
-
-def _execute_group_timed(fn: str, items: List[Tuple[str, Dict[str, Any]]]
-                         ) -> Tuple[Any, float, float]:
-    """Timed group execution: ``([(key, value), ...], wall, cpu)``."""
-    value, timing = timed_call(_execute_group, fn, items)
-    return value, timing.wall, timing.cpu
-
-
-def _pool_cell(fn: str, kwargs: Dict[str, Any]) -> Tuple[Any, float, float]:
-    """Worker entry for one pooled cell; result rides shared memory."""
-    value, wall, cpu = _execute_timed(fn, kwargs)
-    return pack_result(value), wall, cpu
-
-
-def _pool_group(fn: str, items: List[Tuple[str, Dict[str, Any]]]
-                ) -> Tuple[Any, float, float]:
-    """Worker entry for one pooled cell group; result rides shared memory."""
-    value, wall, cpu = _execute_group_timed(fn, items)
-    return pack_result(value), wall, cpu
-
-
 class GridRunner:
     """Runs a grid of cells serially or across a process pool."""
 
@@ -161,17 +145,10 @@ class GridRunner:
     def __init__(self, jobs: int = 1,
                  resume: Union[None, str, Path] = None,
                  progress: Optional[ProgressFn] = None,
-                 telem: Optional["TelemetrySession"] = None,
-                 batch: int = 1) -> None:
+                 telem: Optional["TelemetrySession"] = None) -> None:
         if jobs < 1:
             raise ConfigurationError("jobs must be >= 1")
-        if batch < 1:
-            raise ConfigurationError("batch must be >= 1")
         self.jobs = jobs
-        #: Cells per struct-of-arrays group: same-function cells registered
-        #: with :mod:`repro.sim.batched` run ``batch`` at a time in one
-        #: lockstep kernel.  1 (the default) keeps the per-cell path.
-        self.batch = batch
         self.resume = Path(resume) if resume is not None else None
         self.progress = progress
         #: Optional session accumulating grid metrics (cell wall/CPU/queue
@@ -192,8 +169,8 @@ class GridRunner:
         results: Dict[str, Any] = {}
         pending: List[Cell] = []
         for cell in cells:
-            if cell.key in completed:
-                record = completed[cell.key]
+            record = completed.get(cell.key)
+            if record is not None and record.get("digest") == cell.digest():
                 results[cell.key] = record["value"]
                 self._finish(CellOutcome(
                     key=cell.key, value=results[cell.key],
@@ -205,135 +182,63 @@ class GridRunner:
                 pending.append(cell)
         if pending:
             try:
-                groups, singles = self._plan(pending)
                 if self.jobs > 1 and len(pending) > 1:
-                    self._run_pool(groups, singles, results, completed,
-                                   len(cells))
+                    self._run_pool(pending, results, completed, len(cells))
                 else:
-                    self._run_serial(groups, singles, results, completed,
-                                     len(cells))
+                    for cell in pending:
+                        value, wall, cpu = _execute_timed(cell.fn,
+                                                          cell.kwargs)
+                        self._record(cell, value, wall, cpu, 0.0,
+                                     results, completed, len(cells))
             finally:
                 # Throttled saves leave a tail of unsaved cells when a run
                 # dies mid-campaign; persist whatever completed.
                 self._flush_resume(completed)
         return results
 
-    def _plan(self, pending: List[Cell]
-              ) -> Tuple[List[List[Cell]], List[Cell]]:
-        """Split pending cells into batchable groups and per-cell work.
-
-        Same-function cells with a registered batchable spec are chunked
-        ``self.batch`` at a time (a chunk of one is just a single);
-        everything else keeps the per-cell path, in input order.
-        """
-        if self.batch <= 1:
-            return [], list(pending)
-        groups: List[List[Cell]] = []
-        singles: List[Cell] = []
-        by_fn: Dict[str, List[Cell]] = {}
-        batchable: Dict[str, bool] = {}
-        for cell in pending:
-            if cell.fn not in batchable:
-                batchable[cell.fn] = is_batchable(cell.fn)
-            if batchable[cell.fn]:
-                by_fn.setdefault(cell.fn, []).append(cell)
-            else:
-                singles.append(cell)
-        for cells in by_fn.values():
-            for i in range(0, len(cells), self.batch):
-                chunk = cells[i:i + self.batch]
-                if len(chunk) == 1:
-                    singles.append(chunk[0])
-                else:
-                    groups.append(chunk)
-        return groups, singles
-
-    def _run_serial(self, groups: List[List[Cell]], singles: List[Cell],
-                    results: Dict[str, Any], completed: Dict[str, dict],
-                    total: int) -> None:
-        for group in groups:
-            outputs, wall, cpu = _execute_group_timed(
-                group[0].fn, [(cell.key, cell.kwargs) for cell in group])
-            self._record_group(group, outputs, wall, cpu, 0.0,
-                               results, completed, total)
-        for cell in singles:
-            value, wall, cpu = _execute_timed(cell.fn, cell.kwargs)
-            self._record(cell.key, value, wall, cpu, 0.0,
-                         results, completed, total)
-
-    def _run_pool(self, groups: List[List[Cell]], singles: List[Cell],
-                  results: Dict[str, Any], completed: Dict[str, dict],
-                  total: int) -> None:
-        work: List[Tuple[str, Any]] = ([("group", group) for group in groups]
-                                       + [("cell", cell) for cell in singles])
-        workers = min(self.jobs, len(work))
+    def _run_pool(self, cells: List[Cell], results: Dict[str, Any],
+                  completed: Dict[str, dict], total: int) -> None:
+        workers = min(self.jobs, len(cells))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures: Dict[Any, Tuple[Tuple[str, Any], float]] = {}
+            futures: Dict[Any, Tuple[Cell, float]] = {}
             cursor = 0
 
             def submit_next() -> None:
                 nonlocal cursor
-                if cursor >= len(work):
+                if cursor >= len(cells):
                     return
-                kind, item = work[cursor]
+                cell = cells[cursor]
                 cursor += 1
-                if kind == "group":
-                    future = pool.submit(
-                        _pool_group, item[0].fn,
-                        [(cell.key, cell.kwargs) for cell in item])
-                else:
-                    future = pool.submit(_pool_cell, item.fn, item.kwargs)
+                future = pool.submit(_execute_timed, cell.fn, cell.kwargs)
                 # Per-future submit time: queue wait must measure *this*
                 # future's time-to-completion, not the whole grid's.
-                futures[future] = ((kind, item), time.perf_counter())  # repro: allow(DET-WALLCLOCK): queue-wait profile, excluded from --check diffs
+                futures[future] = (cell, time.perf_counter())  # repro: allow(DET-WALLCLOCK): queue-wait profile, never part of a cell record
 
             for _ in range(workers):
                 submit_next()
             while futures:
                 done, _ = wait(list(futures), return_when=FIRST_COMPLETED)
                 for future in done:
-                    (kind, item), submitted = futures.pop(future)
-                    packed, wall, cpu = future.result()
-                    value = unpack_result(packed)
+                    cell, submitted = futures.pop(future)
+                    value, wall, cpu = future.result()
                     # The worker measured the in-cell wall time; whatever
                     # is left since *this submission* was spent queued
                     # (waiting for a worker slot, pickling, or parent-side
                     # draining).
                     queue = max(0.0,
-                                time.perf_counter() - submitted - wall)  # repro: allow(DET-WALLCLOCK): queue-wait profile, excluded from --check diffs
-                    if kind == "group":
-                        self._record_group(item, value, wall, cpu, queue,
-                                           results, completed, total)
-                    else:
-                        self._record(item.key, value, wall, cpu, queue,
-                                     results, completed, total)
+                                time.perf_counter() - submitted - wall)  # repro: allow(DET-WALLCLOCK): queue-wait profile, never part of a cell record
+                    self._record(cell, value, wall, cpu, queue,
+                                 results, completed, total)
                     submit_next()
 
-    def _record_group(self, cells: List[Cell], outputs: Any, wall: float,
-                      cpu: float, queue: float, results: Dict[str, Any],
-                      completed: Dict[str, dict], total: int) -> None:
-        """Record a batched group's results, splitting timing evenly.
-
-        One kernel ran the whole group, so per-cell wall/CPU/queue are the
-        group totals divided evenly — the grid totals stay truthful.
-        """
-        got = {key: value for key, value in outputs}
-        missing = [cell.key for cell in cells if cell.key not in got]
-        if missing:
-            raise ConfigurationError(
-                f"batched group dropped cells {missing[:3]}")
-        share = 1.0 / len(cells)
-        for cell in cells:
-            self._record(cell.key, got[cell.key], wall * share,
-                         cpu * share, queue * share,
-                         results, completed, total)
-
-    def _record(self, key: str, value: Any, seconds: float, cpu: float,
+    def _record(self, cell: Cell, value: Any, seconds: float, cpu: float,
                 queue: float, results: Dict[str, Any],
                 completed: Dict[str, dict], total: int) -> None:
+        key = cell.key
         results[key] = value
-        completed[key] = {"value": value, "seconds": seconds,
-                          "cpu_seconds": cpu, "queue_seconds": queue}
+        completed[key] = {"value": value, "digest": cell.digest(),
+                          "seconds": seconds, "cpu_seconds": cpu,
+                          "queue_seconds": queue}
         self._unsaved += 1
         self._dirty = True
         if self._unsaved >= self._SAVE_EVERY or len(results) >= total:
@@ -424,8 +329,7 @@ class GridRunner:
 
 def make_runner(jobs: int = 1, resume: Union[None, str, Path] = None,
                 progress: Optional[ProgressFn] = None,
-                runner: Optional[GridRunner] = None,
-                batch: int = 1) -> GridRunner:
+                runner: Optional[GridRunner] = None) -> GridRunner:
     """The runner the experiment modules share: reuse *runner* or build one."""
     return runner if runner is not None else GridRunner(
-        jobs=jobs, resume=resume, progress=progress, batch=batch)
+        jobs=jobs, resume=resume, progress=progress)

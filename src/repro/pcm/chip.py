@@ -159,7 +159,11 @@ class PCMChip:
             return np.empty(0, dtype=np.int64)
         np.add.at(self.wear, das, counts)
         self.total_device_writes += int(counts.sum())
-        return self._resolve_threshold_crossings(np.unique(das))
+        # A mask over the chip yields the sorted unique blocks, as
+        # ``np.unique`` does, without sorting or hashing ``das``.
+        touched = np.zeros(self.num_blocks, dtype=bool)
+        touched[das] = True
+        return self._resolve_threshold_crossings(np.flatnonzero(touched))
 
     def _resolve_threshold_crossings(self, candidates: np.ndarray) -> np.ndarray:
         """Extend-or-fail every candidate block whose wear crossed its threshold."""

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from ..array.shard import deterministic_snapshot
-from ..telemetry import TelemetrySession
+from ..telemetry import TelemetrySession, deterministic_snapshot
 from .config import ServeConfig
 from .station import ShardStation
 

@@ -3,15 +3,13 @@
 The reproduction's statistical results come from campaigns of independent
 seeded lifetimes.  This module defines the canonical campaign cell — one
 WL-Reviver chip stack per seed, all derived seed streams rooted at the
-cell seed — and runs N of them through :class:`~repro.experiments.parallel.
-GridRunner`, where the batchable registration lets ``--batch`` fold whole
-seed groups into one struct-of-arrays kernel
-(:mod:`repro.sim.batched`).
+cell seed, run by :meth:`FastEngine.run <repro.sim.fast.FastEngine.run>`
+— and runs N of them through :class:`~repro.experiments.parallel.
+GridRunner`.
 
-``python -m repro.sim.campaign --seeds 100 --jobs 2 --batch 25`` runs the
-standard 100-seed campaign; ``--check`` re-runs it through the per-cell
-path and fails on any byte difference, which is the equivalence gate the
-CI ``batched-smoke`` job drives.
+``python -m repro.sim.campaign --seeds 100 --jobs 2`` runs the standard
+100-seed campaign; the output is byte-identical at any ``--jobs``, which
+the CI ``campaign-smoke`` job checks with ``cmp``.
 """
 
 from __future__ import annotations
@@ -20,19 +18,18 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
 
 from ..config import StartGapConfig
 from ..ecc import ECP
 from ..pcm import AddressGeometry, EnduranceModel, PCMChip
 from ..rng import derive_rng, spawn_seed
-from ..telemetry import TelemetrySession, attach_fast, merge_snapshots
+from ..errors import ConfigurationError
+from ..telemetry import (TelemetrySession, attach_fast,
+                         deterministic_snapshot, merge_snapshots)
 from ..traces.synthetic import hotspot_distribution
 from ..wl import StartGap
 from .fast import FastConfig, FastEngine
-from .batched import register_batchable
-from .metrics import LifetimeSummary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..experiments.parallel import Cell
@@ -53,24 +50,23 @@ DEFAULTS: Dict[str, Any] = {
 }
 
 
-def build_campaign_cell(seed: int,
-                        num_blocks: int = 1024,
-                        mean_endurance: float = 2000.0,
-                        endurance_cov: float = 0.25,
-                        max_order: int = 16,
-                        ecp_k: int = 6,
-                        psi: int = 4,
-                        batch_writes: int = 8000,
-                        recovery: str = "reviver",
-                        dead_fraction: float = 0.3,
-                        trace_cov: float = 3.0,
-                        telemetry: bool = True,
-                        ) -> Tuple[FastEngine, Optional[TelemetrySession]]:
-    """Assemble one campaign cell's engine (and telemetry session).
+def campaign_cell(seed: int,
+                  num_blocks: int = 1024,
+                  mean_endurance: float = 2000.0,
+                  endurance_cov: float = 0.25,
+                  max_order: int = 16,
+                  ecp_k: int = 6,
+                  psi: int = 4,
+                  batch_writes: int = 8000,
+                  recovery: str = "reviver",
+                  dead_fraction: float = 0.3,
+                  trace_cov: float = 3.0,
+                  telemetry: bool = True,
+                  ) -> Dict[str, Any]:
+    """Grid cell function: build, run, and summarize one campaign seed.
 
     Every random stream is derived from the cell seed by purpose-named
-    :func:`~repro.rng.derive_rng` children, so the per-cell and batched
-    paths consume identical streams by construction.
+    :func:`~repro.rng.derive_rng` children.
     """
     geometry = AddressGeometry(num_blocks=num_blocks)
     endurance = EnduranceModel(
@@ -91,15 +87,7 @@ def build_campaign_cell(seed: int,
     if telemetry:
         session = TelemetrySession()
         attach_fast(session, engine)
-    return engine, session
-
-
-def finish_campaign_cell(engine: FastEngine, summary: LifetimeSummary,
-                         session: Optional[TelemetrySession]) -> Dict[str, Any]:
-    """Turn a completed campaign engine into the cell's JSON payload."""
-    # Imported lazily: shard.py registers its own batchable cell with this
-    # module's machinery, so a top-level import would be circular.
-    from ..array.shard import deterministic_snapshot
+    summary = engine.run()
     payload: Dict[str, Any] = {
         "lifetime": summary.lifetime_writes,
         "stop": engine.stopped_reason,
@@ -111,16 +99,6 @@ def finish_campaign_cell(engine: FastEngine, summary: LifetimeSummary,
         payload["snapshot"] = deterministic_snapshot(
             session.registry.snapshot())
     return payload
-
-
-def campaign_cell(**kwargs: Any) -> Dict[str, Any]:
-    """Grid cell function: build, run, and summarize one campaign seed."""
-    engine, session = build_campaign_cell(**kwargs)
-    return finish_campaign_cell(engine, engine.run(), session)
-
-
-register_batchable(f"{__name__}:campaign_cell",
-                   build_campaign_cell, finish_campaign_cell)
 
 
 def campaign_grid(seeds: int, seed: int = 0, telemetry: bool = True,
@@ -145,11 +123,17 @@ def run_campaign(seeds: int, seed: int = 0, jobs: int = 1, batch: int = 1,
                  resume: Union[None, str, Path] = None,
                  progress: Any = None,
                  **params: Any) -> Dict[str, Any]:
-    """Run the campaign; return cells, lifetime stats, merged telemetry."""
+    """Run the campaign; return cells, lifetime stats, merged telemetry.
+
+    ``batch`` is validated and otherwise ignored: every cell runs through
+    its own engine.  It survives only for the benchmark workload, which
+    still passes it.
+    """
     from ..experiments.parallel import GridRunner
+    if batch < 1:
+        raise ConfigurationError("batch must be >= 1")
     cells = campaign_grid(seeds, seed=seed, telemetry=telemetry, **params)
-    runner = GridRunner(jobs=jobs, resume=resume, progress=progress,
-                        batch=batch)
+    runner = GridRunner(jobs=jobs, resume=resume, progress=progress)
     results = runner.run(cells)
     ordered = [results[cell.key] for cell in cells]
     lifetimes = [record["lifetime"] for record in ordered]
@@ -170,11 +154,6 @@ def run_campaign(seeds: int, seed: int = 0, jobs: int = 1, batch: int = 1,
     return payload
 
 
-def _comparable(payload: Dict[str, Any]) -> str:
-    """Canonical JSON for equality checks (timings never enter cells)."""
-    return json.dumps(payload, sort_keys=True)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.sim.campaign",
@@ -185,9 +164,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="root experiment seed (default 0)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes (default 1)")
-    parser.add_argument("--batch", type=int, default=1,
-                        help="cells per struct-of-arrays group (default 1: "
-                             "per-cell engines)")
     parser.add_argument("--blocks", type=int,
                         default=int(DEFAULTS["num_blocks"]),
                         help="device blocks per cell")
@@ -205,9 +181,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="JSON file persisting completed cells")
     parser.add_argument("--json", type=Path, default=None,
                         help="write the full campaign payload here")
-    parser.add_argument("--check", action="store_true",
-                        help="re-run per-cell (batch=1, jobs=1) and fail "
-                             "on any byte difference")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress the summary line")
     args = parser.parse_args(argv)
@@ -216,25 +189,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   psi=args.psi, recovery=args.recovery)
     telemetry = not args.no_telemetry
     payload = run_campaign(args.seeds, seed=args.seed, jobs=args.jobs,
-                           batch=args.batch, telemetry=telemetry,
-                           resume=args.resume, **params)
+                           telemetry=telemetry, resume=args.resume, **params)
     if args.json is not None:
         args.json.parent.mkdir(parents=True, exist_ok=True)
         args.json.write_text(json.dumps(payload, sort_keys=True, indent=2))
     if not args.quiet:
-        print(f"campaign: {args.seeds} seeds, batch={args.batch}, "
-              f"jobs={args.jobs}, mean lifetime "
-              f"{payload['mean_lifetime']:.1f} writes")
-    if args.check:
-        reference = run_campaign(args.seeds, seed=args.seed, jobs=1,
-                                 batch=1, telemetry=telemetry, **params)
-        if _comparable(payload) != _comparable(reference):
-            print("campaign check FAILED: batched output differs from "
-                  "the per-cell path", file=sys.stderr)
-            return 1
-        if not args.quiet:
-            print("campaign check passed: batched output is byte-identical "
-                  "to the per-cell path")
+        print(f"campaign: {args.seeds} seeds, jobs={args.jobs}, mean "
+              f"lifetime {payload['mean_lifetime']:.1f} writes")
     return 0
 
 

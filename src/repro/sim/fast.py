@@ -197,7 +197,8 @@ class FastEngine:
 
     def run(self) -> LifetimeSummary:
         """Simulate epochs until a stop condition; return the summary."""
-        self._begin_run()
+        # The zero-write sample anchors the series.
+        self._sample()
         return self._step_epochs()
 
     def resume(self, max_writes: Optional[int]) -> LifetimeSummary:
@@ -222,60 +223,38 @@ class FastEngine:
         return self._step_epochs()
 
     def _step_epochs(self) -> LifetimeSummary:
-        """Step epochs until a stop condition; return the summary."""
+        """Step epochs until a stop condition; return the summary.
+
+        Each tick polls injection, then checks the stop conditions in a
+        fixed order: dead fraction, lost capacity, write budget.
+        """
+        cfg = self.config
+        budget = (float(cfg.max_writes) if cfg.max_writes is not None
+                  else float("inf"))
         while True:
-            stop = self._next_stop()
-            if stop is not None:
-                self.stop = stop
+            if self.inject is not None:
+                self.inject.poll(self.total_writes)
+            if self.chip.failed_fraction() >= cfg.dead_fraction:
+                self.stop = StopReason(StopCause.DEAD_FRACTION)
+                break
+            if (cfg.stop_on_capacity
+                    and self._usable_fraction() <= 1.0 - cfg.dead_fraction):
+                # The chip is just as unavailable when the lost capacity
+                # comes from retired pages as from dead blocks.
+                self.stop = StopReason(StopCause.CAPACITY_LOST)
+                break
+            if self.total_writes >= budget:
+                self.stop = StopReason(StopCause.MAX_WRITES)
                 break
             try:
-                self._epoch(self._epoch_batch())
+                self._epoch(int(min(cfg.batch_writes,
+                                    budget - self.total_writes)))
             except CapacityExhaustedError as exc:
                 self.stop = StopReason(StopCause.EXHAUSTED, str(exc))
                 # The partial epoch changed state since the last sample.
                 self._sample()
                 break
             self._sample()
-        return self._finish_summary()
-
-    def _begin_run(self) -> None:
-        """Record the zero-write sample that anchors the series."""
-        self._sample()
-
-    def _budget(self) -> float:
-        """Software-write budget (``inf`` when no cap is configured)."""
-        cfg = self.config
-        return (float(cfg.max_writes) if cfg.max_writes is not None
-                else float("inf"))
-
-    def _next_stop(self) -> Optional[StopReason]:
-        """One run-loop tick: poll injection, evaluate stop conditions.
-
-        Shared verbatim with the batched lockstep kernel
-        (:mod:`repro.sim.batched`) so both paths stop at exactly the same
-        write counts, in the same check order.
-        """
-        cfg = self.config
-        if self.inject is not None:
-            self.inject.poll(self.total_writes)
-        if self.chip.failed_fraction() >= cfg.dead_fraction:
-            return StopReason(StopCause.DEAD_FRACTION)
-        if (cfg.stop_on_capacity
-                and self._usable_fraction() <= 1.0 - cfg.dead_fraction):
-            # The chip is just as unavailable when the lost capacity
-            # comes from retired pages as from dead blocks.
-            return StopReason(StopCause.CAPACITY_LOST)
-        if self.total_writes >= self._budget():
-            return StopReason(StopCause.MAX_WRITES)
-        return None
-
-    def _epoch_batch(self) -> int:
-        """Software writes the next epoch should carry (budget-clipped)."""
-        return int(min(self.config.batch_writes,
-                       self._budget() - self.total_writes))
-
-    def _finish_summary(self) -> LifetimeSummary:
-        """The run's summary (valid once a stop reason is recorded)."""
         return LifetimeSummary.from_series(
             self.series, os_reports=self.reporter.report_count)
 
@@ -308,22 +287,6 @@ class FastEngine:
         telem.count("fast.epochs")
         telem.count("fast.writes", batch)
 
-    def _note_phase(self, name: str, seconds: float) -> None:
-        """Credit a phase duration to telemetry when a session is attached.
-
-        The batched kernel runs this engine's phases outside the
-        per-engine :meth:`_epoch` context managers, so it mirrors the same
-        counters through this hook (phase seconds + call count).
-        """
-        if self.telem is not None:
-            self.telem.add_phase_seconds(name, seconds)
-
-    def _note_epoch(self, batch: int) -> None:
-        """Credit one completed epoch's counters to telemetry."""
-        if self.telem is not None:
-            self.telem.count("fast.epochs")
-            self.telem.count("fast.writes", batch)
-
     def _apply_software(self, counts: np.ndarray) -> None:
         """Apply the epoch's software writes with overshoot re-issue.
 
@@ -337,29 +300,14 @@ class FastEngine:
         """
         virtual = np.nonzero(counts)[0]
         remaining = counts[virtual].astype(np.int64)
-        limit = self.chip.num_blocks + self.ospool.num_pages + 4
-        self._software_rounds(virtual, remaining, first_round=True,
-                              rounds=limit)
-
-    def _software_rounds(self, virtual: np.ndarray, remaining: np.ndarray,
-                         first_round: bool, rounds: int,
-                         prepared: Optional[tuple] = None) -> None:
-        """Run up to ``rounds`` re-issue rounds of the software phase.
-
-        ``prepared`` lets a caller hand in an already-translated first
-        round (the batched kernel prepares the round before deciding which
-        path handles it) without repeating the translation's side effects.
-        """
-        for _ in range(rounds):
+        first_round = True
+        for _ in range(self.chip.num_blocks + self.ospool.num_pages + 4):
             if virtual.size == 0:
                 return
+            prepared = self._prepare_round(virtual, remaining, first_round)
             if prepared is None:
-                prepared = self._prepare_round(virtual, remaining,
-                                               first_round)
-                if prepared is None:
-                    return
+                return
             virtual, remaining, pas, das, finals = prepared
-            prepared = None
             first_round = False
             exposed = self.chip.failed[finals]
             live_idx = ~exposed

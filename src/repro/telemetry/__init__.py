@@ -26,9 +26,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .metrics import (Counter, GAUGE_MODES, Gauge, Histogram, Registry,
-                      SLO_QUANTILES, gauge_payload, gauge_value,
-                      histogram_quantile, merge_snapshots, quantile_label,
-                      snapshot_quantiles)
+                      SLO_QUANTILES, deterministic_snapshot, gauge_payload,
+                      gauge_value, histogram_quantile, merge_snapshots,
+                      quantile_label, snapshot_quantiles)
 from .session import PhaseTimer, TelemetrySession
 from .timing import CellTiming, timed_call
 from .trace import (EVENT_KINDS, META_KIND, PROFILE_KIND, TraceWriter,
@@ -95,7 +95,7 @@ def attach_ftl(session: TelemetrySession,
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "Registry", "SLO_QUANTILES",
-    "GAUGE_MODES", "gauge_payload", "gauge_value",
+    "GAUGE_MODES", "deterministic_snapshot", "gauge_payload", "gauge_value",
     "histogram_quantile", "merge_snapshots", "quantile_label",
     "snapshot_quantiles",
     "TelemetrySession", "PhaseTimer", "TraceWriter", "CellTiming",

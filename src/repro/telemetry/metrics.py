@@ -340,6 +340,23 @@ def merge_snapshots(a: Mapping[str, Mapping[str, object]],
     return merged.snapshot()
 
 
+def deterministic_snapshot(snapshot: Mapping[str, Mapping[str, object]],
+                           ) -> Dict[str, Dict[str, object]]:
+    """Drop wall-clock phase counters so snapshots are run-stable.
+
+    ``phase.<name>.seconds`` counters measure real elapsed time and differ
+    between otherwise identical runs; every other metric of a seeded run
+    is deterministic (``phase.<name>.calls`` included).
+    """
+    counters = {name: value
+                for name, value in snapshot.get("counters", {}).items()
+                if not (name.startswith("phase.")
+                        and name.endswith(".seconds"))}
+    return {"counters": counters,
+            "gauges": dict(snapshot.get("gauges", {})),
+            "histograms": dict(snapshot.get("histograms", {}))}
+
+
 def gauge_payload(name: str, value: object) -> Tuple[Number, str]:
     """``(value, mode)`` of one gauge's snapshot entry.
 

@@ -111,13 +111,13 @@ class TestCli:
         out = StringIO()
         assert main([str(tmp_path / "absent")], stream=out) == 2
 
-    def test_list_rules_describes_all_eleven(self):
+    def test_list_rules_describes_all_nine(self):
         out = StringIO()
         assert main(["--list-rules"], stream=out) == 0
         text = out.getvalue()
         for rule_id in ("RAW-GEOM", "RNG-DET", "LINK-MUT", "EXC-SWALLOW",
-                        "FLOAT-EQ", "FAULT-HOOK", "TELEM-API", "SOA-ALIAS",
-                        "SHM-LIFE", "DET-WALLCLOCK", "HOOK-NONE"):
+                        "FLOAT-EQ", "FAULT-HOOK", "TELEM-API",
+                        "DET-WALLCLOCK", "HOOK-NONE"):
             assert rule_id in text
 
 

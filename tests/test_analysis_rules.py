@@ -15,20 +15,16 @@ from repro.analysis import get_rule, lint_source, rule_ids
 #: A path no rule exempts: findings here are purely content-driven.
 GENERIC = Path("src/repro/mc/controller.py")
 
-#: Real source root, for fixtures that lint shipped modules verbatim.
-SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
-
 
 def findings_for(rule_id, text, path=GENERIC):
     return lint_source(text, path, rules=[get_rule(rule_id)])
 
 
 class TestRegistry:
-    def test_all_eleven_rules_registered(self):
+    def test_all_nine_rules_registered(self):
         assert set(rule_ids()) == {
             "RAW-GEOM", "RNG-DET", "LINK-MUT", "EXC-SWALLOW", "FLOAT-EQ",
-            "FAULT-HOOK", "TELEM-API",
-            "SOA-ALIAS", "SHM-LIFE", "DET-WALLCLOCK", "HOOK-NONE"}
+            "FAULT-HOOK", "TELEM-API", "DET-WALLCLOCK", "HOOK-NONE"}
 
     def test_get_rule_is_case_insensitive(self):
         assert get_rule("raw-geom").id == "RAW-GEOM"
@@ -271,175 +267,6 @@ class TestTelemApi:
                 "merged = merge_snapshots(merged, snapshot)\n")
         assert findings_for("TELEM-API", good,
                             Path("src/repro/array/shard.py")) == []
-
-class TestSoaAlias:
-    """The whole-program view-aliasing rule over the batched kernel."""
-
-    def test_chained_advanced_index_store_is_caught(self):
-        bad = ("import numpy as np\n"
-               "def redirect(wear: np.ndarray, limit: int) -> None:\n"
-               "    mask = wear > limit\n"
-               "    wear[mask][0] = 0\n")
-        found = findings_for("SOA-ALIAS", bad)
-        assert [f.rule for f in found] == ["SOA-ALIAS"]
-        assert "temporary copy" in found[0].message
-
-    def test_dealiasing_rebind_then_write_is_caught(self):
-        bad = ("import numpy as np\n"
-               "def bump(wear: np.ndarray) -> None:\n"
-               "    wear = wear + 1\n"
-               "    wear[0] = 5\n")
-        found = findings_for("SOA-ALIAS", bad)
-        assert [(f.rule, f.line) for f in found] == [("SOA-ALIAS", 3)]
-        assert "rebinds a row view" in found[0].message
-
-    def test_view_propagates_through_ravel_and_slices(self):
-        bad = ("import numpy as np\n"
-               "def flatten(wear: np.ndarray) -> None:\n"
-               "    flat = wear.ravel()\n"
-               "    flat = flat * 2\n"
-               "    flat[0] = 1\n")
-        assert [f.rule for f in findings_for("SOA-ALIAS", bad)] \
-            == ["SOA-ALIAS"]
-
-    def test_verbatim_startgap_bulk_rows_stays_clean(self):
-        # wl/startgap.py's closed-form StartGap.bulk_migrations:
-        # basic-slice stores on a fresh array plus scalar attribute
-        # rebinds — all sanctioned.
-        good = ("import numpy as np\n"
-                "def rows_of(wl, moves: int, period: int):\n"
-                "    gaps = (wl.gap - np.arange(moves, dtype=np.int64))"
-                " % period\n"
-                "    rows = np.empty((moves, 2), dtype=np.int64)\n"
-                "    rows[:, 0] = (gaps - 1) % period\n"
-                "    rows[:, 1] = gaps\n"
-                "    wl.gap = int((wl.gap - moves) % period)\n"
-                "    return rows\n")
-        assert findings_for("SOA-ALIAS", good) == []
-
-    def test_verbatim_rehome_aliasing_stays_clean(self):
-        # sim/batched.py's _rehome: storing a row view into an attribute
-        # IS the aliasing invariant, not a violation.
-        good = ("def rehome(self, i: int, chip) -> None:\n"
-                "    self.wear[i] = chip.wear\n"
-                "    chip.wear = self.wear[i]\n")
-        assert findings_for("SOA-ALIAS", good) == []
-
-    def test_verbatim_migration_mask_rebind_stays_clean(self):
-        # sim/batched.py's migration phase: `dsts` is a fresh index
-        # array (advanced indexing), so narrowing it in place is legal;
-        # the actual wear write goes through np.add.at on the row view.
-        good = ("import numpy as np\n"
-                "def migrate(self, engine, rows, i: int) -> None:\n"
-                "    dsts = engine._redirect[rows[:, 1]]\n"
-                "    dsts = dsts[~self.failed[i][dsts]]\n"
-                "    np.add.at(self.wear[i], dsts, 1)\n")
-        assert findings_for("SOA-ALIAS", good) == []
-
-    def test_compute_and_return_rebind_stays_clean(self):
-        # No later element store through the name: the rebind is a pure
-        # value computation, which forward_many-style code relies on.
-        good = ("import numpy as np\n"
-                "def scaled(wear: np.ndarray) -> np.ndarray:\n"
-                "    wear = wear * 2\n"
-                "    return wear\n")
-        assert findings_for("SOA-ALIAS", good) == []
-
-    def test_explicit_copy_is_the_sanctioned_opt_out(self):
-        good = ("import numpy as np\n"
-                "def snapshot(wear: np.ndarray) -> np.ndarray:\n"
-                "    wear = wear.copy() + 1\n"
-                "    wear[0] = 5\n"
-                "    return wear\n")
-        assert findings_for("SOA-ALIAS", good) == []
-
-    def test_registered_batchable_pair_is_exempt(self):
-        # The project model reads register_batchable() call sites: a
-        # build/finish pair owns its arrays before/after the kernel holds
-        # them, so the rebind check stands down (single-file fallback
-        # still sees the registration in the same module).
-        text = ("import numpy as np\n"
-                "def _build_cell(spec, wear: np.ndarray):\n"
-                "    wear = wear + 1\n"
-                "    wear[0] = 5\n"
-                "    return wear\n"
-                "def _finish_cell(value):\n"
-                "    return value\n"
-                "register_batchable('mod:_cell', _build_cell,"
-                " _finish_cell)\n")
-        assert findings_for("SOA-ALIAS", text) == []
-        # Without the registration the same body is a finding.
-        unregistered = ("import numpy as np\n"
-                        "def _build_cell(spec, wear: np.ndarray):\n"
-                        "    wear = wear + 1\n"
-                        "    wear[0] = 5\n"
-                        "    return wear\n")
-        assert [f.rule for f in findings_for("SOA-ALIAS", unregistered)] \
-            == ["SOA-ALIAS"]
-
-
-class TestShmLife:
-    """SharedMemory lifecycle: close on all paths, never unlink twice."""
-
-    def test_missing_close_on_straight_path_is_caught(self):
-        bad = ("from multiprocessing import shared_memory\n"
-               "def read(name: str, nbytes: int) -> bytes:\n"
-               "    segment = shared_memory.SharedMemory(name=name)\n"
-               "    return bytes(segment.buf[:nbytes])\n")
-        found = findings_for("SHM-LIFE", bad)
-        assert [f.rule for f in found] == ["SHM-LIFE"]
-        assert "close()" in found[0].message
-
-    def test_missing_close_on_one_branch_is_caught(self):
-        bad = ("from multiprocessing import shared_memory\n"
-               "def read(name: str, nbytes: int, keep: bool) -> bytes:\n"
-               "    segment = shared_memory.SharedMemory(name=name)\n"
-               "    data = bytes(segment.buf[:nbytes])\n"
-               "    if keep:\n"
-               "        segment.close()\n"
-               "    return data\n")
-        assert [f.rule for f in findings_for("SHM-LIFE", bad)] \
-            == ["SHM-LIFE"]
-
-    def test_double_unlink_is_caught(self):
-        bad = ("from multiprocessing import shared_memory\n"
-               "def consume(name: str) -> None:\n"
-               "    segment = shared_memory.SharedMemory(name=name)\n"
-               "    segment.close()\n"
-               "    segment.unlink()\n"
-               "    segment.unlink()\n")
-        found = findings_for("SHM-LIFE", bad)
-        assert [(f.rule, f.line) for f in found] == [("SHM-LIFE", 6)]
-        assert "twice" in found[0].message
-
-    def test_verbatim_pack_and_unpack_stay_clean(self):
-        # experiments/shm.py end to end: try/finally close, worker-side
-        # no-unlink (the parent owns destruction), escape via _untrack.
-        text = (SRC_ROOT / "repro" / "experiments" / "shm.py").read_text(
-            encoding="utf-8")
-        assert findings_for(
-            "SHM-LIFE", text, Path("src/repro/experiments/shm.py")) == []
-
-    def test_try_finally_close_stays_clean(self):
-        good = ("from multiprocessing import shared_memory\n"
-                "def read(name: str, nbytes: int) -> bytes:\n"
-                "    segment = shared_memory.SharedMemory(name=name)\n"
-                "    try:\n"
-                "        data = bytes(segment.buf[:nbytes])\n"
-                "    finally:\n"
-                "        segment.close()\n"
-                "        segment.unlink()\n"
-                "    return data\n")
-        assert findings_for("SHM-LIFE", good) == []
-
-    def test_returned_segment_transfers_ownership(self):
-        good = ("from multiprocessing import shared_memory\n"
-                "def allocate(size: int):\n"
-                "    segment = shared_memory.SharedMemory(create=True,"
-                " size=size)\n"
-                "    return segment\n")
-        assert findings_for("SHM-LIFE", good) == []
-
 
 class TestDetWallclock:
     @pytest.mark.parametrize("bad", [

@@ -8,6 +8,7 @@ each casualty — finishes in well under a second.
 
 import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -15,13 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.array import (ArrayConfig, ArrayEngine, InterleavedDecoder,
-                         SegmentedTrace, deterministic_snapshot,
-                         hotspot_workload, shard_attack_workload, shard_seed,
-                         uniform_workload, zipf_workload)
+                         SegmentedTrace, hotspot_workload,
+                         shard_attack_workload, shard_seed, uniform_workload,
+                         zipf_workload)
 from repro.array.shard import build_shard_cell, finish_shard_cell
 from repro.array.__main__ import main as array_main
 from repro.errors import ConfigurationError
 from repro.faultinject import FaultSchedule, shard_death_schedule
+from repro.telemetry import deterministic_snapshot
 
 PAGE = 16
 
@@ -273,6 +275,21 @@ class TestShardResume:
         for key in ("series", "report", "snapshot"):
             assert record[key] == fresh[key]
         assert record == fresh
+
+    def test_pickled_engine_resumes_like_the_original(self):
+        # A shard engine parked at its cap is plain data: a pickled copy
+        # resumes to the same record as the engine it was copied from.
+        table = np.random.default_rng(3).random(SHARD_SPACE) + 0.01
+        engine, context = build_shard([(0, table)], 4000)
+        engine.run()
+        assert engine.stopped_reason == "max-writes"
+        copy, copy_context = pickle.loads(pickle.dumps((engine, context)))
+        for resumed in (copy, engine):
+            resumed.resume(8000)
+        records = [finish_shard_cell(e, c)
+                   for e, c in [(copy, copy_context), (engine, context)]]
+        assert records[0]["local_writes"] == 8000
+        assert records[0] == records[1]
 
 
 # ------------------------------------------------------------ end of life

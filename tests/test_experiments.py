@@ -176,6 +176,34 @@ class TestFig8:
         assert "Figure 8" in fig8.render(result)
 
 
+class TestFigurePins:
+    """Digests of the tiny-scale fig5-fig8 rows at seed 1.
+
+    Every lifetime figure runs its cells through ``FastEngine.run``; any
+    drift in the engine, the chip or the grid plumbing changes a digest.
+    """
+
+    PINS = {
+        "fig5": "23603702334de3c60dbada72584b7815"
+                "1915278f609a901388f71f5ec2aacbea",
+        "fig6": "0efd895c129b33771e5e42d99cf0209b"
+                "f1c1513d1df701290779d2ed1c57485c",
+        "fig7": "38bda4bfedff2284d73ff7f4af77f47f"
+                "e909ccbc2dce43bec16bb4aabe3ae6e9",
+        "fig8": "9b65e0492d4e6395588272c9f7cc14a8"
+                "82c5d86fec3d3d05dbcdbb189cc03c79",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_rows_are_pinned(self, name):
+        import hashlib
+        import json
+        module = EXPERIMENTS[name]
+        data = module.as_dict(module.run(scale="tiny", seed=1))
+        blob = json.dumps(data, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.PINS[name]
+
+
 class TestTable2:
     @pytest.fixture(scope="class")
     def result(self):

@@ -19,8 +19,6 @@ from repro.experiments.parallel import (
     cell_seed,
     jsonify,
 )
-from repro.experiments.shm import (RAW, SHM, SHM_MIN_BYTES, pack_result,
-                                   unpack_result)
 from repro.sim.metrics import LifetimeSeries, SamplePoint
 
 
@@ -106,6 +104,20 @@ class TestGridRunner:
         assert results["unit/2"]["square"] == -1
         assert all(o.cached for o in runner.outcomes)
 
+    def test_resume_recomputes_cells_whose_kwargs_changed(self, tmp_path):
+        resume = tmp_path / "cells.json"
+        GridRunner(jobs=1, resume=resume).run(_grid(seed=7))
+        # Same keys, another seed: every cell's kwargs differ, so no
+        # record computed for seed 7 may stand in for seed 8.
+        runner = GridRunner(jobs=1, resume=resume)
+        results = runner.run(_grid(seed=8))
+        assert results == GridRunner(jobs=1).run(_grid(seed=8))
+        assert not any(o.cached for o in runner.outcomes)
+        # The stale records were overwritten: a third run replays them.
+        again = GridRunner(jobs=1, resume=resume)
+        assert again.run(_grid(seed=8)) == results
+        assert all(o.cached for o in again.outcomes)
+
     def test_resume_completes_partial_run(self, tmp_path):
         resume = tmp_path / "cells.json"
         GridRunner(jobs=1, resume=resume).run(_grid(2))
@@ -152,7 +164,7 @@ def _nap(seconds, payload):
 
 
 def _big(n, seed):
-    """Cell with a payload large enough to ride shared memory."""
+    """Cell with a payload of a few dozen KiB."""
     return {"vals": list(range(seed, seed + n))}
 
 
@@ -165,7 +177,7 @@ class TestPoolQueueAccounting:
                  for i in range(8)]
         runner = GridRunner(jobs=1)
         results = {}
-        runner._run_pool([], cells, results, {}, len(cells))
+        runner._run_pool(cells, results, {}, len(cells))
         assert len(results) == 8
         wall = sum(o.seconds for o in runner.outcomes)
         queue = sum(o.queue_seconds for o in runner.outcomes)
@@ -234,49 +246,10 @@ class TestResumeThrottle:
                 assert isinstance(payload.get("cells"), dict)
 
 
-class TestSharedMemoryTransport:
-    def test_small_payloads_stay_raw(self):
-        packed = pack_result({"a": 1})
-        assert packed[0] == RAW
-        assert unpack_result(packed) == {"a": 1}
-
-    def test_large_payloads_round_trip_shared_memory(self):
-        value = {"series": list(range(SHM_MIN_BYTES))}
-        packed = pack_result(value)
-        assert packed[0] == SHM
-        assert unpack_result(packed) == value
-
-    def test_unencodable_payloads_fall_back_to_raw(self):
-        value = {"obj": object()}
-        tag, body = pack_result(value)
-        assert tag == RAW and body is value
-
+class TestPooledPayloads:
     def test_pool_matches_serial_with_big_payloads(self):
         cells = [Cell(key=f"big/{i}", fn=f"{__name__}:_big",
                       kwargs={"n": 2000, "seed": i}) for i in range(3)]
         serial = GridRunner(jobs=1).run(cells)
         pooled = GridRunner(jobs=2).run(cells)
         assert serial == pooled
-
-
-class TestBatchPlanning:
-    def test_plan_groups_only_batchable_cells(self):
-        campaign = [Cell(key=f"camp/{i}",
-                         fn="repro.sim.campaign:campaign_cell",
-                         kwargs={"seed": i}) for i in range(5)]
-        other = _grid(3)
-        groups, singles = GridRunner(batch=2)._plan(campaign + other)
-        assert [[c.key for c in g] for g in groups] == [
-            ["camp/0", "camp/1"], ["camp/2", "camp/3"]]
-        # The leftover chunk of one and the unregistered cells stay single.
-        assert {c.key for c in singles} == {
-            "camp/4", "unit/0", "unit/1", "unit/2"}
-
-    def test_batch_one_keeps_per_cell_path(self):
-        pending = _grid(4)
-        groups, singles = GridRunner(batch=1)._plan(pending)
-        assert groups == [] and singles == pending
-
-    def test_rejects_bad_batch(self):
-        with pytest.raises(ConfigurationError):
-            GridRunner(batch=0)

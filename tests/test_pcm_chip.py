@@ -99,6 +99,18 @@ class TestBatchedWrites:
         assert newly.tolist() == [5]
         assert chip.is_failed(5)
 
+    def test_duplicated_unsorted_das_report_each_failure_once(self):
+        chip = make_chip(num_blocks=64, mean=50, seed=2)
+        # Blocks 40, 9 and 27 each get enough wear (split across repeated
+        # entries) to exhaust their ECC; block 3 stays healthy.
+        das = [40, 9, 3, 27, 9, 40, 27, 40]
+        counts = [chip.ecc.threshold(40), 200_000, 1, 150_000, 1,
+                  100_000, 1, 1]
+        newly = chip.write_many(np.array(das), np.array(counts))
+        assert newly.tolist() == [9, 27, 40]
+        assert not chip.is_failed(3)
+        assert chip.failed_count == 3
+
     def test_batch_ignores_already_failed(self):
         chip = make_chip(num_blocks=64, mean=50, seed=2)
         chip.write_many(np.array([5]), np.array([100_000]))

@@ -172,3 +172,46 @@ class TestLifecycle:
 
     def test_describe(self):
         assert "StartGap" in make_sg().describe()
+
+
+def commit_loop_rows(wl, moves):
+    """Reference rows: one register commit per gap move, as ``tick`` does."""
+    rows = np.empty((moves, 2), dtype=np.int64)
+    for k in range(moves):
+        rows[k] = wl._move_endpoints()
+        wl._commit_move()
+    return rows
+
+
+class TestStartGapBulkRows:
+    """Closed-form migration rows vs the per-move register commits."""
+
+    @pytest.mark.parametrize("psi", [1, 4, 16])
+    @pytest.mark.parametrize("moves", [1, 7, 64, 300])
+    def test_matches_bulk_migrations(self, psi, moves):
+        a = StartGap(96, config=StartGapConfig(psi=psi, seed=5))
+        b = StartGap(96, config=StartGapConfig(psi=psi, seed=5))
+        # Skew both registers off their initial state first.
+        a.bulk_migrations(13)
+        commit_loop_rows(b, 13)
+        rows_a = a.bulk_migrations(moves)
+        rows_b = commit_loop_rows(b, moves)
+        np.testing.assert_array_equal(rows_a, rows_b)
+        assert (a.gap, a.start, a.gap_moves) == (b.gap, b.start, b.gap_moves)
+
+    def test_mapping_agrees_after_many_wraps(self):
+        a = StartGap(17, config=StartGapConfig(psi=2, seed=9))
+        b = StartGap(17, config=StartGapConfig(psi=2, seed=9))
+        a.bulk_migrations(123)
+        commit_loop_rows(b, 123)
+        pas = np.arange(a.logical_blocks, dtype=np.int64)
+        np.testing.assert_array_equal(a.map_many(pas), b.map_many(pas))
+        assert [a.inverse(da) for da in range(17)] \
+            == [b.inverse(da) for da in range(17)]
+
+    def test_frozen_and_empty_batches(self):
+        wl = StartGap(32, config=StartGapConfig(psi=3, seed=1))
+        assert wl.bulk_migrations(0).shape == (0, 2)
+        wl.frozen = True
+        assert wl.bulk_migrations(10).shape == (0, 2)
+        assert wl.gap_moves == 0
