@@ -29,13 +29,12 @@ Run it with ``python -m repro.analysis src tools benchmarks examples``
 (exit code 0 = clean, 1 = findings, 2 = usage error).  A finding is
 silenced by a same-line ``# repro: allow(RULE-ID): justification``
 comment, or file-wide with ``# repro: allow-file(RULE-ID): justification``.
-Re-runs are incremental with ``--cache FILE``; known debt is held in a
-``--baseline`` file; ``--format sarif`` emits SARIF 2.1.0 for CI.
+Re-runs are incremental with ``--cache FILE``; ``--format sarif`` emits
+SARIF 2.1.0 for CI.
 """
 
 from __future__ import annotations
 
-from .baseline import apply_baseline, load_baseline, write_baseline
 from .cache import RULESET_VERSION, AnalysisCache, CacheStats
 from .core import Finding, Rule, SourceFile
 from .registry import all_rules, get_rule, rule_ids
@@ -50,13 +49,10 @@ __all__ = [
     "Rule",
     "SourceFile",
     "all_rules",
-    "apply_baseline",
     "get_rule",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "rule_ids",
     "to_sarif",
     "validate_sarif",
-    "write_baseline",
 ]

@@ -1,15 +1,11 @@
 """Command line interface: ``python -m repro.analysis [paths...]``.
 
-Exit codes: 0 = clean (or fully baselined), 1 = findings reported,
-2 = usage error.
+Exit codes: 0 = clean, 1 = findings reported, 2 = usage error.
 
-Beyond the original text/JSON report the CLI grew the adoption and CI
-machinery of the whole-program analyzer:
+Beyond the original text/JSON report the CLI grew the CI machinery of
+the whole-program analyzer:
 
 * ``--format sarif`` emits a SARIF 2.1.0 log for PR annotation;
-* ``--baseline FILE`` filters known findings (and reports stale entries);
-  ``--write-baseline FILE`` records the current findings as the accepted
-  debt and exits clean;
 * ``--cache FILE`` makes re-runs incremental — an unchanged tree with an
   unchanged ruleset replays findings with zero re-parses; ``--stats``
   prints the hit/miss/parse counters that prove it.
@@ -24,7 +20,6 @@ from pathlib import Path
 from typing import List, Optional, TextIO
 
 from ..errors import ConfigurationError
-from .baseline import apply_baseline, load_baseline, write_baseline
 from .cache import AnalysisCache
 from .core import Finding
 from .registry import all_rules, get_rule
@@ -44,12 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (default: text)")
     parser.add_argument("--select", default=None, metavar="RULE[,RULE...]",
                         help="run only the named rules")
-    parser.add_argument("--baseline", default=None, metavar="FILE",
-                        help="filter findings recorded in this baseline "
-                             "file; stale entries are reported")
-    parser.add_argument("--write-baseline", default=None, metavar="FILE",
-                        help="record current findings as the baseline and "
-                             "exit 0")
     parser.add_argument("--cache", default=None, metavar="FILE",
                         help="incremental-analysis cache file (content-"
                              "hashed, ruleset-versioned)")
@@ -100,28 +89,6 @@ def main(argv: Optional[List[str]] = None,
         return 2
     cache = AnalysisCache(Path(args.cache)) if args.cache else None
     findings = lint_paths(paths, rules, cache=cache)
-    if args.write_baseline:
-        write_baseline(Path(args.write_baseline), findings)
-        print(f"wrote {len(findings)} finding(s) to baseline "
-              f"{args.write_baseline}", file=out)
-        return 0
-    stale_count = 0
-    if args.baseline:
-        try:
-            baseline = load_baseline(Path(args.baseline))
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=out)
-            return 2
-        before = len(findings)
-        findings, stale = apply_baseline(findings, baseline)
-        stale_count = len(stale)
-        for rule, path, message in stale:
-            print(f"stale baseline entry: {path}: {rule} {message}",
-                  file=out)
-        suppressed = before - len(findings)
-        if suppressed:
-            print(f"{suppressed} baselined finding(s) "
-                  f"suppressed; burn them down", file=out)
     if args.format == "json":
         _render_json(findings, out)
     elif args.format == "sarif":
@@ -134,4 +101,4 @@ def main(argv: Optional[List[str]] = None,
         print(f"cache: {cache.stats.hits} hit(s), "
               f"{cache.stats.misses} miss(es), "
               f"{cache.stats.parses} parse(s)", file=out)
-    return 1 if findings or stale_count else 0
+    return 1 if findings else 0

@@ -46,28 +46,38 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..faultinject import FaultSchedule, for_shard
+from ..faultinject import FaultSchedule
 from ..rng import SeedLike
 from ..sim.fast import FastEngine
 from ..sim.metrics import LifetimeSeries, SamplePoint
-from ..sim.stop import StopCause, StopReason
-from ..telemetry import TelemetrySession, merge_snapshots
+from ..sim.stop import EndOfLifeReport, StopCause, StopReason
+from ..telemetry import (TelemetrySession, deterministic_snapshot,
+                         merge_snapshots)
 from ..traces.base import DistributionTrace
 from ..units import blocks_of_pages, ceil_div, page_count
 from .decoder import INTERLEAVE_MODES, InterleavedDecoder
 from .report import ArrayEndOfLifeReport, ShardCensus
-from .shard import (build_shard_cell, finish_shard_cell, idle_result,
-                    shard_seed)
+from .shard import build_shard
 from .trace import SegmentedTrace
 
 #: Array end-of-life policies.
 ARRAY_POLICIES: Tuple[str, ...] = ("fail-stop", "degraded")
+
+#: The report of a shard that never had traffic: it never wore and never
+#: advanced its local clock (running an engine for it would need a
+#: drawable distribution it does not have).
+IDLE_REPORT = EndOfLifeReport(
+    stop=StopReason(StopCause.MAX_WRITES, "no traffic decoded to shard"),
+    total_writes=0, failed_fraction=0.0, usable_fraction=1.0,
+    os_interruptions=0, victimized_writes=0, pages_acquired=0,
+    spares_available=0, linked_blocks=0, pa_da_loops=0,
+    crashes_recovered=0)
 
 
 @dataclass
@@ -83,8 +93,6 @@ class ArrayConfig:
     page_blocks: int = 64
     mean_endurance: float = 800.0
     endurance_cov: float = 0.2
-    max_order: int = 16
-    ecp_k: int = 6
     psi: int = 12
     recovery: str = "reviver"
     dead_fraction: float = 0.3
@@ -102,8 +110,6 @@ class ArrayConfig:
     #: Global writes between steering checkpoints (None with ``balance``:
     #: steer only at shard-death boundaries).
     balance_every: Optional[int] = None
-    #: Minimum risk spread before the leveler engages.
-    min_risk_gap: float = 0.02
     #: Global write count at which one fresh shard joins (None = never).
     add_shard_at: Optional[int] = None
 
@@ -126,8 +132,6 @@ class ArrayConfig:
                 "shard_blocks must be at least two OS pages")
         if self.remap_budget < 0:
             raise ConfigurationError("remap_budget cannot be negative")
-        if self.min_risk_gap < 0:
-            raise ConfigurationError("min_risk_gap cannot be negative")
         if self.balance_every is not None and self.balance_every < 1:
             raise ConfigurationError("balance_every must be >= 1 writes")
         if self.add_shard_at is not None and self.add_shard_at < 1:
@@ -152,9 +156,9 @@ class _ShardState:
     #: ``(local_start, global_start, share)`` pieces of the clock map.
     pieces: List[Tuple[int, float, float]]
     #: The shard's stack, built at its first step (``None`` while idle),
-    #: and the context :func:`finish_shard_cell` turns it into a record.
+    #: and its telemetry session (``None`` without telemetry).
     engine: Optional[FastEngine] = None
-    context: tuple = ()
+    session: Optional[TelemetrySession] = None
     dead: bool = False
     death_global: Optional[float] = None
 
@@ -175,8 +179,6 @@ class ArrayResult:
     #: Associatively merged per-shard telemetry (plus array counters).
     snapshot: Dict[str, Dict[str, object]]
     report: ArrayEndOfLifeReport
-    #: Raw per-shard records, by shard index.
-    shards: List[dict] = field(default_factory=list)
     rounds: int = 0
 
     def as_dict(self) -> dict:
@@ -201,7 +203,7 @@ class ArrayEngine:
                  label: str = "array", jobs: int = 1,
                  schedule: Optional[FaultSchedule] = None) -> None:
         # Imported here: repro.balance wraps this package's decoder.
-        from ..balance import BalancedDecoder, LevelerPolicy, ShardHealthModel
+        from ..balance import BalancedDecoder, ShardHealthModel
         self.config = config
         self.label = label
         self.schedule = schedule
@@ -220,17 +222,12 @@ class ArrayEngine:
         #: is configured: a static run carries no health model, no
         #: leveler and no ``balance.*`` metrics.
         self.health: Optional[ShardHealthModel] = None
-        self._policy: Optional[LevelerPolicy] = None
         if config.balance or config.add_shard_at is not None:
             self.health = ShardHealthModel(
                 config.num_shards,
                 endurance_budget=config.shard_blocks * config.mean_endurance,
                 seed=config.seed)
-            if config.balance:
-                self._policy = LevelerPolicy(budget=config.remap_budget,
-                                            min_gap=config.min_risk_gap)
         self._states: List[_ShardState] = []
-        self._seeds: List[int] = []
         self._migration_writes = 0
         self._remap_swaps = 0
         self._shards_added = 0
@@ -278,8 +275,6 @@ class ArrayEngine:
         cfg = self.config
         states = self._states = [self._boot_state(i)
                                  for i in range(cfg.num_shards)]
-        self._seeds = [shard_seed(cfg.seed, i)
-                       for i in range(cfg.num_shards)]
         dead_order: List[int] = []
         add_at = float(cfg.add_shard_at or math.inf)
         step = float(cfg.balance_every or math.inf) if cfg.balance \
@@ -407,21 +402,10 @@ class ArrayEngine:
 
     def _build(self, shard: int, cap: int) -> None:
         """Build *shard*'s stack from its segments and run it to *cap*."""
-        cfg = self.config
         state = self._states[shard]
-        schedule_json: Optional[str] = None
-        if self.schedule is not None:
-            schedule_json = for_shard(self.schedule, shard).to_json()
-        state.engine, state.context = build_shard_cell(
-            shard=shard, seed=self._seeds[shard],
-            device_blocks=cfg.shard_blocks,
-            mean_endurance=cfg.mean_endurance,
-            endurance_cov=cfg.endurance_cov, max_order=cfg.max_order,
-            ecp_k=cfg.ecp_k, psi=cfg.psi, batch_writes=cfg.batch_writes,
-            recovery=cfg.recovery, dead_fraction=cfg.dead_fraction,
-            page_blocks=cfg.page_blocks, segments=state.segments,
-            max_writes=cap, schedule=schedule_json,
-            telemetry=cfg.telemetry, label=f"{self.label}/s{shard}")
+        state.engine, state.session = build_shard(
+            self.config, shard, state.segments, cap, self.schedule,
+            label=f"{self.label}/s{shard}")
         state.engine.run()
 
     def _cap_for(self, state: _ShardState,
@@ -467,10 +451,11 @@ class ArrayEngine:
         A no-op when steering is off.
         """
         from ..balance.leveler import plan_swaps
-        if self.health is None or self._policy is None:
+        if self.health is None or not self.config.balance:
             return set()
         swaps = plan_swaps(self.decoder, self.probabilities,
-                           self.health.risks(), live, self._policy)
+                           self.health.risks(), live,
+                           self.config.remap_budget)
         affected: Set[int] = set()
         if swaps:
             self._remap_swaps += len(swaps)
@@ -490,10 +475,8 @@ class ArrayEngine:
         installed directly).
         """
         assert self.health is not None  # built whenever add_shard_at is set
-        cfg = self.config
         movers, donors = self.decoder.add_shard()
         new_index = len(self._states)
-        self._seeds.append(shard_seed(cfg.seed, new_index))
         mass = self.decoder.local_mass(self.probabilities, new_index)
         self._states.append(_ShardState(
             mass=mass, segments=[(0, mass.copy())],
@@ -586,46 +569,60 @@ class ArrayEngine:
         # and well-defined for shards added mid-run.
         base_shares = [float(state.segments[0][1].sum())
                        for state in states]
-        records = [finish_shard_cell(state.engine, state.context)
-                   if state.engine is not None
-                   else idle_result(i, cfg.software_blocks)
-                   for i, state in enumerate(states)]
+        reports = [state.engine.end_of_life_report()
+                   if state.engine is not None else IDLE_REPORT
+                   for state in states]
         census = []
         rescaled = []
-        total_writes = 0
-        for i, (state, record) in enumerate(zip(states, records)):
-            report = record["report"]
-            local_writes = int(record["local_writes"])
-            total_writes += local_writes
+        for i, (state, report) in enumerate(zip(states, reports)):
+            assert report.stop is not None
             died_at = (int(state.death_global)
                        if state.death_global is not None else None)
             census.append(ShardCensus(
                 shard=i, share=base_shares[i], final_share=state.share,
-                local_writes=local_writes, stop=str(record["stop"]),
-                died_at_global=died_at, report=dict(report)))
-            rescaled.append(self._global_series(i, state, record))
+                local_writes=report.total_writes,
+                stop=report.stop.cause.value, died_at_global=died_at,
+                report=report.as_dict()))
+            rescaled.append(self._global_series(i, state))
         merged = LifetimeSeries.merge(
             rescaled, access_weights=(base_shares
                                       if any(base_shares) else None),
             label=self.label)
-        snapshot = self._merged_snapshot(states, records, dead_order,
-                                         rounds, total_writes)
-        report_out = self._array_report(states, census, dead_order, stop,
-                                        rounds, total_writes)
+        total_writes = sum(report.total_writes for report in reports)
+        shards = len(states)
         self.result = ArrayResult(
-            label=self.label, config=cfg, series=merged, snapshot=snapshot,
-            report=report_out,
-            shards=records, rounds=rounds)
+            label=self.label, config=cfg, series=merged,
+            snapshot=self._merged_snapshot(states, dead_order, rounds,
+                                           total_writes),
+            report=ArrayEndOfLifeReport(
+                stop=stop, total_writes=total_writes,
+                failed_fraction=sum(r.failed_fraction
+                                    for r in reports) / shards,
+                usable_fraction=sum(
+                    0.0 if state.dead else report.usable_fraction
+                    for state, report in zip(states, reports)) / shards,
+                os_interruptions=sum(r.os_interruptions for r in reports),
+                victimized_writes=sum(r.victimized_writes for r in reports),
+                pages_acquired=sum(r.pages_acquired for r in reports),
+                spares_available=sum(r.spares_available for r in reports),
+                linked_blocks=sum(r.linked_blocks for r in reports),
+                pa_da_loops=sum(r.pa_da_loops for r in reports),
+                crashes_recovered=sum(r.crashes_recovered
+                                      for r in reports),
+                policy=cfg.policy, interleave=cfg.interleave,
+                num_shards=shards, rounds=rounds,
+                dead_shards=tuple(dead_order), shards=tuple(census)),
+            rounds=rounds)
         return self.result
 
-    def _global_series(self, shard: int, state: _ShardState,
-                       record: dict) -> LifetimeSeries:
+    def _global_series(self, shard: int,
+                       state: _ShardState) -> LifetimeSeries:
         """One shard's series rescaled onto the global write clock."""
-        local = LifetimeSeries.from_payload(record["series"],
-                                            label=f"s{shard}")
+        local = state.engine.series.points if state.engine is not None \
+            else []
         points = [SamplePoint(
             int(round(self._global_at_local(state, p.writes))),
-            p.survival, p.usable, p.avg_access) for p in local.points]
+            p.survival, p.usable, p.avg_access) for p in local]
         if state.dead and state.death_global is not None:
             last = points[-1] if points else SamplePoint(0, 1.0, 1.0)
             # A dead shard serves nothing: its capacity is gone from the
@@ -636,15 +633,18 @@ class ArrayEngine:
         return LifetimeSeries(label=f"s{shard}", points=points)
 
     def _merged_snapshot(self, states: List[_ShardState],
-                         records: List[dict], dead_order: List[int],
-                         rounds: int, total_writes: int,
+                         dead_order: List[int], rounds: int,
+                         total_writes: int,
                          ) -> Dict[str, Dict[str, object]]:
+        # Phase timers record wall-clock seconds, which would make the
+        # merged snapshot differ between runs; their ``.calls`` twins
+        # stay.
         merged: Dict[str, Dict[str, object]] = {
             "counters": {}, "gauges": {}, "histograms": {}}
-        for record in records:
-            snapshot = record.get("snapshot")
-            if snapshot:
-                merged = merge_snapshots(merged, snapshot)
+        for state in states:
+            if state.session is not None:
+                merged = merge_snapshots(merged, deterministic_snapshot(
+                    state.session.registry.snapshot()))
         extra: Dict[str, Dict[str, object]] = {
             "counters": {"array.rounds": rounds,
                          "array.shard-deaths": len(dead_order),
@@ -663,41 +663,3 @@ class ArrayEngine:
             merged = merge_snapshots(merged,
                                      session.registry.snapshot())
         return merged
-
-    def _array_report(self, states: List[_ShardState],
-                      census: List[ShardCensus], dead_order: List[int],
-                      stop: Optional[StopReason], rounds: int,
-                      total_writes: int) -> ArrayEndOfLifeReport:
-        cfg = self.config
-        shards = len(states)
-
-        def summed(name: str) -> int:
-            return sum(int(self._num(c.report.get(name, 0)))
-                       for c in census)
-
-        failed = sum(float(self._num(c.report.get("failed_fraction", 0.0)))
-                     for c in census) / shards
-        usable = sum(
-            0.0 if states[c.shard].dead
-            else float(self._num(c.report.get("usable_fraction", 0.0)))
-            for c in census) / shards
-        return ArrayEndOfLifeReport(
-            stop=stop, total_writes=total_writes,
-            failed_fraction=failed, usable_fraction=usable,
-            os_interruptions=summed("os_interruptions"),
-            victimized_writes=summed("victimized_writes"),
-            pages_acquired=summed("pages_acquired"),
-            spares_available=summed("spares_available"),
-            linked_blocks=summed("linked_blocks"),
-            pa_da_loops=summed("pa_da_loops"),
-            crashes_recovered=summed("crashes_recovered"),
-            policy=cfg.policy, interleave=cfg.interleave,
-            num_shards=shards, rounds=rounds,
-            dead_shards=tuple(dead_order), shards=tuple(census))
-
-    @staticmethod
-    def _num(value: object) -> float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigurationError(
-                f"expected a number in a shard report, got {value!r}")
-        return value

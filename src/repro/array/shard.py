@@ -1,43 +1,43 @@
 """One array shard: an independent chip + WL + recovery stack.
 
-:func:`build_shard_cell` assembles a shard's stack from plain data — the
-segment tables of its :class:`~repro.array.trace.SegmentedTrace`, a
-per-shard :class:`~repro.faultinject.FaultSchedule` as canonical JSON —
-and :func:`finish_shard_cell` turns the engine into a plain-data record.
-The array engine keeps each live shard's engine in process and steps it
-epoch by epoch with :meth:`FastEngine.resume
-<repro.sim.fast.FastEngine.resume>`, so a shard is built once and turned
-into a record once.
+:func:`build_shard` assembles a shard's stack from the array's
+:class:`~repro.array.engine.ArrayConfig`, the segments of its
+:class:`~repro.array.trace.SegmentedTrace` and the array's fault
+schedule, projected onto the shard.  The array engine keeps each live
+shard's engine in process, steps it epoch by epoch with
+:meth:`FastEngine.resume <repro.sim.fast.FastEngine.resume>` and reads
+its report, series and telemetry straight off the engine at the end.
 
-Seeding discipline: each shard receives one integer seed derived by
-:func:`shard_seed` from the array seed and the shard index **only**, so
-a shard rebuilt from its segments replays its life prefix
-byte-identically, and a continued engine ends where a fresh run to the
-same cap ends.
-
-Telemetry: the per-shard snapshot is filtered through
-:func:`~repro.telemetry.deterministic_snapshot` before it leaves the
-shard — phase timers record wall-clock seconds, which would make the
-merged array snapshot differ between runs; their deterministic
-``.calls`` twins stay.
+Seeding discipline: each shard's stack is seeded by :func:`shard_seed`
+from the array seed and the shard index **only**, so a shard rebuilt
+from its segments replays its life prefix byte-identically, and a
+continued engine ends where a fresh run to the same cap ends.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..ecc import ECP
 from ..config import StartGapConfig
-from ..faultinject import FaultSchedule, ScheduleDriver
+from ..ecc import ECP
+from ..faultinject import FaultSchedule, ScheduleDriver, for_shard
 from ..pcm import AddressGeometry, EnduranceModel, PCMChip
 from ..rng import SeedLike, derive_rng, spawn_seed
 from ..sim.fast import FastConfig, FastEngine
-from ..telemetry import (TelemetrySession, attach_fast,
-                         deterministic_snapshot)
+from ..telemetry import TelemetrySession, attach_fast
 from ..wl import StartGap
 from .trace import SegmentedTrace
+
+if TYPE_CHECKING:
+    from .engine import ArrayConfig
+
+#: Cell-lifetime order statistics the endurance model samples per block,
+#: and ECP correction pointers per block (the paper's ECP6), on every
+#: shard chip.
+MAX_ORDER = 16
+ECP_K = 6
 
 
 def shard_seed(array_seed: SeedLike, shard: int) -> int:
@@ -45,86 +45,41 @@ def shard_seed(array_seed: SeedLike, shard: int) -> int:
     return spawn_seed(derive_rng(array_seed, f"array-shard-{shard}"))
 
 
-def _segment_tables(segments: list) -> List[Tuple[int, np.ndarray]]:
-    """``[[start_write, [probabilities...]], ...]`` pairs as tables."""
-    return [(int(start), np.asarray(probabilities, dtype=np.float64))
-            for start, probabilities in segments]
+def build_shard(config: "ArrayConfig", shard: int,
+                segments: Sequence[Tuple[int, np.ndarray]],
+                max_writes: Optional[int],
+                schedule: Optional[FaultSchedule] = None, label: str = "",
+                ) -> Tuple[FastEngine, Optional[TelemetrySession]]:
+    """Assemble shard *shard*'s stack; returns ``(engine, session)``.
 
-
-def build_shard_cell(shard: int, seed: int, device_blocks: int,
-                     mean_endurance: float, endurance_cov: float,
-                     max_order: int, ecp_k: int, psi: int,
-                     batch_writes: int, recovery: str, dead_fraction: float,
-                     page_blocks: int, segments: list,
-                     max_writes: Optional[int], schedule: Optional[str],
-                     telemetry: bool, label: str,
-                     ) -> Tuple[FastEngine, tuple]:
-    """Assemble one shard stack; returns ``(engine, context)``.
-
-    ``segments`` is a list of ``[start_write, [probabilities...]]`` pairs
-    (the shard's segmented local trace, as JSON lists or as tables);
-    ``schedule`` is a shard-local fault schedule as canonical JSON,
-    already projected by :func:`repro.faultinject.for_shard`.
+    ``segments`` are the shard's ``(start_write, probabilities)`` trace
+    segments; ``schedule`` is the array-wide fault schedule, of which
+    the shard keeps its own actions.  ``session`` is ``None`` when the
+    array runs without telemetry.
     """
-    geometry = AddressGeometry(num_blocks=device_blocks, block_bytes=64,
-                               page_bytes=64 * page_blocks)
-    endurance = EnduranceModel(num_blocks=device_blocks,
-                               mean=mean_endurance, cov=endurance_cov,
-                               max_order=max_order,
+    seed = shard_seed(config.seed, shard)
+    blocks, page = config.shard_blocks, config.page_blocks
+    geometry = AddressGeometry(num_blocks=blocks, block_bytes=64,
+                               page_bytes=64 * page)
+    endurance = EnduranceModel(num_blocks=blocks,
+                               mean=config.mean_endurance,
+                               cov=config.endurance_cov, max_order=MAX_ORDER,
                                seed=spawn_seed(derive_rng(seed, "endurance")))
-    chip = PCMChip(geometry, ECP(endurance, ecp_k))
-    wl = StartGap(device_blocks, config=StartGapConfig(
-        psi=psi, seed=spawn_seed(derive_rng(seed, "startgap"))))
-    trace = SegmentedTrace(_segment_tables(segments), name=f"s{shard}",
+    chip = PCMChip(geometry, ECP(endurance, ECP_K))
+    wl = StartGap(blocks, config=StartGapConfig(
+        psi=config.psi, seed=spawn_seed(derive_rng(seed, "startgap"))))
+    trace = SegmentedTrace(segments, name=f"s{shard}",
                            seed=spawn_seed(derive_rng(seed, "trace")))
-    config = FastConfig(recovery=recovery, dead_fraction=dead_fraction,
-                        batch_writes=batch_writes, max_writes=max_writes,
-                        blocks_per_page=page_blocks,
-                        seed=spawn_seed(derive_rng(seed, "engine")))
-    engine = FastEngine(chip, wl, trace, config,
+    fast = FastConfig(recovery=config.recovery,
+                      dead_fraction=config.dead_fraction,
+                      batch_writes=config.batch_writes, max_writes=max_writes,
+                      blocks_per_page=page,
+                      seed=spawn_seed(derive_rng(seed, "engine")))
+    engine = FastEngine(chip, wl, trace, fast,
                         label=label or f"shard-{shard}")
     if schedule is not None:
-        ScheduleDriver(FaultSchedule.from_json(schedule)).attach_fast(engine)
-    session = TelemetrySession() if telemetry else None
+        ScheduleDriver(for_shard(schedule, shard)).attach_fast(engine)
+    session = TelemetrySession() if config.telemetry else None
     if session is not None:
         attach_fast(session, engine)
-    return engine, (shard, session)
-
-
-def finish_shard_cell(engine: FastEngine, context: tuple) -> dict:
-    """Turn a shard engine into its plain-data record."""
-    shard, session = context
-    report = engine.end_of_life_report()
-    assert report.stop is not None
-    snapshot = (deterministic_snapshot(session.registry.snapshot())
-                if session is not None else None)
-    return {"shard": shard,
-            "stop": report.stop.cause.value,
-            "local_writes": engine.total_writes,
-            "virtual_blocks": engine.ospool.virtual_blocks,
-            "series": engine.series.to_payload(),
-            "report": report.as_dict(),
-            "snapshot": snapshot}
-
-
-def idle_result(shard: int, virtual_blocks: int) -> dict:
-    """Synthetic record for a shard that receives no traffic.
-
-    A shard whose share of the global distribution is zero never wears
-    and never advances its local clock; running an engine for it would
-    require a drawable distribution it does not have.  The record mirrors
-    :func:`finish_shard_cell`'s shape with a pristine, zero-write life.
-    """
-    return {"shard": shard,
-            "stop": "max-writes",
-            "local_writes": 0,
-            "virtual_blocks": virtual_blocks,
-            "series": {"writes": [], "survival": [], "usable": [],
-                       "avg_access": []},
-            "report": {"stop": "max-writes: no traffic decoded to shard",
-                       "total_writes": 0, "failed_fraction": 0.0,
-                       "usable_fraction": 1.0, "os_interruptions": 0,
-                       "victimized_writes": 0, "pages_acquired": 0,
-                       "spares_available": 0, "linked_blocks": 0,
-                       "pa_da_loops": 0, "crashes_recovered": 0},
-            "snapshot": None}
+    return engine, session

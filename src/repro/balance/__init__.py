@@ -26,12 +26,11 @@ the merged telemetry snapshot) — steering is never free.
 
 from __future__ import annotations
 
-from .health import HealthConfig, ShardHealthModel
-from .leveler import LevelerPolicy, plan_swaps
+from .health import ShardHealthModel
+from .leveler import plan_swaps
 from .remap import BalancedDecoder, RemapTable, movers_mask
 
 __all__ = [
-    "HealthConfig", "ShardHealthModel",
-    "LevelerPolicy", "plan_swaps",
+    "ShardHealthModel", "plan_swaps",
     "BalancedDecoder", "RemapTable", "movers_mask",
 ]

@@ -8,9 +8,12 @@ estimate** the leveler can act on.  The estimate combines two signals:
   endurance budget (``device blocks x mean endurance``): a shard that
   has burned most of its budget is near death even if nothing has
   failed yet;
-* **recent failure rate** — an EWMA of the *increase* in the shard's
-  failed-capacity fraction between observations: a shard whose failures
-  are accelerating is riskier than its wear alone suggests.
+* **recent failure rate** — an EWMA (smoothing :data:`EWMA_ALPHA`) of
+  the *increase* in the shard's failed-capacity fraction between
+  observations: a shard whose failures are accelerating is riskier than
+  its wear alone suggests.
+
+The risk is ``WEAR_WEIGHT * wear + FAILURE_WEIGHT * (failed + rate)``.
 
 Everything is deterministic and wall-clock-free: observations arrive on
 the simulation's write clocks, and the only randomness is a seeded,
@@ -23,8 +26,7 @@ policies added for exactly this model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -33,34 +35,20 @@ from ..rng import SeedLike, derive_rng
 from ..telemetry import TelemetrySession
 
 
-@dataclass(frozen=True)
-class HealthConfig:
-    """Weights of the risk estimate.
-
-    The default leans on wear headroom — with Start-Gap + reviver in
-    front, failed capacity stays near zero until a shard is already
-    dying, so wear is the early-warning signal and the failure-rate
-    term sharpens the ranking near end of life.
-    """
-
-    wear_weight: float = 0.7
-    failure_weight: float = 0.3
-    #: EWMA smoothing of the failure-rate increments (1.0 = no memory).
-    ewma_alpha: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.wear_weight < 0 or self.failure_weight < 0:
-            raise ConfigurationError("risk weights must be non-negative")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ConfigurationError(
-                f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}")
+#: Weights of the risk estimate.  It leans on wear headroom: with
+#: Start-Gap + reviver in front, failed capacity stays near zero until a
+#: shard is already dying, so wear is the early-warning signal and the
+#: failure-rate term sharpens the ranking near end of life.
+WEAR_WEIGHT = 0.7
+FAILURE_WEIGHT = 0.3
+#: EWMA smoothing of the failure-rate increments (1.0 = no memory).
+EWMA_ALPHA = 0.5
 
 
 class ShardHealthModel:
     """Deterministic per-shard failure-probability estimates."""
 
     def __init__(self, num_shards: int, endurance_budget: float,
-                 config: Optional[HealthConfig] = None,
                  seed: SeedLike = None) -> None:
         if num_shards < 1:
             raise ConfigurationError("health model needs >= 1 shard")
@@ -68,7 +56,6 @@ class ShardHealthModel:
             raise ConfigurationError(
                 f"endurance_budget must be positive, got "
                 f"{endurance_budget}")
-        self.config = config if config is not None else HealthConfig()
         self.endurance_budget = float(endurance_budget)
         self.seed = seed
         self._wear: List[float] = []
@@ -114,9 +101,8 @@ class ShardHealthModel:
                 "health observations must be non-negative")
         self._wear[shard] = min(1.0, float(writes) / self.endurance_budget)
         increment = max(0.0, float(failed_fraction) - self._failed[shard])
-        alpha = self.config.ewma_alpha
-        self._rate[shard] = (alpha * increment
-                             + (1.0 - alpha) * self._rate[shard])
+        self._rate[shard] = (EWMA_ALPHA * increment
+                             + (1.0 - EWMA_ALPHA) * self._rate[shard])
         self._failed[shard] = max(self._failed[shard],
                                   float(failed_fraction))
         if dead:
@@ -136,10 +122,9 @@ class ShardHealthModel:
         self._check(shard)
         if self._dead[shard]:
             return 1.0
-        cfg = self.config
-        raw = (cfg.wear_weight * self._wear[shard]
-               + cfg.failure_weight * (self._failed[shard]
-                                       + self._rate[shard]))
+        raw = (WEAR_WEIGHT * self._wear[shard]
+               + FAILURE_WEIGHT * (self._failed[shard]
+                                   + self._rate[shard]))
         return min(1.0, raw + self._jitter[shard])
 
     def risks(self) -> np.ndarray:
@@ -165,4 +150,4 @@ class ShardHealthModel:
                 f"shard {shard} outside [0, {self.num_shards})")
 
 
-__all__ = ["HealthConfig", "ShardHealthModel"]
+__all__ = ["ShardHealthModel"]

@@ -6,8 +6,8 @@ address homed on the highest-risk live shard trades places with the
 coldest address homed on the lowest-risk live shard.  The budget bounds
 the migration traffic a single round may generate (every swap is two
 block copies, charged through the write-amplification accounting), and
-the ``min_gap`` threshold keeps the leveler quiet while the array is
-healthy — steering only pays when the risk spread is real.
+the :data:`MIN_RISK_GAP` threshold keeps the leveler quiet while the
+array is healthy — steering only pays when the risk spread is real.
 
 Fully deterministic: shard and address ties resolve to the lowest
 index (numpy ``argmax``/``argmin`` take the first extremum), and the
@@ -16,7 +16,6 @@ plan is a pure function of ``(map state, distribution, risks, live)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -25,26 +24,17 @@ from ..errors import ConfigurationError
 from .remap import BalancedDecoder
 
 
-@dataclass(frozen=True)
-class LevelerPolicy:
-    """Knobs bounding one rebalance round."""
-
-    #: Maximum hot/cold swaps per round (each swap = 2 migration writes).
-    budget: int = 8
-    #: Minimum donor-receiver risk spread before steering engages.
-    min_gap: float = 0.02
-
-    def __post_init__(self) -> None:
-        if self.budget < 0:
-            raise ConfigurationError("leveler budget cannot be negative")
-        if self.min_gap < 0:
-            raise ConfigurationError("leveler min_gap cannot be negative")
+#: Minimum donor-receiver risk spread before steering engages.
+MIN_RISK_GAP = 0.02
 
 
 def plan_swaps(decoder: BalancedDecoder, probabilities: np.ndarray,
                risks: np.ndarray, live: Sequence[int],
-               policy: LevelerPolicy) -> List[Tuple[int, int]]:
-    """Plan and apply up to ``policy.budget`` hot/cold swaps.
+               budget: int) -> List[Tuple[int, int]]:
+    """Plan and apply up to *budget* hot/cold swaps.
+
+    *budget* bounds one round (each swap is 2 migration writes); the
+    array and serve configs validate it as non-negative.
 
     Mutates *decoder* in place (each accepted swap is applied before the
     next is planned, so one round never moves the same address twice)
@@ -60,13 +50,13 @@ def plan_swaps(decoder: BalancedDecoder, probabilities: np.ndarray,
     if live_ids.size < 2:
         return swaps
     masses = decoder.shard_masses(probabilities)
-    for _ in range(policy.budget):
+    for _ in range(budget):
         live_risks = np.asarray(risks, dtype=np.float64)[live_ids]
         donor = int(live_ids[int(np.argmax(live_risks))])
         receiver = int(live_ids[int(np.argmin(live_risks))])
         if donor == receiver:
             break
-        if float(live_risks.max() - live_risks.min()) < policy.min_gap:
+        if float(live_risks.max() - live_risks.min()) < MIN_RISK_GAP:
             break
         owners = decoder.shard_of(
             np.arange(decoder.global_blocks, dtype=np.int64))
@@ -98,4 +88,4 @@ def plan_swaps(decoder: BalancedDecoder, probabilities: np.ndarray,
     return swaps
 
 
-__all__ = ["LevelerPolicy", "plan_swaps"]
+__all__ = ["MIN_RISK_GAP", "plan_swaps"]

@@ -10,96 +10,20 @@ The paper's experimental setup (Section IV-A):
 * Start-Gap performs one gap movement every ψ = 100 writes.
 
 Simulating 1 GB at 1e8 writes/cell write-by-write is not tractable in pure
-Python, so the defaults here are *scaled*: fewer blocks and proportionally
-lower endurance.  All of the paper's results are about shapes and orderings
-(who wins, where curves cross), which are preserved under this scaling; the
-full-size parameters remain expressible through the same dataclasses (see
-:meth:`PCMConfig.paper_scale`).
+Python, so the experiments run *scaled* chips: fewer blocks and
+proportionally lower endurance.  All of the paper's results are about
+shapes and orderings (who wins, where curves cross), which are preserved
+under this scaling.  A chip's geometry and endurance are given directly
+to :class:`~repro.pcm.AddressGeometry` and
+:class:`~repro.pcm.EnduranceModel`; the chip-death fraction and write
+budget belong to the engine that runs it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass
 
 from .errors import ConfigurationError
-from .units import (
-    BITS_PER_BLOCK,
-    DEFAULT_BLOCK_BYTES,
-    DEFAULT_PAGE_BYTES,
-    GIB,
-    blocks_per_page,
-    is_page_aligned,
-    page_count,
-)
-
-
-@dataclass(frozen=True)
-class PCMConfig:
-    """Geometry and endurance parameters of the simulated PCM chip."""
-
-    #: Total number of device blocks (DAs) on the chip.
-    num_blocks: int = 1 << 14
-    #: Bytes per memory block; also the wear-leveling unit.
-    block_bytes: int = DEFAULT_BLOCK_BYTES
-    #: Bytes per OS page.
-    page_bytes: int = DEFAULT_PAGE_BYTES
-    #: Mean per-cell endurance in writes (paper: 1e8; scaled default 4e3).
-    mean_endurance: float = 4e3
-    #: Coefficient of variation of per-cell lifetime (paper: 0.2).
-    endurance_cov: float = 0.2
-    #: Number of cells per block participating in the order-statistics model.
-    #: A 64 B block is one 512-bit ECP group.
-    cells_per_block: int = BITS_PER_BLOCK
-    #: Seed for endurance draws.
-    endurance_seed: int = 1
-
-    def __post_init__(self) -> None:
-        if self.num_blocks <= 0:
-            raise ConfigurationError("num_blocks must be positive")
-        if self.block_bytes <= 0 or self.page_bytes <= 0:
-            raise ConfigurationError("block/page sizes must be positive")
-        if self.page_bytes % self.block_bytes:
-            raise ConfigurationError("page size must be a multiple of block size")
-        if self.mean_endurance <= 0:
-            raise ConfigurationError("mean_endurance must be positive")
-        if not 0.0 <= self.endurance_cov < 1.0:
-            raise ConfigurationError("endurance_cov must be in [0, 1)")
-        if self.cells_per_block <= 0:
-            raise ConfigurationError("cells_per_block must be positive")
-        if not is_page_aligned(self.num_blocks, self.blocks_per_page):
-            raise ConfigurationError(
-                "num_blocks must be a whole number of pages "
-                f"({self.blocks_per_page} blocks/page)")
-
-    @property
-    def blocks_per_page(self) -> int:
-        """Blocks (PAs) per OS page — 64 with paper defaults."""
-        return blocks_per_page(self.page_bytes, self.block_bytes)
-
-    @property
-    def num_pages(self) -> int:
-        """Number of OS pages covering the chip."""
-        return page_count(self.num_blocks, self.blocks_per_page)
-
-    @property
-    def capacity_bytes(self) -> int:
-        """Total chip capacity in bytes."""
-        return self.num_blocks * self.block_bytes
-
-    @classmethod
-    def paper_scale(cls, **overrides: object) -> "PCMConfig":
-        """The paper's full-size setup: 1 GB chip, 1e8 mean endurance."""
-        params = dict(
-            num_blocks=GIB // DEFAULT_BLOCK_BYTES,
-            mean_endurance=1e8,
-        )
-        params.update(overrides)  # type: ignore[arg-type]
-        return cls(**params)  # type: ignore[arg-type]
-
-    def scaled(self, **overrides: object) -> "PCMConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **overrides)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -212,24 +136,3 @@ class CacheConfig:
             raise ConfigurationError("associativity must be positive")
         if self.capacity_entries % self.associativity:
             raise ConfigurationError("capacity must be a multiple of associativity")
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Top-level simulation parameters."""
-
-    pcm: PCMConfig = field(default_factory=PCMConfig)
-    #: Chip is unavailable once this fraction of blocks has failed (paper: 0.3).
-    dead_fraction: float = 0.3
-    #: Hard cap on simulated software writes (safety stop).
-    max_writes: Optional[int] = None
-    #: Report progress through metrics every this many writes.
-    sample_interval: int = 50_000
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.dead_fraction <= 1.0:
-            raise ConfigurationError("dead_fraction must be in (0, 1]")
-        if self.max_writes is not None and self.max_writes <= 0:
-            raise ConfigurationError("max_writes must be positive")
-        if self.sample_interval <= 0:
-            raise ConfigurationError("sample_interval must be positive")

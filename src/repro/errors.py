@@ -111,7 +111,3 @@ class SimulatedCrash(ReproError):
         super().__init__(f"simulated crash at {site}")
         self.site = site
         self.pa = pa
-
-
-class SimulationEnded(ReproError):
-    """Internal signal: a stop condition of the simulation was reached."""

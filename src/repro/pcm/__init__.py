@@ -4,8 +4,8 @@ This package models the phase-change-memory hardware the paper assumes:
 
 * 64 B memory blocks (one last-level cacheline, one 512-bit ECP group);
 * per-cell write endurance drawn from a normal distribution (mean 1e8,
-  lifetime CoV 0.2 in the paper; scaled down by default — see
-  :class:`repro.config.PCMConfig`);
+  lifetime CoV 0.2 in the paper; the experiments scale it down with the
+  chip);
 * per-block wear counters and failure detection on writes.
 
 The per-cell model is realized through *order statistics*: a block protected

@@ -35,11 +35,6 @@ class AcquiredPage:
     #: PAs whose mapped blocks store the inverse pointers.
     pointer_pas: tuple
 
-    @property
-    def shadow_capacity(self) -> int:
-        """Virtual shadow slots contributed by this page."""
-        return len(self.shadow_pas)
-
 
 class PageLedger:
     """Tracks every page acquired by the framework and its section layout."""

@@ -66,9 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--brownout-wear", type=float, default=0.85)
     parser.add_argument("--mean-endurance", type=float, default=300.0)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility and ignored: "
-                             "accounting folds in process after the run")
     parser.add_argument("--kill-shard", type=int, default=None,
                         help="kill this shard mid-traffic")
     parser.add_argument("--kill-at", type=int, default=300,
@@ -172,7 +169,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = config_of(args)
         engine = ServiceEngine(config, schedule=schedule_of(args))
-        result = engine.run(jobs=args.jobs)
+        result = engine.run()
     except ReproError as exc:  # repro: allow(EXC-SWALLOW): CLI boundary — a bad flag combination becomes exit code 2, not a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2

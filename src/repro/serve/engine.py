@@ -35,8 +35,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..array.decoder import InterleavedDecoder
-from ..balance import (BalancedDecoder, LevelerPolicy, ShardHealthModel,
-                       plan_swaps)
+from ..balance import BalancedDecoder, ShardHealthModel, plan_swaps
 from ..errors import ConfigurationError, ProtocolError
 from ..faultinject import FaultSchedule
 from ..rng import derive_rng
@@ -98,12 +97,10 @@ class ServiceEngine:
             interleave=config.interleave, page_blocks=config.page_blocks))
         # The repro.balance control plane: steering, growth, or both.
         self.health: Optional[ShardHealthModel] = None
-        self._policy: Optional[LevelerPolicy] = None
         if config.balance or config.add_shard_at is not None:
             self.health = ShardHealthModel(config.num_shards,
                                            config.endurance_budget,
                                            seed=config.seed)
-            self._policy = LevelerPolicy(budget=config.remap_budget)
         #: Empirical per-address write demand the leveler steers against;
         #: writes issued since the last checkpoint wait in _new_demand.
         self._demand = np.zeros(config.global_blocks, dtype=np.float64)
@@ -493,7 +490,7 @@ class ServiceEngine:
 
     def _rebalance(self) -> None:
         """One steering checkpoint: wear telemetry -> bounded swaps."""
-        assert self.health is not None and self._policy is not None
+        assert self.health is not None
         if self._new_demand:
             # Integer-valued float64 counts, so the fold is exact.
             np.add.at(self._demand, self._new_demand, 1.0)
@@ -504,7 +501,8 @@ class ServiceEngine:
         if len(live) < 2:
             return
         swaps = plan_swaps(self.decoder, self._demand,
-                           self.health.risks(), live, self._policy)
+                           self.health.risks(), live,
+                           self.config.remap_budget)
         if swaps:
             self._tally("serve.remap_swaps", len(swaps))
 

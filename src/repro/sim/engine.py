@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, TYPE_CHECKING
 
-from ..errors import CapacityExhaustedError, SimulatedCrash
+from ..errors import (CapacityExhaustedError, ConfigurationError,
+                      SimulatedCrash)
 from ..mc.controller import BaseController, ReviverController
 from ..traces.base import WriteTrace
 from .metrics import LifetimeSeries, LifetimeSummary
@@ -31,6 +32,8 @@ class ExactEngine:
                  verify: bool = False,
                  read_fraction: float = 0.0,
                  label: str = "") -> None:
+        if not 0.0 < dead_fraction <= 1.0:
+            raise ConfigurationError("dead_fraction must be in (0, 1]")
         if trace.virtual_blocks > controller.ospool.virtual_blocks:
             raise ValueError(
                 f"trace space {trace.virtual_blocks} exceeds the software "

@@ -46,7 +46,8 @@ from typing import Dict, Optional, TYPE_CHECKING
 import numpy as np
 
 from ..config import ReviverConfig
-from ..errors import CapacityExhaustedError, ProtocolError
+from ..errors import (CapacityExhaustedError, ConfigurationError,
+                      ProtocolError)
 from ..ecc.freep import FreePRegion
 from ..osmodel.allocator import PagePool
 from ..osmodel.faults import FaultReporter
@@ -91,9 +92,12 @@ class FastConfig:
 
     def __post_init__(self) -> None:
         if self.recovery not in RECOVERY_MODES:
-            raise ProtocolError(f"unknown recovery mode {self.recovery!r}")
+            raise ConfigurationError(
+                f"unknown recovery mode {self.recovery!r}")
         if self.batch_writes <= 0:
-            raise ProtocolError("batch_writes must be positive")
+            raise ConfigurationError("batch_writes must be positive")
+        if not 0.0 < self.dead_fraction <= 1.0:
+            raise ConfigurationError("dead_fraction must be in (0, 1]")
 
 
 class _FunctionalLinkView:

@@ -38,20 +38,3 @@ def distribution_cov(probabilities: np.ndarray) -> float:
     if mean == 0.0:  # repro: allow(FLOAT-EQ): exact-zero guard, mean of all-zero counts is exactly 0.0
         return 0.0
     return float(probabilities.std() / mean)
-
-
-def expected_sampled_cov(probabilities: np.ndarray, writes: int) -> float:
-    """Expected measured CoV after *writes* multinomial draws.
-
-    Finite sampling inflates the CoV: for a multinomial count vector,
-    ``E[var(counts)] ~ (W/V) * (1 - 1/V) + W^2 var(p)``; normalizing by the
-    mean ``W/V`` gives the formula below.  Useful for choosing trace lengths
-    whose measured CoV sits close to the asymptotic target (Table I bench).
-    """
-    probabilities = np.asarray(probabilities, dtype=np.float64)
-    v = len(probabilities)
-    if v == 0 or writes <= 0:
-        return 0.0
-    asymptotic = distribution_cov(probabilities)
-    sampling_term = v / writes
-    return float(np.sqrt(asymptotic ** 2 + sampling_term))

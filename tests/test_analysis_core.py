@@ -9,9 +9,8 @@ import json
 from io import StringIO
 from pathlib import Path
 
-from repro.analysis import (AnalysisCache, all_rules, apply_baseline,
-                            lint_paths, lint_source, load_baseline, to_sarif,
-                            validate_sarif, write_baseline)
+from repro.analysis import (AnalysisCache, all_rules, lint_paths,
+                            lint_source, to_sarif, validate_sarif)
 from repro.analysis.cli import main
 from repro.analysis.runner import iter_python_files
 
@@ -209,66 +208,6 @@ class TestSuppressionEdgeCases:
         # 0-based column of the `#` (rendered 1-based by render()).
         assert found[0].col == text.index("#")
         assert f":1:{text.index('#') + 1}:" in found[0].render()
-
-
-class TestBaseline:
-    def _findings(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text(BAD_LINE + "import random\n", encoding="utf-8")
-        return bad, lint_paths([bad])
-
-    def test_round_trip_filters_known_findings(self, tmp_path):
-        bad, findings = self._findings(tmp_path)
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, findings)
-        baseline = load_baseline(baseline_file)
-        new, stale = apply_baseline(findings, baseline)
-        assert new == [] and stale == []
-
-    def test_new_findings_survive_the_filter(self, tmp_path):
-        bad, findings = self._findings(tmp_path)
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, findings[:1])
-        new, stale = apply_baseline(findings, load_baseline(baseline_file))
-        assert [f.rule for f in new] == [findings[1].rule]
-        assert stale == []
-
-    def test_fixed_findings_report_stale_entries(self, tmp_path):
-        bad, findings = self._findings(tmp_path)
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, findings)
-        new, stale = apply_baseline([], load_baseline(baseline_file))
-        assert new == [] and len(stale) == 2
-
-    def test_baseline_is_line_insensitive(self, tmp_path):
-        bad, findings = self._findings(tmp_path)
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, findings)
-        # Shift every finding down two lines: still baselined.
-        bad.write_text("\n\n" + BAD_LINE + "import random\n",
-                       encoding="utf-8")
-        new, stale = apply_baseline(lint_paths([bad]),
-                                    load_baseline(baseline_file))
-        assert new == [] and stale == []
-
-    def test_cli_baseline_flags(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text(BAD_LINE, encoding="utf-8")
-        baseline_file = tmp_path / "baseline.json"
-        out = StringIO()
-        assert main([str(bad), "--write-baseline", str(baseline_file)],
-                    stream=out) == 0
-        out = StringIO()
-        assert main([str(bad), "--baseline", str(baseline_file)],
-                    stream=out) == 0
-        assert "baselined" in out.getvalue()
-        # Fixing the finding turns the baseline entry stale: exit 1 so
-        # the entry gets deleted rather than rotting.
-        bad.write_text("x = 1\n", encoding="utf-8")
-        out = StringIO()
-        assert main([str(bad), "--baseline", str(baseline_file)],
-                    stream=out) == 1
-        assert "stale" in out.getvalue()
 
 
 class TestIncrementalCache:

@@ -19,7 +19,7 @@ from repro.array import (ArrayConfig, ArrayEngine, InterleavedDecoder,
                          SegmentedTrace, hotspot_workload,
                          shard_attack_workload, shard_seed, uniform_workload,
                          zipf_workload)
-from repro.array.shard import build_shard_cell, finish_shard_cell
+from repro.array.shard import build_shard
 from repro.array.__main__ import main as array_main
 from repro.errors import ConfigurationError
 from repro.faultinject import FaultSchedule, shard_death_schedule
@@ -218,6 +218,14 @@ class TestArrayConfig:
         assert len(set(seeds)) == 4
         assert seeds != [shard_seed(8, i) for i in range(4)]
 
+    def test_zero_dead_fraction_is_rejected_before_any_write(self):
+        # A zero dead fraction would declare every shard dead at write 0.
+        config = make_config(dead_fraction=0.0)
+        engine = ArrayEngine(config, uniform_workload(
+            make_decoder(blocks=config.software_blocks), seed=7))
+        with pytest.raises(ConfigurationError, match="dead_fraction"):
+            engine.run()
+
     def test_undersized_trace_is_rejected(self):
         config = make_config()
         small = uniform_workload(make_decoder(shards=2, blocks=240))
@@ -229,24 +237,28 @@ class TestArrayConfig:
 
 #: One shard stack small enough to die within a few dozen epochs.
 SHARD_EPOCH = 500
-SHARD_SPACE = make_config(shard_blocks=128).software_blocks
+SHARD_CONFIG = make_config(shard_blocks=128, batch_writes=SHARD_EPOCH)
+SHARD_SPACE = SHARD_CONFIG.software_blocks
 
 
-def build_shard(segments, max_writes):
-    """One shard stack, built the way the array engine builds it."""
-    return build_shard_cell(
-        shard=0, seed=shard_seed(7, 0), device_blocks=128,
-        mean_endurance=150.0, endurance_cov=0.2, max_order=16, ecp_k=6,
-        psi=8, batch_writes=SHARD_EPOCH, recovery="reviver",
-        dead_fraction=0.3, page_blocks=PAGE, segments=segments,
-        max_writes=max_writes, schedule=None, telemetry=True,
-        label="resume")
+def resume_shard(segments, max_writes):
+    """Shard 0's stack, built the way the array engine builds it."""
+    return build_shard(SHARD_CONFIG, 0, segments, max_writes,
+                       label="resume")
+
+
+def shard_record(engine, session):
+    """Everything the array reads off a finished shard, as plain data."""
+    return {"total_writes": engine.total_writes,
+            "series": engine.series.to_payload(),
+            "report": engine.end_of_life_report().as_dict(),
+            "snapshot": deterministic_snapshot(session.registry.snapshot())}
 
 
 def fresh_record(segments, max_writes):
-    engine, context = build_shard(segments, max_writes)
+    engine, session = resume_shard(segments, max_writes)
     engine.run()
-    return finish_shard_cell(engine, context)
+    return shard_record(engine, session)
 
 
 class TestShardResume:
@@ -259,7 +271,7 @@ class TestShardResume:
         # taking each new segment at the cap it is parked on.
         rng = np.random.default_rng(table_seed)
         segments = [(0, rng.random(SHARD_SPACE) + 0.01)]
-        engine, context = build_shard(segments, 0)
+        engine, session = resume_shard(segments, 0)
         engine.run()
         cap = 0
         for epochs, switch in steps:
@@ -270,7 +282,7 @@ class TestShardResume:
             if switch:
                 segments.append((cap, rng.random(SHARD_SPACE) + 0.01))
                 engine.trace.reschedule(segments)
-        record = finish_shard_cell(engine, context)
+        record = shard_record(engine, session)
         fresh = fresh_record(segments, cap)
         for key in ("series", "report", "snapshot"):
             assert record[key] == fresh[key]
@@ -280,15 +292,15 @@ class TestShardResume:
         # A shard engine parked at its cap is plain data: a pickled copy
         # resumes to the same record as the engine it was copied from.
         table = np.random.default_rng(3).random(SHARD_SPACE) + 0.01
-        engine, context = build_shard([(0, table)], 4000)
+        engine, session = resume_shard([(0, table)], 4000)
         engine.run()
         assert engine.stopped_reason == "max-writes"
-        copy, copy_context = pickle.loads(pickle.dumps((engine, context)))
+        copy, copy_session = pickle.loads(pickle.dumps((engine, session)))
         for resumed in (copy, engine):
             resumed.resume(8000)
-        records = [finish_shard_cell(e, c)
-                   for e, c in [(copy, copy_context), (engine, context)]]
-        assert records[0]["local_writes"] == 8000
+        records = [shard_record(e, s)
+                   for e, s in [(copy, copy_session), (engine, session)]]
+        assert records[0]["total_writes"] == 8000
         assert records[0] == records[1]
 
 
@@ -304,6 +316,9 @@ def run_array(jobs=1, policy="degraded", schedule=None, workload="hotspot",
         trace = hotspot_workload(decoder, cov=3.0, seed=7)
     elif workload == "attack":
         trace = shard_attack_workload(decoder, shard=0, hot_share=0.9,
+                                      seed=7)
+    elif workload == "attack-s1-only":
+        trace = shard_attack_workload(decoder, shard=1, hot_share=1.0,
                                       seed=7)
     elif workload == "zipf":
         trace = zipf_workload(decoder, exponent=1.0, seed=7)
@@ -458,6 +473,30 @@ class TestLockstep:
             dict(policy="fail-stop", workload="attack"),
             "3f0de65dfcc36b73ef0cec47d267a62093bda2f8c034bcc7341ef1d3727ab84d"),
     }
+
+    #: All traffic on shard 1: under fail-stop shards 0, 2 and 3 never
+    #: see a write, so these pin the census of a shard with no traffic.
+    #: Recorded with the engine that turned each shard into a dict record.
+    IDLE_PINS = {
+        "fail-stop-idle": (
+            dict(policy="fail-stop", workload="attack-s1-only"),
+            "070eb72d697443ca2f30bccdd9a724f37ba259712d23edd3f6deee30fb2aef25"),
+        "degraded-idle": (
+            dict(policy="degraded", workload="attack-s1-only"),
+            "11f1194d343f60c0c932371a145318ccad8265dba8d49e420c13e0733371858a"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(IDLE_PINS))
+    def test_idle_shard_output_is_pinned(self, name):
+        overrides, digest = self.IDLE_PINS[name]
+        result = run_array(**overrides)
+        if overrides["policy"] == "fail-stop":
+            assert [c.report["stop"] for c in result.report.shards] == [
+                "max-writes: no traffic decoded to shard", "dead-fraction",
+                "max-writes: no traffic decoded to shard",
+                "max-writes: no traffic decoded to shard"]
+        payload = json.dumps(result.as_dict(), sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("name", sorted(PINS))
     def test_static_output_is_pinned(self, name):

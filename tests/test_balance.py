@@ -16,6 +16,7 @@ Four layers:
 * CLI smoke for both front ends.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -23,9 +24,8 @@ import pytest
 
 from repro.array import ArrayConfig, ArrayEngine, InterleavedDecoder
 from repro.array.workloads import zipf_workload
-from repro.balance import (BalancedDecoder, HealthConfig, LevelerPolicy,
-                           RemapTable, ShardHealthModel, movers_mask,
-                           plan_swaps)
+from repro.balance import (BalancedDecoder, RemapTable, ShardHealthModel,
+                           movers_mask, plan_swaps)
 from repro.errors import ConfigurationError
 from repro.faultinject import shard_death_schedule
 from repro.serve import ServeConfig
@@ -37,10 +37,6 @@ from repro.serve.engine import ServiceEngine
 
 class TestHealthModel:
     def test_config_validation(self):
-        with pytest.raises(ConfigurationError, match="non-negative"):
-            HealthConfig(wear_weight=-0.1)
-        with pytest.raises(ConfigurationError, match="ewma_alpha"):
-            HealthConfig(ewma_alpha=0.0)
         with pytest.raises(ConfigurationError, match=">= 1 shard"):
             ShardHealthModel(0, 100.0)
         with pytest.raises(ConfigurationError, match="endurance_budget"):
@@ -237,24 +233,17 @@ class TestBalancedDecoder:
 
 
 class TestLeveler:
-    def test_policy_validation(self):
-        with pytest.raises(ConfigurationError, match="budget"):
-            LevelerPolicy(budget=-1)
-        with pytest.raises(ConfigurationError, match="min_gap"):
-            LevelerPolicy(min_gap=-0.1)
-
     def test_short_risk_vector_is_rejected(self):
         decoder = _decoder()
         with pytest.raises(ConfigurationError, match="risk vector"):
             plan_swaps(decoder, np.ones(decoder.global_blocks),
-                       np.zeros(1), [0, 1, 2], LevelerPolicy())
+                       np.zeros(1), [0, 1, 2], 8)
 
     def test_quiet_below_the_gap_threshold(self):
         decoder = _decoder()
         probabilities = np.ones(decoder.global_blocks)
         risks = np.array([0.50, 0.505, 0.51])
-        swaps = plan_swaps(decoder, probabilities, risks, [0, 1, 2],
-                           LevelerPolicy(budget=8, min_gap=0.02))
+        swaps = plan_swaps(decoder, probabilities, risks, [0, 1, 2], 8)
         assert swaps == []
 
     def test_moves_hot_mass_off_the_risky_shard(self):
@@ -267,8 +256,7 @@ class TestLeveler:
         probabilities += 1e-3
         risks = np.array([0.9, 0.1, 0.1])
         before = decoder.shard_masses(probabilities)
-        swaps = plan_swaps(decoder, probabilities, risks, [0, 1, 2],
-                           LevelerPolicy(budget=8, min_gap=0.02))
+        swaps = plan_swaps(decoder, probabilities, risks, [0, 1, 2], 8)
         after = decoder.shard_masses(probabilities)
         assert swaps
         assert len(swaps) <= 8
@@ -288,16 +276,14 @@ class TestLeveler:
         probabilities[owned[0]] = 100.0   # immovable head
         probabilities[owned[1:9]] = 1.0   # steerable hot set
         risks = np.array([0.9, 0.1, 0.1])
-        swaps = plan_swaps(decoder, probabilities, risks, [0, 1, 2],
-                           LevelerPolicy(budget=4, min_gap=0.02))
+        swaps = plan_swaps(decoder, probabilities, risks, [0, 1, 2], 4)
         assert swaps
         assert owned[0] not in {hot for hot, _cold in swaps}
 
     def test_single_survivor_means_no_swaps(self):
         decoder = _decoder()
         swaps = plan_swaps(decoder, np.ones(decoder.global_blocks),
-                           np.array([0.9, 0.1, 0.1]), [0],
-                           LevelerPolicy())
+                           np.array([0.9, 0.1, 0.1]), [0], 8)
         assert swaps == []
 
 
@@ -320,6 +306,25 @@ def _array_result(balance=False, add_at=None, schedule=None, jobs=1,
     engine = ArrayEngine(config, workload, label="balance-test", jobs=jobs,
                          schedule=schedule)
     return engine.run()
+
+
+def _elastic_run(kill):
+    """The benchmark's array-elastic workload at its smoke size, seed 1.
+
+    Returns ``(config, engine, result, schedule)``; with *kill* shard 1
+    is killed at local write 4,000.
+    """
+    config = ArrayConfig(num_shards=3, shard_blocks=256, interleave="page",
+                         page_blocks=16, psi=12, mean_endurance=200.0,
+                         batch_writes=666, balance=True,
+                         balance_every=8 * 666, remap_budget=32,
+                         add_shard_at=12_000, max_writes=30_000, seed=1)
+    decoder = InterleavedDecoder(3, config.software_blocks,
+                                 interleave="page", page_blocks=16)
+    schedule = shard_death_schedule(1, 4_000, 256) if kill else None
+    engine = ArrayEngine(config, zipf_workload(decoder, exponent=1.0, seed=1),
+                         label="resume", schedule=schedule)
+    return config, engine, engine.run(), schedule
 
 
 def _first_death(result):
@@ -399,44 +404,42 @@ class TestArrayBalance:
         result = _array_result(balance=True, policy="fail-stop")
         assert result.report.stop is not None
 
+    #: sha256 of the sorted ``as_dict()`` JSON of the benchmark's
+    #: array-elastic workload at its smoke size (seed 1), without and with
+    #: a kill of shard 1; recorded with the engine that turned each shard
+    #: into a dict record.
+    ELASTIC_PINS = {
+        False: "5370befbde83e8b84c0089a29d9bbf1746daf34db3d68aaa74428acd29bd9663",
+        True: "a6502eef4007630e6816563cef47ae261f3db1d7935b3c366fc449100cd8e2e8",
+    }
+
+    @pytest.mark.parametrize("kill", [False, True])
+    def test_elastic_output_is_pinned(self, kill):
+        _config, _engine, result, _schedule = _elastic_run(kill)
+        payload = json.dumps(result.as_dict(), sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() \
+            == self.ELASTIC_PINS[kill]
+
     @pytest.mark.parametrize("kill", [False, True])
     def test_every_resumed_shard_cell_equals_a_fresh_run(self, kill):
         # The benchmark's array-elastic workload at its smoke size.  Each
         # shard's engine is continued epoch by epoch across steering,
-        # growth and (with the kill) re-homing; its record must equal a
+        # growth and (with the kill) re-homing; it must end where a
         # fresh stack built over the shard's final segments and run to
-        # the same point.
-        from repro.array import shard_seed
-        from repro.array.shard import build_shard_cell, finish_shard_cell
-        from repro.faultinject import for_shard
-        config = ArrayConfig(num_shards=3, shard_blocks=256,
-                             interleave="page", page_blocks=16, psi=12,
-                             mean_endurance=200.0, batch_writes=666,
-                             balance=True, balance_every=8 * 666,
-                             remap_budget=32, add_shard_at=12_000,
-                             max_writes=30_000, seed=1)
-        decoder = InterleavedDecoder(3, config.software_blocks,
-                                     interleave="page", page_blocks=16)
-        schedule = (shard_death_schedule(1, 4_000, 256) if kill else None)
-        engine = ArrayEngine(config,
-                             zipf_workload(decoder, exponent=1.0, seed=1),
-                             label="resume", schedule=schedule)
-        result = engine.run()
+        # the same point ends.
+        from repro.array.shard import build_shard
+        from .test_array import shard_record
+        config, engine, result, schedule = _elastic_run(kill)
         assert (1 in result.report.dead_shards) == kill
-        for shard, record in enumerate(result.shards):
-            cap = (int(record["local_writes"])
-                   if record["stop"] == "max-writes" else None)
-            fresh, context = build_shard_cell(
-                shard=shard, seed=shard_seed(config.seed, shard),
-                device_blocks=256, mean_endurance=200.0, endurance_cov=0.2,
-                max_order=16, ecp_k=6, psi=12, batch_writes=666,
-                recovery="reviver", dead_fraction=0.3, page_blocks=16,
-                segments=engine._states[shard].segments, max_writes=cap,
-                schedule=(for_shard(schedule, shard).to_json()
-                          if kill else None),
-                telemetry=True, label=f"resume/s{shard}")
+        for shard, state in enumerate(engine._states):
+            assert state.engine is not None and state.session is not None
+            cap = (state.engine.total_writes
+                   if state.engine.stopped_reason == "max-writes" else None)
+            fresh, session = build_shard(config, shard, state.segments, cap,
+                                         schedule, label=f"resume/s{shard}")
             fresh.run()
-            assert finish_shard_cell(fresh, context) == record
+            assert shard_record(fresh, session) \
+                == shard_record(state.engine, state.session)
 
     def test_array_cli_balance_flags(self, tmp_path, capsys):
         from repro.array.__main__ import main

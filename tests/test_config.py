@@ -5,44 +5,11 @@ import pytest
 from repro.config import (
     CacheConfig,
     LLSConfig,
-    PCMConfig,
     ReviverConfig,
     SecurityRefreshConfig,
-    SimConfig,
     StartGapConfig,
 )
 from repro.errors import ConfigurationError
-from repro.units import GIB
-
-
-class TestPCMConfig:
-    def test_defaults_are_consistent(self):
-        config = PCMConfig()
-        assert config.blocks_per_page == 64
-        assert config.num_pages * config.blocks_per_page == config.num_blocks
-
-    def test_paper_scale(self):
-        config = PCMConfig.paper_scale()
-        assert config.capacity_bytes == GIB
-        assert config.mean_endurance == 1e8
-        assert config.endurance_cov == 0.2
-
-    def test_scaled_override(self):
-        config = PCMConfig().scaled(num_blocks=1 << 10)
-        assert config.num_blocks == 1 << 10
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(num_blocks=0),
-        dict(num_blocks=100),          # not a whole number of pages
-        dict(mean_endurance=0),
-        dict(endurance_cov=-0.1),
-        dict(endurance_cov=1.0),
-        dict(page_bytes=1000),         # not a multiple of block size
-        dict(cells_per_block=0),
-    ])
-    def test_rejects_invalid(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            PCMConfig(**kwargs)
 
 
 class TestStartGapConfig:
@@ -106,17 +73,3 @@ class TestCacheConfig:
     def test_valid(self):
         config = CacheConfig(capacity_entries=16, associativity=4)
         assert config.capacity_entries // config.associativity == 4
-
-
-class TestSimConfig:
-    def test_defaults(self):
-        config = SimConfig()
-        assert config.dead_fraction == 0.3
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(dead_fraction=0.0), dict(dead_fraction=1.5),
-        dict(max_writes=0), dict(sample_interval=0),
-    ])
-    def test_rejects_invalid(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            SimConfig(**kwargs)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import StartGapConfig
 from repro.ecc import ECP, FreePRegion
-from repro.errors import ProtocolError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.osmodel.allocator import PagePool
 from repro.pcm import AddressGeometry, EnduranceModel, PCMChip
 from repro.sim import (ExactEngine, FastConfig, FastEngine, StopCause,
@@ -101,6 +101,31 @@ class TestExactEngine:
         big = hotspot_distribution(10_000, 3.0, seed=4)
         with pytest.raises(ValueError):
             ExactEngine(controller, big)
+
+    @pytest.mark.parametrize("dead", [0.0, -0.1, 1.5])
+    def test_rejects_dead_fraction_outside_the_unit_interval(self, dead):
+        controller, _, _, _ = make_reviver_system()
+        trace = hotspot_distribution(controller.ospool.virtual_blocks,
+                                     3.0, seed=4)
+        with pytest.raises(ConfigurationError, match="dead_fraction"):
+            ExactEngine(controller, trace, dead_fraction=dead)
+
+
+class TestFastConfig:
+    @pytest.mark.parametrize("bad", [
+        dict(recovery="bogus"), dict(batch_writes=0),
+        dict(dead_fraction=0.0), dict(dead_fraction=1.5),
+    ])
+    def test_bad_configuration_is_a_configuration_error(self, bad):
+        # ProtocolError means a bug in the framework logic; a bad
+        # parameter is the caller's mistake.
+        with pytest.raises(ConfigurationError):
+            FastConfig(**bad)
+
+    def test_edge_values_are_accepted(self):
+        # The array builds every shard with a zero write cap.
+        FastConfig(max_writes=0)
+        FastConfig(dead_fraction=1.0)
 
 
 class TestFastEngine:

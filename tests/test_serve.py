@@ -336,7 +336,7 @@ class TestCli:
         out = tmp_path / "slo.json"
         rc = main(["--shards", "2", "--shard-blocks", "128", "--clients",
                    "4", "--requests", "300", "--kill-shard", "1",
-                   "--kill-at", "40", "--jobs", "2", "--json", str(out)])
+                   "--kill-at", "40", "--json", str(out)])
         assert rc == 0
         printed = capsys.readouterr().out
         assert "latency[read]" in printed and "deaths=1" in printed
