@@ -28,31 +28,14 @@ package documents:
 Run it with ``python -m repro.analysis src tools benchmarks examples``
 (exit code 0 = clean, 1 = findings, 2 = usage error).  A finding is
 silenced by a same-line ``# repro: allow(RULE-ID): justification``
-comment, or file-wide with ``# repro: allow-file(RULE-ID): justification``.
-Re-runs are incremental with ``--cache FILE``; ``--format sarif`` emits
-SARIF 2.1.0 for CI.
+comment.
 """
 
 from __future__ import annotations
 
-from .cache import RULESET_VERSION, AnalysisCache, CacheStats
 from .core import Finding, Rule, SourceFile
-from .registry import all_rules, get_rule, rule_ids
+from .rules import RULES
 from .runner import lint_paths, lint_source
-from .sarif import to_sarif, validate_sarif
 
-__all__ = [
-    "AnalysisCache",
-    "CacheStats",
-    "Finding",
-    "RULESET_VERSION",
-    "Rule",
-    "SourceFile",
-    "all_rules",
-    "get_rule",
-    "lint_paths",
-    "lint_source",
-    "rule_ids",
-    "to_sarif",
-    "validate_sarif",
-]
+__all__ = ["Finding", "RULES", "Rule", "SourceFile", "lint_paths",
+           "lint_source"]

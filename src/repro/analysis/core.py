@@ -11,7 +11,7 @@ import ast
 import fnmatch
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .suppressions import SuppressionIndex, scan_suppressions
 
@@ -30,16 +30,6 @@ class Finding:
         """Human-readable one-liner (1-based column, editor-clickable)."""
         return f"{self.path}:{self.line}:{self.col + 1}: {self.rule} {self.message}"
 
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-ready form."""
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
-
 
 class SourceFile:
     """A parsed module plus everything rules and the runner need."""
@@ -57,7 +47,7 @@ class SourceFile:
 
 
 class Rule:
-    """Base class: one registered, self-describing lint rule.
+    """Base class: one self-describing lint rule.
 
     Subclasses set :attr:`id`, :attr:`summary`, optionally
     :attr:`exempt_patterns` (fnmatch patterns over the posix path naming the

@@ -1,14 +1,29 @@
-"""Rule modules; importing this package registers every rule.
+"""The nine lint rules, one module each.
 
-Each module owns one rule and its fixtures live in
-``tests/test_analysis_rules.py``: a rule only exists here because the bug
-class it bans either shipped in a past PR or breaks a documented guarantee.
+Each rule's fixtures live in ``tests/test_analysis_rules.py``: a rule only
+exists here because the bug class it bans either shipped in a past PR or
+breaks a documented guarantee.
 """
 
 from __future__ import annotations
 
-from . import (det_wallclock, exc_swallow, fault_hook, float_eq, hook_none,
-               link_mut, raw_geom, rng_det, telem_api)
+from typing import Tuple
 
-__all__ = ["det_wallclock", "exc_swallow", "fault_hook", "float_eq",
-           "hook_none", "link_mut", "raw_geom", "rng_det", "telem_api"]
+from ..core import Rule
+from .det_wallclock import WallClockRule
+from .exc_swallow import ExceptionSwallowRule
+from .fault_hook import FaultHookRule
+from .float_eq import FloatEqualityRule
+from .hook_none import HookNoneRule
+from .link_mut import LinkMutationRule
+from .raw_geom import RawGeometryRule
+from .rng_det import DeterministicRngRule
+from .telem_api import TelemApiRule
+
+#: One instance of every rule, sorted by id.
+RULES: Tuple[Rule, ...] = (
+    WallClockRule(), ExceptionSwallowRule(), FaultHookRule(),
+    FloatEqualityRule(), HookNoneRule(), LinkMutationRule(),
+    RawGeometryRule(), DeterministicRngRule(), TelemApiRule())
+
+__all__ = ["RULES"]

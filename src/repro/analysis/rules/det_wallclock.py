@@ -23,7 +23,6 @@ import ast
 from typing import List, Tuple
 
 from ..core import Finding, Rule, SourceFile
-from ..registry import register
 
 #: ``time.<attr>`` reads of the ambient clock.
 CLOCK_ATTRS = frozenset({
@@ -59,7 +58,6 @@ def _owner_name(node: ast.Attribute) -> str:
     return ""
 
 
-@register
 class WallClockRule(Rule):
     """Ban ambient clock/entropy reads outside telemetry and benchmarks."""
 

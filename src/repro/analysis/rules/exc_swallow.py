@@ -14,7 +14,6 @@ import ast
 from typing import Iterable, List
 
 from ..core import Finding, Rule, SourceFile
-from ..registry import register
 
 #: Exception names that cover ProtocolError.
 BROAD_NAMES = frozenset({"Exception", "BaseException", "ReproError"})
@@ -36,7 +35,6 @@ def _reraises(body: List[ast.stmt]) -> bool:
                for stmt in body for node in ast.walk(stmt))
 
 
-@register
 class ExceptionSwallowRule(Rule):
     """Ban bare / over-broad excepts that could absorb ProtocolError."""
 

@@ -23,13 +23,11 @@ import ast
 from typing import List, Tuple
 
 from ..core import Finding, Rule, SourceFile
-from ..registry import register
 
 #: Attribute naming the injection hooks on chip/controller/engines.
 HOOK_ATTR = "inject"
 
 
-@register
 class FaultHookRule(Rule):
     """Ban foreign access to the ``inject`` fault-injection hooks."""
 

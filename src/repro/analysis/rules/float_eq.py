@@ -14,12 +14,10 @@ import ast
 from typing import List
 
 from ..core import Finding, Rule, SourceFile
-from ..registry import register
 
 _EQ_OPS = (ast.Eq, ast.NotEq)
 
 
-@register
 class FloatEqualityRule(Rule):
     """Ban ``==`` / ``!=`` where an operand is a float literal."""
 

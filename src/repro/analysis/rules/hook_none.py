@@ -31,7 +31,6 @@ from typing import List, Optional, Set, Tuple, Union
 
 from ..core import Finding, Rule, SourceFile
 from ..dataflow import Env, FunctionFlow, expr_key
-from ..registry import register
 
 #: Attribute/parameter names carrying optional protocol hooks.
 HOOK_NAMES = frozenset({"inject", "telem"})
@@ -114,7 +113,6 @@ class _GuardFlow(FunctionFlow):
                     self.violations.append(node)
 
 
-@register
 class HookNoneRule(Rule):
     """Hooks: None defaults, guarded use."""
 

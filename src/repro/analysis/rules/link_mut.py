@@ -16,13 +16,11 @@ import ast
 from typing import List, Tuple
 
 from ..core import Finding, Rule, SourceFile
-from ..registry import register
 
 #: Private attributes owned by the reviver protocol structures.
 PROTECTED_ATTRS = frozenset({"_pointer", "_inverse", "_spares"})
 
 
-@register
 class LinkMutationRule(Rule):
     """Ban foreign access to reviver protocol-structure internals."""
 

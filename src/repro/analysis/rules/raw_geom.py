@@ -16,7 +16,6 @@ import ast
 from typing import List, Tuple
 
 from ..core import Finding, Rule, SourceFile
-from ..registry import register
 
 #: Names whose involvement in arithmetic marks page-geometry math.
 GEOMETRY_NAMES = frozenset({"blocks_per_page", "bpp"})
@@ -34,7 +33,6 @@ def _is_geometry_ref(node: ast.AST) -> bool:
     return False
 
 
-@register
 class RawGeometryRule(Rule):
     """Ban raw ``blocks_per_page`` arithmetic outside the geometry owners."""
 

@@ -15,7 +15,6 @@ import ast
 from typing import List, Tuple
 
 from ..core import Finding, Rule, SourceFile
-from ..registry import register
 
 #: ``np.random.<name>`` attributes that are *not* global-state samplers:
 #: constructors and seed plumbing the rng module itself builds on.
@@ -36,7 +35,6 @@ def _np_random_member(node: ast.Attribute) -> bool:
             and value.value.id in _NUMPY_ALIASES)
 
 
-@register
 class DeterministicRngRule(Rule):
     """Ban module-level RNG state outside :mod:`repro.rng`."""
 

@@ -24,7 +24,6 @@ import ast
 from typing import List, Tuple
 
 from ..core import Finding, Rule, SourceFile
-from ..registry import register
 
 #: Attribute naming the telemetry session hook on instrumented objects.
 HOOK_ATTR = "telem"
@@ -34,7 +33,6 @@ HOOK_ATTR = "telem"
 METRIC_NAMES = ("Counter", "Gauge", "Histogram", "Registry")
 
 
-@register
 class TelemApiRule(Rule):
     """Ban foreign `telem` access and direct metric construction."""
 

@@ -2,24 +2,19 @@
 
 ``lint_source`` is the single entry point tests and the CLI share: parse,
 run every applicable rule, then apply suppressions.  Two framework-level
-findings exist outside the rule registry: ``PARSE`` (a file that does not
+findings exist outside the rule set: ``PARSE`` (a file that does not
 parse cannot be certified clean) and ``ALLOW-REASON`` (a suppression comment
-without a justification).
-
-``lint_paths`` lints every file under a set of paths.  An optional
-:class:`~repro.analysis.cache.AnalysisCache` makes re-runs incremental:
-when no file changed and the ruleset is the same, findings replay from
-the cache with zero re-parses.
+without a justification).  ``lint_paths`` lints every file under a set of
+paths.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Sequence, Set
 
-from .cache import AnalysisCache, ruleset_fingerprint, tree_digest
 from .core import Finding, Rule, SourceFile
-from .registry import all_rules
+from .rules import RULES
 
 
 def iter_python_files(paths: Sequence[Path]) -> List[Path]:
@@ -52,8 +47,13 @@ def _parse_finding(path: Path, exc: SyntaxError) -> Finding:
                    message=f"file does not parse: {exc.msg}")
 
 
-def _check_source(src: SourceFile, rules: Sequence[Rule]) -> List[Finding]:
-    """Run every applicable rule on one parsed file, apply suppressions."""
+def lint_source(text: str, path: Path,
+                rules: Iterable[Rule] = RULES) -> List[Finding]:
+    """Lint one module's source; returns findings sorted by position."""
+    try:
+        src = SourceFile(path, text)
+    except SyntaxError as exc:
+        return [_parse_finding(path, exc)]
     findings: List[Finding] = []
     for rule in rules:
         if not rule.applies_to(src):
@@ -66,52 +66,17 @@ def _check_source(src: SourceFile, rules: Sequence[Rule]) -> List[Finding]:
             rule="ALLOW-REASON", path=src.posix, line=line, col=col,
             message="suppression without a justification; write "
                     "`# repro: allow(RULE): why this is safe here`"))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    findings.sort(key=lambda f: (f.line, f.col, f.rule))
     return findings
 
 
-def lint_source(text: str, path: Path,
-                rules: Optional[Iterable[Rule]] = None) -> List[Finding]:
-    """Lint one module's source; returns findings sorted by position."""
-    selected = list(rules) if rules is not None else all_rules()
-    try:
-        src = SourceFile(path, text)
-    except SyntaxError as exc:
-        return [_parse_finding(path, exc)]
-    return _check_source(src, selected)
+def lint_paths(paths: Sequence[Path]) -> List[Finding]:
+    """Lint every python file under *paths* with every rule.
 
-
-def lint_paths(paths: Sequence[Path],
-               rules: Optional[Iterable[Rule]] = None,
-               cache: Optional[AnalysisCache] = None) -> List[Finding]:
-    """Lint every python file under *paths*; findings sorted by location.
-
-    With *cache*, an unchanged tree (same contents, same ruleset) replays
-    stored findings without parsing anything; any change re-lints the
-    full tree.
+    Files come in posix-path order and each file's findings are sorted,
+    so the result is sorted by location.
     """
-    selected = list(rules) if rules is not None else all_rules()
-    files = iter_python_files(paths)
-    contents: List[Tuple[Path, str]] = [
-        (path, path.read_text(encoding="utf-8")) for path in files]
-    if cache is not None:
-        ruleset = ruleset_fingerprint(selected)
-        digest = tree_digest(
-            (path.as_posix(), text) for path, text in contents)
-        cached = cache.lookup(ruleset, digest)
-        if cached is not None:
-            return cached
     findings: List[Finding] = []
-    for path, text in contents:
-        try:
-            src = SourceFile(path, text)
-        except SyntaxError as exc:
-            findings.append(_parse_finding(path, exc))
-            continue
-        if cache is not None:
-            cache.stats.parses += 1
-        findings.extend(_check_source(src, selected))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    if cache is not None:
-        cache.store(ruleset, digest, findings)
+    for path in iter_python_files(paths):
+        findings.extend(lint_source(path.read_text(encoding="utf-8"), path))
     return findings

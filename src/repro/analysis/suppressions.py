@@ -1,11 +1,9 @@
 """``# repro: allow(...)`` suppression comments.
 
-Two forms, both requiring an explicit rule id:
-
-* same-line — ``x = pa // bpp  # repro: allow(RAW-GEOM): capacity math`` —
-  silences the named rule(s) for findings anchored on that physical line;
-* file-wide — a standalone ``# repro: allow-file(RULE-ID): justification``
-  comment anywhere in the module — silences the rule(s) for the whole file.
+One form, naming the rule id(s) explicitly:
+``x = pa // bpp  # repro: allow(RAW-GEOM): capacity math`` silences the
+named rule(s) for findings anchored on that physical line.  There is no
+file-wide form: every suppression sits on the line it excuses.
 
 The trailing ``: justification`` is part of the contract: a suppression
 without one is itself reported (``ALLOW-REASON``), so every escape hatch in
@@ -21,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
 _ALLOW_RE = re.compile(
-    r"#\s*repro:\s*allow(?P<scope>-file)?\s*"
+    r"#\s*repro:\s*allow\s*"
     r"\(\s*(?P<rules>[A-Za-z0-9_\-]+(?:\s*,\s*[A-Za-z0-9_\-]+)*)\s*\)"
     r"(?P<reason>\s*:\s*\S.*)?")
 
@@ -32,14 +30,12 @@ class SuppressionIndex:
 
     #: physical line -> rule ids allowed on that line.
     by_line: Dict[int, Set[str]] = field(default_factory=dict)
-    #: rule ids allowed for the whole file.
-    file_wide: Set[str] = field(default_factory=set)
     #: ``(line, col)`` of every allow() comment missing a justification.
     missing_reason: List[Tuple[int, int]] = field(default_factory=list)
 
     def is_suppressed(self, rule: str, line: int) -> bool:
         """Whether a finding of *rule* at *line* is silenced."""
-        return rule in self.file_wide or rule in self.by_line.get(line, set())
+        return rule in self.by_line.get(line, set())
 
 
 def scan_suppressions(text: str) -> SuppressionIndex:
@@ -58,10 +54,7 @@ def scan_suppressions(text: str) -> SuppressionIndex:
         rules = {name.strip().upper()
                  for name in match.group("rules").split(",")}
         line = token.start[0]
-        if match.group("scope"):
-            index.file_wide.update(rules)
-        else:
-            index.by_line.setdefault(line, set()).update(rules)
+        index.by_line.setdefault(line, set()).update(rules)
         if match.group("reason") is None:
             index.missing_reason.append((line, token.start[1]))
     return index

@@ -24,7 +24,8 @@ from typing import List, Optional
 from ..errors import ConfigurationError, ReproError
 from ..faultinject import FaultSchedule, shard_death_schedule
 from ..traces import DistributionTrace
-from .engine import (ARRAY_POLICIES, ArrayConfig, ArrayEngine, ArrayResult)
+from .engine import (ARRAY_POLICIES, ARRAY_RECOVERY, ArrayConfig,
+                     ArrayEngine, ArrayResult)
 from .decoder import INTERLEAVE_MODES, InterleavedDecoder
 from .workloads import (hotspot_workload, shard_attack_workload,
                         trace_workload, uniform_workload, zipf_workload)
@@ -43,7 +44,7 @@ def _parser() -> argparse.ArgumentParser:
                         default="block")
     parser.add_argument("--policy", choices=ARRAY_POLICIES,
                         default="degraded")
-    parser.add_argument("--recovery", choices=("reviver", "none"),
+    parser.add_argument("--recovery", choices=ARRAY_RECOVERY,
                         default="reviver")
     parser.add_argument("--workload",
                         choices=("uniform", "hotspot", "attack", "zipf",

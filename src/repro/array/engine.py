@@ -51,10 +51,12 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
+from ..config import StartGapConfig
 from ..errors import ConfigurationError
 from ..faultinject import FaultSchedule
+from ..pcm.endurance import check_endurance
 from ..rng import SeedLike
-from ..sim.fast import FastEngine
+from ..sim.fast import FastConfig, FastEngine
 from ..sim.metrics import LifetimeSeries, SamplePoint
 from ..sim.stop import EndOfLifeReport, StopCause, StopReason
 from ..telemetry import (TelemetrySession, deterministic_snapshot,
@@ -68,6 +70,11 @@ from .trace import SegmentedTrace
 
 #: Array end-of-life policies.
 ARRAY_POLICIES: Tuple[str, ...] = ("fail-stop", "degraded")
+
+#: Shard recovery modes.  FREE-p is out: its pre-reserve needs a
+#: wear-leveler sized to the working space, and every shard's Start-Gap
+#: spans its whole chip.
+ARRAY_RECOVERY: Tuple[str, ...] = ("reviver", "none")
 
 #: The report of a shard that never had traffic: it never wore and never
 #: advanced its local clock (running an engine for it would need a
@@ -124,12 +131,27 @@ class ArrayConfig:
                 f"choose from {INTERLEAVE_MODES}")
         if self.num_shards < 1:
             raise ConfigurationError("array needs at least one shard")
+        if self.page_blocks < 1:
+            raise ConfigurationError("page_blocks must be >= 1")
         if self.shard_blocks < 2 * self.page_blocks:
             # Start-Gap spends one line on the gap, which costs the
             # software space a whole page; below two pages nothing is
             # left to serve.
             raise ConfigurationError(
                 "shard_blocks must be at least two OS pages")
+        if self.shard_blocks % self.page_blocks:
+            raise ConfigurationError(
+                "shard_blocks must be a whole number of OS pages")
+        if self.recovery not in ARRAY_RECOVERY:
+            raise ConfigurationError(
+                f"unknown recovery {self.recovery!r}; "
+                f"choose from {ARRAY_RECOVERY}")
+        # Every shard stack is built from these knobs; building its configs
+        # here runs their checks before any shard exists.
+        FastConfig(recovery=self.recovery, dead_fraction=self.dead_fraction,
+                   batch_writes=self.batch_writes, max_writes=self.max_writes)
+        StartGapConfig(psi=self.psi)
+        check_endurance(self.mean_endurance, self.endurance_cov)
         if self.remap_budget < 0:
             raise ConfigurationError("remap_budget cannot be negative")
         if self.balance_every is not None and self.balance_every < 1:

@@ -106,6 +106,14 @@ def sample_failure_times(num_blocks: int,
         order_uniforms(num_blocks, cells_per_block, k, rng), mean, cov)
 
 
+def check_endurance(mean: float, cov: float) -> None:
+    """Raise :class:`ConfigurationError` unless ``mean > 0`` and ``0 <= cov < 1``."""
+    if mean <= 0:
+        raise ConfigurationError("mean endurance must be positive")
+    if not 0.0 <= cov < 1.0:
+        raise ConfigurationError("cov must be in [0, 1)")
+
+
 @dataclass
 class EnduranceModel:
     """Lazy owner of a chip's failure-time matrix.
@@ -127,10 +135,7 @@ class EnduranceModel:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if self.mean <= 0:
-            raise ConfigurationError("mean endurance must be positive")
-        if not 0.0 <= self.cov < 1.0:
-            raise ConfigurationError("cov must be in [0, 1)")
+        check_endurance(self.mean, self.cov)
         self._uniforms = order_uniforms(
             self.num_blocks, self.cells_per_block, self.max_order,
             rng=self.seed)

@@ -98,6 +98,8 @@ class FastConfig:
             raise ConfigurationError("batch_writes must be positive")
         if not 0.0 < self.dead_fraction <= 1.0:
             raise ConfigurationError("dead_fraction must be in (0, 1]")
+        if self.max_writes is not None and self.max_writes < 0:
+            raise ConfigurationError("max_writes cannot be negative")
 
 
 class _FunctionalLinkView:

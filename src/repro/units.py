@@ -30,9 +30,6 @@ DEFAULT_BLOCK_BYTES = 64
 #: Paper default: the OS manages memory in 4 KB pages.
 DEFAULT_PAGE_BYTES = 4 * KIB
 
-#: One 64 B block is exactly one 512-bit ECP bit group.
-BITS_PER_BLOCK = DEFAULT_BLOCK_BYTES * 8
-
 
 def is_power_of_two(value: int) -> bool:
     """Return ``True`` when *value* is a positive power of two."""

@@ -5,12 +5,10 @@ Also pins the tree-wide guarantee CI enforces: linting the real ``src``,
 """
 
 import ast
-import json
 from io import StringIO
 from pathlib import Path
 
-from repro.analysis import (AnalysisCache, all_rules, lint_paths,
-                            lint_source, to_sarif, validate_sarif)
+from repro.analysis import lint_paths, lint_source
 from repro.analysis.cli import main
 from repro.analysis.runner import iter_python_files
 
@@ -30,11 +28,16 @@ class TestSuppressions:
                 "# repro: allow(FLOAT-EQ): wrong rule named\n")
         assert [f.rule for f in lint_source(text, FAKE)] == ["RAW-GEOM"]
 
-    def test_file_wide_allow_suppresses_everywhere(self):
-        text = ("# repro: allow-file(RAW-GEOM): fixture justification\n"
+    def test_file_wide_form_is_not_a_suppression(self):
+        # Suppressions are same-line only: the old file-wide spelling
+        # silences nothing, so both lines below still report.  (Spelled
+        # in two pieces so the tree holds no live-looking instance.)
+        text = ("# repro: allow" "-file(RAW-GEOM): fixture justification\n"
                 "a = pa // blocks_per_page\n"
                 "b = pa % blocks_per_page\n")
-        assert lint_source(text, FAKE) == []
+        found = lint_source(text, FAKE)
+        assert [(f.rule, f.line) for f in found] == [
+            ("RAW-GEOM", 2), ("RAW-GEOM", 3)]
 
     def test_allow_without_reason_is_itself_a_finding(self):
         text = "page = pa // blocks_per_page  # repro: allow(RAW-GEOM)\n"
@@ -86,25 +89,6 @@ class TestCli:
         assert main([str(path)], stream=out) == 1
         assert "RAW-GEOM" in out.getvalue()
         assert "1 finding" in out.getvalue()
-
-    def test_json_output_parses(self, tmp_path):
-        path = self._write(tmp_path, "bad.py", BAD_LINE + "import random\n")
-        out = StringIO()
-        assert main([str(path), "--format", "json"], stream=out) == 1
-        payload = json.loads(out.getvalue())
-        assert payload["count"] == 2
-        assert {f["rule"] for f in payload["findings"]} \
-            == {"RAW-GEOM", "RNG-DET"}
-
-    def test_select_restricts_rules(self, tmp_path):
-        path = self._write(tmp_path, "bad.py", BAD_LINE + "import random\n")
-        out = StringIO()
-        assert main([str(path), "--select", "RNG-DET"], stream=out) == 1
-        assert "RAW-GEOM" not in out.getvalue()
-
-    def test_unknown_rule_exits_two(self, tmp_path):
-        out = StringIO()
-        assert main([str(tmp_path), "--select", "NOPE"], stream=out) == 2
 
     def test_missing_path_exits_two(self, tmp_path):
         out = StringIO()
@@ -176,15 +160,6 @@ class TestParseColumnClamp:
 
 
 class TestSuppressionEdgeCases:
-    def test_allow_file_with_multiple_rule_ids(self):
-        text = ("# repro: allow-file(RAW-GEOM, RNG-DET): fixture covers "
-                "both rules\n"
-                "import random\n"
-                "page = pa // blocks_per_page\n"
-                "if x == 0.5:\n"
-                "    pass\n")
-        assert [f.rule for f in lint_source(text, FAKE)] == ["FLOAT-EQ"]
-
     def test_allow_inside_multiline_expression_anchors_to_its_line(self):
         # The comment sits on the physical line of the flagged operation
         # inside a parenthesized expression; tokenize-based matching must
@@ -208,102 +183,6 @@ class TestSuppressionEdgeCases:
         # 0-based column of the `#` (rendered 1-based by render()).
         assert found[0].col == text.index("#")
         assert f":1:{text.index('#') + 1}:" in found[0].render()
-
-
-class TestIncrementalCache:
-    def test_unchanged_tree_replays_with_zero_parses(self, tmp_path):
-        for name, text in (("bad.py", BAD_LINE), ("ok.py", "x = 1\n")):
-            (tmp_path / name).write_text(text, encoding="utf-8")
-        cache_file = tmp_path / "cache.json"
-        first = AnalysisCache(cache_file)
-        cold = lint_paths([tmp_path], cache=first)
-        assert first.stats.misses == 1 and first.stats.hits == 0
-        assert first.stats.parses == 2
-        # Fresh cache object (new process): warm run does zero re-parses.
-        second = AnalysisCache(cache_file)
-        warm = lint_paths([tmp_path], cache=second)
-        assert second.stats.hits == 1 and second.stats.misses == 0
-        assert second.stats.parses == 0
-        assert [f.as_dict() for f in warm] == [f.as_dict() for f in cold]
-
-    def test_content_change_invalidates(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text("x = 1\n", encoding="utf-8")
-        cache_file = tmp_path / "cache.json"
-        lint_paths([tmp_path], cache=AnalysisCache(cache_file))
-        path.write_text(BAD_LINE, encoding="utf-8")
-        stale = AnalysisCache(cache_file)
-        findings = lint_paths([tmp_path], cache=stale)
-        assert stale.stats.misses == 1 and stale.stats.parses == 1
-        assert [f.rule for f in findings] == ["RAW-GEOM"]
-
-    def test_rule_selection_changes_the_key(self, tmp_path):
-        (tmp_path / "bad.py").write_text(BAD_LINE + "import random\n",
-                                         encoding="utf-8")
-        cache_file = tmp_path / "cache.json"
-        lint_paths([tmp_path], cache=AnalysisCache(cache_file))
-        narrowed = AnalysisCache(cache_file)
-        findings = lint_paths(
-            [tmp_path], rules=[r for r in all_rules() if r.id == "RNG-DET"],
-            cache=narrowed)
-        assert narrowed.stats.misses == 1
-        assert [f.rule for f in findings] == ["RNG-DET"]
-
-    def test_torn_cache_file_is_a_miss(self, tmp_path):
-        (tmp_path / "ok.py").write_text("x = 1\n", encoding="utf-8")
-        cache_file = tmp_path / "cache.json"
-        cache_file.write_text("{not json", encoding="utf-8")
-        cache = AnalysisCache(cache_file)
-        assert lint_paths([tmp_path], cache=cache) == []
-        assert cache.stats.misses == 1
-
-    def test_cli_stats_flag_reports_counters(self, tmp_path):
-        (tmp_path / "ok.py").write_text("x = 1\n", encoding="utf-8")
-        cache_file = tmp_path / "cache.json"
-        argv = [str(tmp_path), "--cache", str(cache_file), "--stats"]
-        out = StringIO()
-        assert main(argv, stream=out) == 0
-        assert "1 miss(es)" in out.getvalue()
-        out = StringIO()
-        assert main(argv, stream=out) == 0
-        assert "1 hit(s)" in out.getvalue()
-        assert "0 parse(s)" in out.getvalue()
-
-
-class TestSarif:
-    def test_emitted_document_validates(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text(BAD_LINE + "import random\n", encoding="utf-8")
-        findings = lint_paths([bad])
-        document = to_sarif(findings, all_rules())
-        assert validate_sarif(document) == []
-        results = document["runs"][0]["results"]
-        assert {r["ruleId"] for r in results} == {"RAW-GEOM", "RNG-DET"}
-        # Columns are 1-based in SARIF (internal cols are 0-based).
-        assert all(r["locations"][0]["physicalLocation"]["region"]
-                   ["startColumn"] >= 1 for r in results)
-
-    def test_cli_sarif_round_trips(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text(BAD_LINE, encoding="utf-8")
-        out = StringIO()
-        assert main([str(bad), "--format", "sarif"], stream=out) == 1
-        document = json.loads(out.getvalue())
-        assert validate_sarif(document) == []
-        assert document["version"] == "2.1.0"
-
-    def test_validator_rejects_broken_documents(self):
-        assert validate_sarif([]) != []
-        assert validate_sarif({"version": "2.1.0", "runs": []}) != []
-        bad_result = {
-            "version": "2.1.0",
-            "runs": [{"tool": {"driver": {"name": "x", "rules": []}},
-                      "results": [{"ruleId": "R", "message": {},
-                                   "locations": []}]}],
-        }
-        problems = validate_sarif(bad_result)
-        assert any("message" in p for p in problems)
-        assert any("locations" in p for p in problems)
 
 
 class TestTreeIsClean:

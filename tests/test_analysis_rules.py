@@ -10,28 +10,25 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import get_rule, lint_source, rule_ids
+from repro.analysis import RULES, lint_source
 
 #: A path no rule exempts: findings here are purely content-driven.
 GENERIC = Path("src/repro/mc/controller.py")
 
 
 def findings_for(rule_id, text, path=GENERIC):
-    return lint_source(text, path, rules=[get_rule(rule_id)])
+    return lint_source(text, path,
+                       rules=[rule for rule in RULES if rule.id == rule_id])
 
 
 class TestRegistry:
     def test_all_nine_rules_registered(self):
-        assert set(rule_ids()) == {
+        assert [rule.id for rule in RULES] == sorted({
             "RAW-GEOM", "RNG-DET", "LINK-MUT", "EXC-SWALLOW", "FLOAT-EQ",
-            "FAULT-HOOK", "TELEM-API", "DET-WALLCLOCK", "HOOK-NONE"}
-
-    def test_get_rule_is_case_insensitive(self):
-        assert get_rule("raw-geom").id == "RAW-GEOM"
+            "FAULT-HOOK", "TELEM-API", "DET-WALLCLOCK", "HOOK-NONE"})
 
     def test_rules_carry_rationale(self):
-        for rule_id in rule_ids():
-            rule = get_rule(rule_id)
+        for rule in RULES:
             assert rule.summary and rule.rationale
 
 

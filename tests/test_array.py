@@ -207,6 +207,16 @@ class TestArrayConfig:
         dict(interleave="stripe"),
         dict(num_shards=0),
         dict(shard_blocks=PAGE),  # below two OS pages
+        dict(shard_blocks=100),  # not a whole number of pages
+        dict(page_blocks=0),
+        dict(max_writes=-5),
+        dict(recovery="freep"),
+        dict(recovery="bogus"),
+        dict(dead_fraction=0.0),
+        dict(batch_writes=0),
+        dict(psi=0),
+        dict(mean_endurance=0.0),
+        dict(endurance_cov=-1.0),
     ])
     def test_invalid_configurations_are_rejected(self, bad):
         with pytest.raises(ConfigurationError):
@@ -219,12 +229,10 @@ class TestArrayConfig:
         assert seeds != [shard_seed(8, i) for i in range(4)]
 
     def test_zero_dead_fraction_is_rejected_before_any_write(self):
-        # A zero dead fraction would declare every shard dead at write 0.
-        config = make_config(dead_fraction=0.0)
-        engine = ArrayEngine(config, uniform_workload(
-            make_decoder(blocks=config.software_blocks), seed=7))
+        # A zero dead fraction would declare every shard dead at write 0;
+        # the config refuses it before any engine exists.
         with pytest.raises(ConfigurationError, match="dead_fraction"):
-            engine.run()
+            make_config(dead_fraction=0.0)
 
     def test_undersized_trace_is_rejected(self):
         config = make_config()

@@ -530,6 +530,23 @@ class TestCampaign:
             "dead-fraction", "exhausted", "max-writes", "capacity-lost")
         assert report["crashes_recovered"] == exact["recoveries"]
 
+    # The Start-Gap chaos seeds of ROADMAP item 3 fail on the exact side
+    # at the default cell size; the strict xfails turn red once fixed.
+    @pytest.mark.parametrize("seed", [
+        pytest.param(17038, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="ProtocolError: failed block 89 has no link")),
+        pytest.param(10001, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="data corruption: vblock 55 read 1876, expected 1730")),
+        pytest.param(10040, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="data corruption: vblock 66 read 1853, expected 532")),
+    ])
+    def test_start_gap_chaos_seed_passes(self, seed):
+        result = run_cell(seed)
+        assert result["ok"], result["failure"]["error"]
+
     def test_reproduce_reruns_from_reported_schedule(self):
         result = run_cell(1, **self.SMALL)
         assert result["ok"], result["failure"]

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.units import (
-    BITS_PER_BLOCK,
     GIB,
     KIB,
     MIB,
@@ -63,9 +62,6 @@ class TestBlocksPerPage:
     def test_rejects_misaligned(self):
         with pytest.raises(ConfigurationError):
             blocks_per_page(1000, 64)
-
-    def test_bits_per_block_is_one_ecp_group(self):
-        assert BITS_PER_BLOCK == 512
 
 
 class TestParseSize:

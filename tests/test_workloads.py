@@ -648,7 +648,7 @@ class TestServeArrayEquivalence:
             shard_digests(replay.records[:, 0], engine.decoder)
 
     def test_array_replays_the_same_file(self, trace_path):
-        config = ArrayConfig(num_shards=4, shard_blocks=65, page_blocks=8,
+        config = ArrayConfig(num_shards=4, shard_blocks=72, page_blocks=8,
                              mean_endurance=120.0, seed=7)
         assert config.software_blocks == 64  # same space as serve
         decoder = InterleavedDecoder(4, config.software_blocks,
