@@ -16,13 +16,11 @@ than the work) would show up as a blown factor here.
 
 import time
 
-import numpy as np
-
-from repro.array import ArrayConfig, ArrayEngine, uniform_workload
+from repro.array import ArrayConfig, ArrayEngine
 from repro.ecc import ECP
 from repro.pcm import AddressGeometry, EnduranceModel, PCMChip
 from repro.sim.fast import FastConfig, FastEngine
-from repro.traces import DistributionTrace
+from repro.traces import uniform_distribution
 from repro.wl import StartGap
 
 TOTAL_BLOCKS = 4096
@@ -39,8 +37,7 @@ def _single_chip():
     chip = PCMChip(geometry, ECP(endurance, 1))
     config = FastConfig(batch_writes=50_000, max_writes=GLOBAL_WRITES,
                         blocks_per_page=PAGE_BLOCKS, seed=3)
-    trace = DistributionTrace(
-        np.full(TOTAL_BLOCKS, 1.0 / TOTAL_BLOCKS), name="uniform", seed=5)
+    trace = uniform_distribution(TOTAL_BLOCKS, seed=5)
     engine = FastEngine(chip, StartGap(TOTAL_BLOCKS), trace, config=config)
     started = time.perf_counter()
     engine.run()
@@ -54,17 +51,11 @@ def _shard_array():
                          batch_writes=50_000 // SHARDS,
                          max_writes=GLOBAL_WRITES, telemetry=False,
                          seed=3)
-    engine = ArrayEngine(config, uniform_workload(engine_decoder(config),
-                                                  seed=5), jobs=1)
+    engine = ArrayEngine(config, uniform_distribution(config.global_blocks,
+                                                      seed=5), jobs=1)
     started = time.perf_counter()
     result = engine.run()
     return result, time.perf_counter() - started
-
-
-def engine_decoder(config):
-    from repro.array import InterleavedDecoder
-    return InterleavedDecoder(config.num_shards, config.software_blocks,
-                              page_blocks=config.page_blocks)
 
 
 def test_array_matches_single_chip_throughput(benchmark, once, capsys):

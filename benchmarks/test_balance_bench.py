@@ -19,9 +19,9 @@ import time
 
 import numpy as np
 
-from repro.array import (ArrayConfig, ArrayEngine, InterleavedDecoder,
-                         uniform_workload)
+from repro.array import ArrayConfig, ArrayEngine, InterleavedDecoder
 from repro.balance import BalancedDecoder
+from repro.traces import uniform_distribution
 
 TOTAL_BLOCKS = 4096
 SHARDS = 4
@@ -39,9 +39,8 @@ def _engine_run(balance):
                          balance=balance,
                          balance_every=10 * GLOBAL_WRITES if balance
                          else None)
-    decoder = InterleavedDecoder(config.num_shards, config.software_blocks,
-                                 page_blocks=config.page_blocks)
-    engine = ArrayEngine(config, uniform_workload(decoder, seed=5), jobs=1)
+    engine = ArrayEngine(config, uniform_distribution(config.global_blocks,
+                                                      seed=5), jobs=1)
     started = time.perf_counter()
     result = engine.run()
     return result, time.perf_counter() - started

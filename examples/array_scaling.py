@@ -12,7 +12,8 @@ Run:  python examples/array_scaling.py
 """
 
 from repro.array import (ArrayConfig, ArrayEngine, InterleavedDecoder,
-                         hotspot_workload, shard_attack_workload)
+                         shard_attack_workload)
+from repro.traces import hotspot_distribution
 
 TOTAL_BLOCKS = 1 << 10
 PAGE_BLOCKS = 16
@@ -31,11 +32,13 @@ def build(shards: int, policy: str) -> ArrayConfig:
 
 def campaign(shards: int, policy: str, attack: bool) -> ArrayEngine:
     config = build(shards, policy)
-    decoder = InterleavedDecoder(shards, config.software_blocks,
-                                 page_blocks=PAGE_BLOCKS)
-    trace = (shard_attack_workload(decoder, shard=0, hot_share=0.9,
-                                   seed=SEED) if attack
-             else hotspot_workload(decoder, cov=3.0, seed=SEED))
+    if attack:
+        decoder = InterleavedDecoder(shards, config.software_blocks,
+                                     page_blocks=PAGE_BLOCKS)
+        trace = shard_attack_workload(decoder, shard=0, hot_share=0.9,
+                                      seed=SEED)
+    else:
+        trace = hotspot_distribution(config.global_blocks, 3.0, seed=SEED)
     engine = ArrayEngine(config, trace, label=f"{policy}/{shards}x")
     engine.run()
     return engine

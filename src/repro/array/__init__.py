@@ -25,8 +25,7 @@ from .engine import (ARRAY_POLICIES, ArrayConfig, ArrayEngine, ArrayResult)
 from .report import ArrayEndOfLifeReport, ShardCensus
 from .shard import shard_seed
 from .trace import SegmentedTrace
-from .workloads import (hotspot_workload, shard_attack_workload,
-                        trace_workload, uniform_workload, zipf_workload)
+from .workloads import shard_attack_workload, zipf_workload
 
 __all__ = [
     "ARRAY_POLICIES",
@@ -38,10 +37,7 @@ __all__ = [
     "InterleavedDecoder",
     "SegmentedTrace",
     "ShardCensus",
-    "hotspot_workload",
     "shard_attack_workload",
     "shard_seed",
-    "trace_workload",
-    "uniform_workload",
     "zipf_workload",
 ]

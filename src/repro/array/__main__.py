@@ -23,12 +23,13 @@ from typing import List, Optional
 
 from ..errors import ConfigurationError, ReproError
 from ..faultinject import FaultSchedule, shard_death_schedule
-from ..traces import DistributionTrace
+from ..traces import (DistributionTrace, hotspot_distribution,
+                      uniform_distribution, zipf_distribution)
+from ..workloads import TraceReplay, shard_digests
 from .engine import (ARRAY_POLICIES, ARRAY_RECOVERY, ArrayConfig,
                      ArrayEngine, ArrayResult)
 from .decoder import INTERLEAVE_MODES, InterleavedDecoder
-from .workloads import (hotspot_workload, shard_attack_workload,
-                        trace_workload, uniform_workload, zipf_workload)
+from .workloads import shard_attack_workload
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -100,21 +101,31 @@ def _decoder(engine_config: ArrayConfig) -> InterleavedDecoder:
 
 def _workload(args: argparse.Namespace,
               engine_config: ArrayConfig) -> DistributionTrace:
-    decoder = _decoder(engine_config)
+    size = engine_config.global_blocks
     if args.workload == "uniform":
-        return uniform_workload(decoder, seed=args.seed)
+        return uniform_distribution(size, seed=args.seed)
     if args.workload == "attack":
-        return shard_attack_workload(decoder, shard=args.attack_shard,
+        return shard_attack_workload(_decoder(engine_config),
+                                     shard=args.attack_shard,
                                      hot_share=args.hot_share,
                                      seed=args.seed)
     if args.workload == "zipf":
-        return zipf_workload(decoder, exponent=args.zipf_exponent,
-                             seed=args.seed)
+        return zipf_distribution(size, exponent=args.zipf_exponent,
+                                 seed=args.seed)
     if args.workload == "trace":
         if args.trace is None:
             raise ConfigurationError("--workload trace needs --trace FILE")
-        return trace_workload(decoder, args.trace, seed=args.seed)
-    return hotspot_workload(decoder, cov=args.cov, seed=args.seed)
+        # Replaying against another geometry would silently re-route
+        # every address, so the file must cover exactly the decoded space.
+        replay = TraceReplay.load(args.trace)
+        if replay.virtual_blocks != size:
+            raise ConfigurationError(
+                f"trace covers {replay.virtual_blocks} blocks, the "
+                f"decoder decodes {size}")
+        return DistributionTrace(
+            replay.write_distribution().astype(float),
+            name=f"trace-{replay.name}", seed=args.seed)
+    return hotspot_distribution(size, args.cov, seed=args.seed)
 
 
 def trace_digest_lines(path: str, config: ArrayConfig) -> List[str]:
@@ -124,7 +135,6 @@ def trace_digest_lines(path: str, config: ArrayConfig) -> List[str]:
     digests are computed from the file's records in file order, exactly
     what the serving layer issues when replaying the same file.
     """
-    from ..workloads import TraceReplay, shard_digests
     replay = TraceReplay.load(path)
     digests = shard_digests(replay.records[:, 0], _decoder(config))
     return [f"  trace s{sid}: {digest}"

@@ -166,6 +166,11 @@ class ArrayConfig:
             page_count(self.shard_blocks - 1, self.page_blocks),
             self.page_blocks)
 
+    @property
+    def global_blocks(self) -> int:
+        """Size of the decoded global address space."""
+        return self.num_shards * self.software_blocks
+
 
 @dataclass
 class _ShardState:

@@ -37,7 +37,8 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..rng import SeedLike, derive_rng
-from ..traces.base import WriteTrace
+from ..traces.base import (WriteTrace, checked_probabilities,
+                           fold_probabilities)
 
 
 def _normalized(segments: Sequence[Tuple[int, np.ndarray]],
@@ -49,18 +50,14 @@ def _normalized(segments: Sequence[Tuple[int, np.ndarray]],
     tables: List[np.ndarray] = []
     width = -1
     for start, raw in segments:
-        probabilities = np.asarray(raw, dtype=np.float64)
+        table = checked_probabilities(raw)
         if width < 0:
-            width = len(probabilities)
-        elif len(probabilities) != width:
+            width = len(table)
+        elif len(table) != width:
             raise ConfigurationError(
                 "all segments must cover the same virtual space")
-        total = probabilities.sum()
-        if total <= 0 or (probabilities < 0).any():
-            raise ConfigurationError(
-                "segment probabilities must be non-negative, sum > 0")
         starts.append(int(start))
-        tables.append(probabilities / total)
+        tables.append(table)
     if starts[0] != 0:
         raise ConfigurationError("first segment must start at write 0")
     if any(b <= a for a, b in zip(starts, starts[1:])):
@@ -169,12 +166,7 @@ class SegmentedTrace(WriteTrace):
         """Fold every segment onto a smaller virtual space (tail wraps)."""
         if virtual_blocks >= self.virtual_blocks:
             return self
-        folded: List[Tuple[int, np.ndarray]] = []
-        for start, table in zip(self._starts, self._tables):
-            squeezed = np.zeros(virtual_blocks, dtype=np.float64)
-            for base in range(0, self.virtual_blocks, virtual_blocks):
-                chunk = table[base:base + virtual_blocks]
-                squeezed[:len(chunk)] += chunk
-            folded.append((start, squeezed))
+        folded = [(start, fold_probabilities(table, virtual_blocks))
+                  for start, table in zip(self._starts, self._tables)]
         return SegmentedTrace(folded, name=f"{self.name}-folded",
                               seed=self._seed)

@@ -1,8 +1,8 @@
-"""Global workloads sized to an array's decoded address space.
+"""The two global workloads that need more than the array's size.
 
-The single-chip trace generators stay usable as-is — these helpers only
-size them to a decoder's global space, plus the one workload that needs
-the decoder itself: the *single-shard hot-spot attack*, which aims all of
+Every other array workload is a :mod:`repro.traces` builder called over
+:attr:`~repro.array.engine.ArrayConfig.global_blocks`.  The
+*single-shard hot-spot attack* needs the decoder itself: it aims all of
 its hot traffic at the addresses one shard owns.  Under block
 interleaving a uniform hot set spreads across every device; an attacker
 who knows the layout can instead concentrate wear on one device and kill
@@ -16,22 +16,8 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..rng import SeedLike
-from ..traces import DistributionTrace, hotspot_distribution, zipf_distribution
+from ..traces import DistributionTrace, zipf_distribution
 from .decoder import InterleavedDecoder
-
-
-def uniform_workload(decoder: InterleavedDecoder,
-                     seed: SeedLike = None) -> DistributionTrace:
-    """Uniform writes over the array's global space."""
-    size = decoder.global_blocks
-    return DistributionTrace(np.full(size, 1.0 / size), name="uniform",
-                             seed=seed)
-
-
-def hotspot_workload(decoder: InterleavedDecoder, cov: float = 3.0,
-                     seed: SeedLike = None) -> DistributionTrace:
-    """Clustered hot-set workload over the global space (target CoV)."""
-    return hotspot_distribution(decoder.global_blocks, cov, seed=seed)
 
 
 def zipf_workload(decoder: InterleavedDecoder, exponent: float = 1.0,
@@ -45,27 +31,6 @@ def zipf_workload(decoder: InterleavedDecoder, exponent: float = 1.0,
     """
     return zipf_distribution(decoder.global_blocks, exponent=exponent,
                              seed=seed)
-
-
-def trace_workload(decoder: InterleavedDecoder, path: str,
-                   seed: SeedLike = None) -> DistributionTrace:
-    """Empirical write distribution of a recorded workload trace.
-
-    Loads a :mod:`repro.workloads` trace file and folds its *write*
-    records into per-block counts over the decoder's global space — the
-    stationary view the batch lifetime engines consume.  The trace must
-    cover exactly the decoded space: replaying a file against a
-    different geometry would silently re-route every address.
-    """
-    from ..workloads import TraceReplay  # local: avoid a package cycle
-    replay = TraceReplay.load(path)
-    if replay.virtual_blocks != decoder.global_blocks:
-        raise ConfigurationError(
-            f"trace covers {replay.virtual_blocks} blocks, the decoder "
-            f"decodes {decoder.global_blocks}")
-    counts = replay.write_distribution()
-    return DistributionTrace(counts.astype(np.float64),
-                             name=f"trace-{replay.name}", seed=seed)
 
 
 def shard_attack_workload(decoder: InterleavedDecoder, shard: int = 0,

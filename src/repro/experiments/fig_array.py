@@ -27,14 +27,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from ..errors import ConfigurationError
 from ..sim.metrics import LifetimeSeries
-from ..traces import DistributionTrace
+from ..traces import (DistributionTrace, hotspot_distribution,
+                      uniform_distribution, zipf_distribution)
 from .common import scaled_parameters
 from .parallel import Cell, GridRunner, ProgressFn, cell_seed, make_runner
 from .report import format_series
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..array import ArrayConfig
 
 #: Shard counts swept (1 = the single-chip baseline).
 SHARD_COUNTS = (1, 2, 4, 8)
@@ -71,24 +75,24 @@ class FigArrayResult:
     floor: float = 0.0
 
 
-def _workload_trace(workload: str, shards: int, software_blocks: int,
-                    interleave: str, seed: int) -> DistributionTrace:
+def _workload_trace(workload: str, config: "ArrayConfig",
+                    seed: int) -> DistributionTrace:
     """Build the global distribution for one cell (lazy array import)."""
-    from ..array import (InterleavedDecoder, hotspot_workload,
-                         shard_attack_workload, uniform_workload,
-                         zipf_workload)
-    decoder = InterleavedDecoder(shards, software_blocks,
-                                 interleave=interleave,
-                                 page_blocks=PAGE_BLOCKS)
+    from ..array import InterleavedDecoder, shard_attack_workload
+    size = config.global_blocks
     if workload == "uniform":
-        return uniform_workload(decoder, seed=seed)
+        return uniform_distribution(size, seed=seed)
     if workload == "hotspot":
-        return hotspot_workload(decoder, cov=3.0, seed=seed)
+        return hotspot_distribution(size, 3.0, seed=seed)
     if workload == "attack":
+        decoder = InterleavedDecoder(config.num_shards,
+                                     config.software_blocks,
+                                     interleave=config.interleave,
+                                     page_blocks=config.page_blocks)
         return shard_attack_workload(decoder, shard=0, hot_share=0.9,
                                      seed=seed)
     if workload == "zipf":
-        return zipf_workload(decoder, exponent=1.0, seed=seed)
+        return zipf_distribution(size, exponent=1.0, seed=seed)
     raise ConfigurationError(
         f"unknown workload {workload!r}; choose from {WORKLOADS}")
 
@@ -106,8 +110,7 @@ def _cell(scale: str, workload: str, shards: int, policy: str,
         psi=params.psi,
         batch_writes=max(1, params.batch_writes // shards),
         seed=seed)
-    trace = _workload_trace(workload, shards, config.software_blocks,
-                            config.interleave, seed)
+    trace = _workload_trace(workload, config, seed)
     engine = ArrayEngine(config, trace,
                          label=f"{workload}/{shards}x", jobs=1)
     result = engine.run()

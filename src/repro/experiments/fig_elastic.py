@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Union
 
 from ..errors import ConfigurationError
 from ..sim.metrics import LifetimeSeries
+from ..traces import zipf_distribution
 from .common import scaled_parameters
 from .parallel import Cell, GridRunner, ProgressFn, cell_seed, make_runner
 from .report import format_series
@@ -87,8 +88,7 @@ class FigElasticResult:
 
 def _cell(scale: str, mode: str, seed: int) -> dict:
     """One grid cell: a whole array campaign (executes in a worker)."""
-    from ..array import (ArrayConfig, ArrayEngine, InterleavedDecoder,
-                         zipf_workload)
+    from ..array import ArrayConfig, ArrayEngine
     params = scaled_parameters(scale)
     shard_blocks = max(PAGE_BLOCKS, params.num_blocks // 4)
     batch = max(1, params.batch_writes // BASE_SHARDS)
@@ -102,10 +102,8 @@ def _cell(scale: str, mode: str, seed: int) -> dict:
         balance_every=4 * batch if mode != "static" else None,
         remap_budget=32,
         add_shard_at=budget // 10 if mode == "elastic" else None)
-    decoder = InterleavedDecoder(config.num_shards, config.software_blocks,
-                                 interleave=config.interleave,
-                                 page_blocks=config.page_blocks)
-    trace = zipf_workload(decoder, exponent=ZIPF_EXPONENT, seed=seed)
+    trace = zipf_distribution(config.global_blocks, exponent=ZIPF_EXPONENT,
+                              seed=seed)
     engine = ArrayEngine(config, trace, label=f"elastic/{mode}", jobs=1)
     result = engine.run()
     report = result.report

@@ -40,17 +40,14 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
-                    Optional, Sequence, Tuple, Union)
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..rng import SeedLike, derive_rng, spawn_seed
 from ..telemetry.timing import timed_call
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..telemetry.session import TelemetrySession
 
 #: Signature of the progress callback: (finished cell, done count, total).
 ProgressFn = Callable[["CellOutcome", int, int], None]
@@ -144,16 +141,12 @@ class GridRunner:
 
     def __init__(self, jobs: int = 1,
                  resume: Union[None, str, Path] = None,
-                 progress: Optional[ProgressFn] = None,
-                 telem: Optional["TelemetrySession"] = None) -> None:
+                 progress: Optional[ProgressFn] = None) -> None:
         if jobs < 1:
             raise ConfigurationError("jobs must be >= 1")
         self.jobs = jobs
         self.resume = Path(resume) if resume is not None else None
         self.progress = progress
-        #: Optional session accumulating grid metrics (cell wall/CPU/queue
-        #: counters) in the parent process.
-        self.telem = telem
         self.outcomes: List[CellOutcome] = []
         self._unsaved = 0
         self._dirty = False
@@ -249,12 +242,6 @@ class GridRunner:
 
     def _finish(self, outcome: CellOutcome, done: int, total: int) -> None:
         self.outcomes.append(outcome)
-        if self.telem is not None and not outcome.cached:
-            self.telem.count("grid.cells")
-            self.telem.count("grid.wall_seconds", outcome.seconds)
-            self.telem.count("grid.cpu_seconds", outcome.cpu_seconds)
-            self.telem.count("grid.queue_seconds", outcome.queue_seconds)
-            self.telem.observe("grid.cell_wall", outcome.seconds)
         if self.progress is not None:
             self.progress(outcome, done, total)
 

@@ -40,7 +40,8 @@ from ..errors import ConfigurationError, ProtocolError
 from ..faultinject import FaultSchedule
 from ..rng import derive_rng
 from ..telemetry import TelemetrySession
-from ..traces import DistributionTrace, zipf_distribution
+from ..traces import (DistributionTrace, uniform_distribution,
+                      zipf_distribution)
 from ..workloads import TraceReplay
 from .account import assemble_snapshots
 from .config import ServeConfig
@@ -149,9 +150,8 @@ class ServiceEngine:
             return zipf_distribution(
                 config.global_blocks, exponent=config.zipf_exponent,
                 name="serve", seed=config.seed)
-        blocks = config.global_blocks
-        return DistributionTrace(np.full(blocks, 1.0 / blocks),
-                                 name="serve", seed=config.seed)
+        return uniform_distribution(config.global_blocks, name="serve",
+                                    seed=config.seed)
 
     def _trace_replay(self) -> TraceReplay:
         """One shared file cursor for every client: requests are issued

@@ -4,8 +4,7 @@ A zero-dependency observability layer for the simulator, mirroring the
 fault-injection package's hook discipline:
 
 * :mod:`~repro.telemetry.metrics` — ``Counter``/``Gauge``/``Histogram``
-  in a process-local :class:`~repro.telemetry.metrics.Registry` whose
-  single ``enabled`` flag turns every metric into a shared no-op;
+  in a process-local :class:`~repro.telemetry.metrics.Registry`;
 * :mod:`~repro.telemetry.trace` — canonical JSONL protocol events with
   monotonic sequence numbers and run metadata, deterministic to the byte
   for a seeded run;

@@ -4,11 +4,9 @@ The simulator's telemetry needs are modest but strict:
 
 * **zero dependencies** — the primitives are plain Python over ints and
   floats, importable everywhere without pulling in the simulation stack;
-* **zero cost when disabled** — a :class:`Registry` constructed with
-  ``enabled=False`` hands out shared *null* metrics whose mutators are
-  empty methods, so instrumentation sites can keep a metric reference
-  without ever branching on a flag (and the hot paths guard on the
-  ``telem is None`` hook instead, paying nothing at all);
+* **zero cost when disabled** — disabled telemetry is no registry at
+  all: instrumented code guards on a ``telem is None`` hook and pays
+  nothing;
 * **mergeable** — experiment cells run in worker processes, so every
   metric must aggregate across processes.  Snapshots merge with
   :func:`merge_snapshots`: counters and histogram buckets add, gauges
@@ -178,46 +176,10 @@ class Histogram:
                 "total": self.total, "sum": self.sum}
 
 
-class _NullCounter(Counter):
-    """Shared no-op counter handed out by disabled registries."""
-
-    def inc(self, amount: Number = 1) -> None:  # noqa: D102 - no-op
-        pass
-
-
-class _NullGauge(Gauge):
-    """Shared no-op gauge handed out by disabled registries."""
-
-    def set(self, value: Number) -> None:  # noqa: D102 - no-op
-        pass
-
-
-class _NullHistogram(Histogram):
-    """Shared no-op histogram handed out by disabled registries."""
-
-    def observe(self, value: Number) -> None:  # noqa: D102 - no-op
-        pass
-
-    def observe_many(self, values: Sequence[Number]) -> None:  # noqa: D102
-        pass
-
-
-NULL_COUNTER = _NullCounter("<disabled>")
-NULL_GAUGE = _NullGauge("<disabled>")
-NULL_HISTOGRAM = _NullHistogram("<disabled>")
-
-
 class Registry:
-    """Process-local, name-addressed home of every metric.
+    """Process-local, name-addressed home of every metric."""
 
-    One ``enabled`` flag governs the whole registry: when False, every
-    accessor returns the shared null metric of the right type, so code
-    written against the registry compiles down to attribute lookups plus
-    empty method calls — no branches at the instrumentation sites.
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
@@ -226,8 +188,6 @@ class Registry:
 
     def counter(self, name: str) -> Counter:
         """The counter registered under *name* (created on first use)."""
-        if not self.enabled:
-            return NULL_COUNTER
         found = self._counters.get(name)
         if found is None:
             self._check_free(name, self._counters)
@@ -241,8 +201,6 @@ class Registry:
         Passing a mode for an existing gauge asserts it: a mismatch is a
         configuration error — the same gauge cannot merge two ways.
         """
-        if not self.enabled:
-            return NULL_GAUGE
         found = self._gauges.get(name)
         if found is None:
             self._check_free(name, self._gauges)
@@ -257,8 +215,6 @@ class Registry:
     def histogram(self, name: str,
                   bounds: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
         """The histogram under *name* (created on first use with *bounds*)."""
-        if not self.enabled:
-            return NULL_HISTOGRAM
         found = self._histograms.get(name)
         if found is None:
             self._check_free(name, self._histograms)
@@ -287,8 +243,6 @@ class Registry:
 
     def merge(self, snapshot: Mapping[str, Mapping[str, object]]) -> None:
         """Fold a :meth:`snapshot` (e.g. from a worker) into this registry."""
-        if not self.enabled:
-            return
         for name, value in snapshot.get("counters", {}).items():
             self.counter(name).inc(_as_number(value))
         for name, value in snapshot.get("gauges", {}).items():
@@ -334,7 +288,7 @@ def merge_snapshots(a: Mapping[str, Mapping[str, object]],
     ``last`` takes *b*'s value and is only order-independent when a
     single writer owns the gauge.
     """
-    merged = Registry(enabled=True)
+    merged = Registry()
     merged.merge(a)
     merged.merge(b)
     return merged.snapshot()
@@ -465,5 +419,4 @@ def _as_list(data: Mapping[str, object], key: str) -> Sequence[object]:
 __all__ = ["Counter", "Gauge", "Histogram", "Registry", "merge_snapshots",
            "gauge_payload", "gauge_value",
            "histogram_quantile", "quantile_label", "snapshot_quantiles",
-           "DEFAULT_BUCKETS", "SLO_QUANTILES", "GAUGE_MODES",
-           "NULL_COUNTER", "NULL_GAUGE", "NULL_HISTOGRAM"]
+           "DEFAULT_BUCKETS", "SLO_QUANTILES", "GAUGE_MODES"]

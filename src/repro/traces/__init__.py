@@ -21,17 +21,19 @@ from .synthetic import (
     hotspot_distribution,
     lognormal_distribution,
     solve_hot_fraction,
+    uniform_distribution,
     zipf_distribution,
 )
 from .benchmarks import BENCHMARKS, BenchmarkSpec, benchmark_trace, benchmark_names
-from .attacks import birthday_paradox_attack, hammer_attack, sequential_sweep
+from .attacks import birthday_paradox_attack, hammer_attack
 from .stats import write_cov, counts_cov, distribution_cov
 
 __all__ = [
     "WriteTrace", "DistributionTrace", "RequestStream",
-    "hotspot_distribution", "lognormal_distribution", "zipf_distribution",
+    "uniform_distribution", "hotspot_distribution",
+    "lognormal_distribution", "zipf_distribution",
     "solve_hot_fraction",
     "BENCHMARKS", "BenchmarkSpec", "benchmark_trace", "benchmark_names",
-    "birthday_paradox_attack", "hammer_attack", "sequential_sweep",
+    "birthday_paradox_attack", "hammer_attack",
     "write_cov", "counts_cov", "distribution_cov",
 ]

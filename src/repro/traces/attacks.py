@@ -46,37 +46,3 @@ def birthday_paradox_attack(virtual_blocks: int, set_size: int = 64,
     probabilities[idx] += hot_share / set_size
     return DistributionTrace(probabilities, name=f"birthday{set_size}",
                              seed=seed)
-
-
-def sequential_sweep(virtual_blocks: int, stride: int = 1,
-                     seed: SeedLike = None) -> "SequentialTrace":
-    """Deterministic strided sweep (uniform in the limit; locality in time)."""
-    return SequentialTrace(virtual_blocks, stride=stride)
-
-
-class SequentialTrace(DistributionTrace):
-    """Round-robin strided writes; deterministic ordering, uniform counts."""
-
-    def __init__(self, virtual_blocks: int, stride: int = 1) -> None:
-        if stride <= 0:
-            raise ConfigurationError("stride must be positive")
-        super().__init__(np.full(virtual_blocks, 1.0 / virtual_blocks),
-                         name=f"seq{stride}")
-        self.stride = stride
-        self._cursor = 0
-
-    def next_write(self) -> int:
-        value = self._cursor
-        self._cursor = (self._cursor + self.stride) % self.virtual_blocks
-        return value
-
-    def batch_counts(self, batch: int) -> np.ndarray:
-        counts = np.zeros(self.virtual_blocks, dtype=np.int64)
-        full, rem = divmod(batch, self.virtual_blocks)
-        counts += full
-        for _ in range(rem):
-            counts[self.next_write()] += 1
-        return counts
-
-    def reset(self) -> None:
-        self._cursor = 0

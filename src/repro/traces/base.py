@@ -25,6 +25,29 @@ from ..errors import ConfigurationError
 from ..rng import SeedLike, derive_rng
 
 
+def checked_probabilities(raw: np.ndarray) -> np.ndarray:
+    """*raw* as float64 weights divided by their sum.
+
+    Rejects an empty, negative or zero-mass vector; the division is the
+    one normalisation every address law in the package shares.
+    """
+    probabilities = np.asarray(raw, dtype=np.float64)
+    total = probabilities.sum()
+    if len(probabilities) == 0 or total <= 0 or (probabilities < 0).any():
+        raise ConfigurationError("probabilities must be non-negative, sum > 0")
+    return probabilities / total
+
+
+def fold_probabilities(probabilities: np.ndarray,
+                       virtual_blocks: int) -> np.ndarray:
+    """*probabilities* folded onto *virtual_blocks* blocks (tail wraps)."""
+    folded = np.zeros(virtual_blocks, dtype=np.float64)
+    for start in range(0, len(probabilities), virtual_blocks):
+        chunk = probabilities[start:start + virtual_blocks]
+        folded[:len(chunk)] += chunk
+    return folded
+
+
 class WriteTrace(abc.ABC):
     """A stream of virtual-block write addresses."""
 
@@ -59,12 +82,8 @@ class DistributionTrace(WriteTrace):
 
     def __init__(self, probabilities: np.ndarray, name: str = "distribution",
                  seed: SeedLike = None) -> None:
-        probabilities = np.asarray(probabilities, dtype=np.float64)
-        super().__init__(len(probabilities), name=name)
-        total = probabilities.sum()
-        if total <= 0 or (probabilities < 0).any():
-            raise ConfigurationError("probabilities must be non-negative, sum > 0")
-        self.probabilities = probabilities / total
+        self.probabilities = checked_probabilities(probabilities)
+        super().__init__(len(self.probabilities), name=name)
         self._seed = seed
         self._rng = derive_rng(seed, f"trace-{name}")
         # Buffered single draws so next_write() amortizes generator calls.
@@ -109,12 +128,9 @@ class DistributionTrace(WriteTrace):
         """
         if virtual_blocks >= self.virtual_blocks:
             return self
-        folded = np.zeros(virtual_blocks, dtype=np.float64)
-        for start in range(0, self.virtual_blocks, virtual_blocks):
-            chunk = self.probabilities[start:start + virtual_blocks]
-            folded[:len(chunk)] += chunk
-        return DistributionTrace(folded, name=f"{self.name}-folded",
-                                 seed=self._seed)
+        return DistributionTrace(
+            fold_probabilities(self.probabilities, virtual_blocks),
+            name=f"{self.name}-folded", seed=self._seed)
 
 
 class RequestStream:
@@ -133,17 +149,10 @@ class RequestStream:
 
     def __init__(self, probabilities: np.ndarray, write_ratio: float = 0.5,
                  name: str = "requests", seed: SeedLike = None) -> None:
-        probabilities = np.asarray(probabilities, dtype=np.float64)
-        if len(probabilities) == 0:
-            raise ConfigurationError("need at least one address")
-        total = probabilities.sum()
-        if total <= 0 or (probabilities < 0).any():
-            raise ConfigurationError(
-                "probabilities must be non-negative, sum > 0")
         if not 0.0 <= write_ratio <= 1.0:
             raise ConfigurationError("write_ratio must be in [0, 1]")
-        self.probabilities = probabilities / total
-        self.virtual_blocks = len(probabilities)
+        self.probabilities = checked_probabilities(probabilities)
+        self.virtual_blocks = len(self.probabilities)
         self.write_ratio = write_ratio
         self.name = name
         self._seed = seed

@@ -60,6 +60,13 @@ def solve_hot_fraction(target_cov: float, hot_share: float = 0.9) -> float:
     return brentq(gap, lo, hi, xtol=1e-12)
 
 
+def uniform_distribution(virtual_blocks: int, name: str = "uniform",
+                         seed: SeedLike = None) -> DistributionTrace:
+    """Every block equally likely: the CoV-0 law."""
+    return DistributionTrace(np.full(virtual_blocks, 1.0 / virtual_blocks),
+                             name=name, seed=seed)
+
+
 def hotspot_distribution(virtual_blocks: int, target_cov: float,
                          hot_share: float = 0.9,
                          clustered: bool = True,

@@ -6,10 +6,10 @@ One vocabulary of storage traffic consumed by both stacks:
   request generators (Zipf, uniform, sequential, phase-shifting
   hotspots, per-phase read/write mixes) built on ``derive_rng`` streams;
 * :mod:`~repro.workloads.tracefile` — the canonical on-disk trace
-  format with an epoch-seekable streaming reader, a recorder freezing
-  any generator to disk, and :class:`TraceReplay`, the one wrap-around
-  replayer of recorded traffic for the serving layer and the batch
-  engines alike;
+  format, a recorder freezing any generator to disk, and
+  :class:`TraceReplay`, which loads a file in one read and is the one
+  wrap-around replayer of recorded traffic for the serving layer and
+  the batch engines alike;
 * :mod:`~repro.workloads.shards` — per-shard projections and digests,
   the equivalence surface between ``repro.serve`` and ``repro.array``;
 * :mod:`~repro.workloads.ftl` — a page-mapping FTL with greedy /
@@ -29,14 +29,14 @@ from .generators import (CHUNK, Phase, PhasedWorkload, SequentialWorkload,
                          Workload, phase_shifting_hotspot, uniform_workload,
                          zipf_workload)
 from .shards import per_shard_streams, shard_digests, stream_digest
-from .tracefile import (TraceMeta, TraceReader, TraceReplay,
-                        canonical_bytes, check_canonical, read_meta,
-                        record_workload, write_records)
+from .tracefile import (TraceMeta, TraceReplay, canonical_bytes,
+                        check_canonical, read_meta, record_workload,
+                        write_records)
 
 __all__ = [
     "CHUNK", "Phase", "Workload", "PhasedWorkload", "SequentialWorkload",
     "uniform_workload", "zipf_workload", "phase_shifting_hotspot",
-    "TraceMeta", "TraceReader", "TraceReplay", "canonical_bytes",
+    "TraceMeta", "TraceReplay", "canonical_bytes",
     "check_canonical", "read_meta", "record_workload", "write_records",
     "per_shard_streams", "shard_digests", "stream_digest",
     "FTLConfig", "GC_POLICIES", "PageMappingFTL",

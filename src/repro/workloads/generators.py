@@ -15,7 +15,7 @@ Determinism discipline (the same contract as
   appending a phase cannot perturb the draws of any earlier phase;
 * draws happen in fixed :data:`CHUNK`-sized chunks within a phase, so
   the stream is identical whether consumed one request at a time
-  (:meth:`Workload.next_request`) or in bulk (:meth:`Workload.take`).
+  (``take(1)``) or in bulk (:meth:`Workload.take`).
 
 The serving layer draws its i.i.d. client streams straight from an
 address law (:meth:`~repro.traces.base.DistributionTrace.request_stream`);
@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..rng import SeedLike, derive_rng
 from ..traces import zipf_distribution
+from ..traces.base import checked_probabilities
 
 #: Fixed draw-chunk size: the stream is chunked at these boundaries no
 #: matter how it is consumed, which is what makes ``take(1)`` n times
@@ -59,13 +60,8 @@ class Phase:
             raise ConfigurationError("phase needs >= 1 requests")
         if not 0.0 <= self.write_ratio <= 1.0:
             raise ConfigurationError("write_ratio must be in [0, 1]")
-        probabilities = np.asarray(self.probabilities, dtype=np.float64)
-        total = probabilities.sum()
-        if len(probabilities) == 0 or total <= 0 \
-                or (probabilities < 0).any():
-            raise ConfigurationError(
-                "phase probabilities must be non-negative, sum > 0")
-        object.__setattr__(self, "probabilities", probabilities / total)
+        object.__setattr__(self, "probabilities",
+                           checked_probabilities(self.probabilities))
 
 
 class Workload(abc.ABC):
@@ -87,11 +83,6 @@ class Workload(abc.ABC):
     @abc.abstractmethod
     def reset(self) -> None:
         """Restart the stream from its first request."""
-
-    def next_request(self) -> Tuple[int, bool]:
-        """Next request as ``(address, is_write)`` — same stream as take."""
-        row = self.take(1)[0]
-        return int(row[0]), bool(row[1])
 
 
 class PhasedWorkload(Workload):
@@ -171,19 +162,6 @@ class PhasedWorkload(Workload):
         if not rows:
             return np.empty((0, 2), dtype=np.int64)
         return np.concatenate(rows, axis=0)
-
-    def then(self, other: "PhasedWorkload") -> "PhasedWorkload":
-        """This workload followed by *other*'s phases.
-
-        The combined workload keeps this one's name and seed, so the
-        prefix covering this workload's phases replays byte-identically;
-        *other*'s phases are re-derived under the combined identity.
-        """
-        if other.virtual_blocks != self.virtual_blocks:
-            raise ConfigurationError(
-                "cannot concatenate workloads over different spaces")
-        return PhasedWorkload(self.phases + other.phases,
-                              name=self.name, seed=self._seed)
 
 
 class SequentialWorkload(Workload):

@@ -1,4 +1,4 @@
-"""Canonical on-disk workload traces: record, stream, seek, replay.
+"""Canonical on-disk workload traces: record, load, replay.
 
 The format is line-oriented text (diffable, versionable, exactly one
 canonical byte encoding per logical trace):
@@ -6,7 +6,7 @@ canonical byte encoding per logical trace):
 * header line: ``#REPRO-WORKLOAD v1 {meta}`` where ``{meta}`` is the
   canonical JSON (sorted keys, no spaces) of :class:`TraceMeta`;
 * an ``#EPOCH k`` marker before every ``epoch_requests`` records —
-  the resume/seek granularity (:meth:`TraceReader.seek_epoch`);
+  the granularity of ``python -m repro.workloads replay --epoch``;
 * one record per line, ``<address>,<R|W>``, LF-terminated.
 
 Canonicality is the regression surface: re-encoding a parsed trace must
@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import (IO, Any, Dict, Iterator, List, Optional, Tuple, Union)
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -199,107 +199,32 @@ def _parse_record(line: str, lineno: int) -> Tuple[int, bool]:
     return address, kind == "W"
 
 
-class TraceReader:
-    """Streaming cursor over a stored trace, seekable to epoch starts.
+def _read_trace(path: PathLike) -> Tuple[TraceMeta, np.ndarray]:
+    """Parse a stored trace whole: its meta and ``(n, 2)`` int64 records.
 
-    The reader never loads the file whole: ``records()`` yields from the
-    current position, and :meth:`seek_epoch` jumps to an ``#EPOCH``
-    marker, building a byte-offset index lazily as markers are passed.
+    The line after the header must be ``#EPOCH 0``; later epoch markers
+    are skipped, and the record count must match the header's.
     """
-
-    def __init__(self, path: PathLike) -> None:
-        self.path = Path(path)
-        self._handle: IO[str] = open(self.path, "r", encoding="utf-8",
-                                     newline="\n")
-        try:
-            self.meta = TraceMeta.decode(self._handle.readline())
-            self._lineno = 1
-            #: Byte offsets of the line *after* each seen ``#EPOCH k``.
-            self._epoch_offsets: Dict[int, int] = {}
-            self._scan_to_epoch(0)
-        except BaseException:
-            self._handle.close()
-            raise
-
-    # --------------------------------------------------------- lifecycle
-
-    def close(self) -> None:
-        self._handle.close()
-
-    def __enter__(self) -> "TraceReader":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    # ----------------------------------------------------------- seeking
-
-    def _scan_to_epoch(self, epoch: int) -> None:
-        """Advance from the current position until *epoch*'s marker."""
-        while True:
-            offset = self._handle.tell()
-            line = self._handle.readline()
-            if not line:
-                raise ConfigurationError(
-                    f"{self.path}: epoch {epoch} past end of trace")
-            self._lineno += 1
-            if line.startswith(EPOCH_MARK):
-                seen = int(line.split()[1])
-                self._epoch_offsets[seen] = self._handle.tell()
-                if seen != len(self._epoch_offsets) - 1:
-                    raise ConfigurationError(
-                        f"{self.path}: epoch markers out of order "
-                        f"at byte {offset}")
-                if seen == epoch:
-                    return
-
-    def seek_epoch(self, epoch: int) -> None:
-        """Position the cursor at the first record of *epoch*."""
-        if not 0 <= epoch < self.meta.epochs:
+    with open(path, "r", encoding="utf-8", newline="\n") as handle:
+        meta = TraceMeta.decode(handle.readline())
+        if handle.readline().split() != [EPOCH_MARK, "0"]:
             raise ConfigurationError(
-                f"epoch {epoch} out of range [0, {self.meta.epochs})")
-        if epoch in self._epoch_offsets:
-            self._handle.seek(self._epoch_offsets[epoch])
-            return
-        # Resume the scan from the furthest marker already indexed.
-        furthest = max(self._epoch_offsets)
-        self._handle.seek(self._epoch_offsets[furthest])
-        self._scan_to_epoch(epoch)
-
-    # ----------------------------------------------------------- reading
-
-    def records(self) -> Iterator[Tuple[int, bool]]:
-        """Yield ``(address, is_write)`` from the cursor to end of file."""
-        while True:
-            line = self._handle.readline()
-            if not line:
-                return
-            self._lineno += 1
-            if line.startswith(EPOCH_MARK):
-                self._epoch_offsets.setdefault(int(line.split()[1]),
-                                               self._handle.tell())
-                continue
-            yield _parse_record(line, self._lineno)
-
-    def read_all(self) -> np.ndarray:
-        """Every record from epoch 0 as an ``(n, 2)`` int64 array."""
-        self.seek_epoch(0)
-        rows = np.fromiter(
-            (value for record in self.records() for value in record),
-            dtype=np.int64)
-        records = rows.reshape(-1, 2)
-        if len(records) != self.meta.requests:
-            raise ConfigurationError(
-                f"{self.path}: header declares {self.meta.requests} "
-                f"records, found {len(records)}")
-        return _checked_records(records, self.meta.virtual_blocks)
+                f"{path}: line 2 is not the {EPOCH_MARK} 0 marker")
+        rows = [_parse_record(line, lineno)
+                for lineno, line in enumerate(handle, start=3)
+                if not line.startswith(EPOCH_MARK)]
+    records = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    if len(records) != meta.requests:
+        raise ConfigurationError(
+            f"{path}: header declares {meta.requests} records, "
+            f"found {len(records)}")
+    return meta, _checked_records(records, meta.virtual_blocks)
 
 
 def check_canonical(path: PathLike) -> bool:
     """True when the file is byte-identical to its canonical re-encoding."""
-    with TraceReader(path) as reader:
-        expected = canonical_bytes(reader.meta, reader.read_all())
-    return Path(path).read_bytes() == expected
+    meta, records = _read_trace(path)
+    return Path(path).read_bytes() == canonical_bytes(meta, records)
 
 
 class TraceReplay(Workload, WriteTrace):
@@ -322,8 +247,8 @@ class TraceReplay(Workload, WriteTrace):
     @classmethod
     def load(cls, path: PathLike) -> "TraceReplay":
         """Load a stored trace whole for replay."""
-        with TraceReader(path) as reader:
-            return cls(reader.read_all(), reader.meta)
+        meta, records = _read_trace(path)
+        return cls(records, meta)
 
     def reset(self) -> None:
         self._cursor = 0
@@ -403,6 +328,6 @@ class TraceReplay(Workload, WriteTrace):
 
 __all__ = [
     "MAGIC", "VERSION", "EPOCH_MARK", "TraceMeta", "canonical_bytes",
-    "write_records", "record_workload", "read_meta", "TraceReader",
-    "TraceReplay", "check_canonical",
+    "write_records", "record_workload", "read_meta", "TraceReplay",
+    "check_canonical",
 ]

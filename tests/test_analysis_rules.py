@@ -222,7 +222,7 @@ class TestTelemApi:
 
     @pytest.mark.parametrize("bad", [
         "count = Counter('events')\n",
-        "registry = Registry(enabled=False)\n",
+        "registry = Registry()\n",
         "hist = Histogram('latency', (0.1, 1.0))\n",
     ])
     def test_direct_metric_construction_is_caught(self, bad):

@@ -16,14 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.array import (ArrayConfig, ArrayEngine, InterleavedDecoder,
-                         SegmentedTrace, hotspot_workload,
-                         shard_attack_workload, shard_seed, uniform_workload,
-                         zipf_workload)
+                         SegmentedTrace, shard_attack_workload, shard_seed)
 from repro.array.shard import build_shard
 from repro.array.__main__ import main as array_main
 from repro.errors import ConfigurationError
 from repro.faultinject import FaultSchedule, shard_death_schedule
 from repro.telemetry import deterministic_snapshot
+from repro.traces import (hotspot_distribution, uniform_distribution,
+                          zipf_distribution)
+from repro.workloads import record_workload, zipf_workload
 
 PAGE = 16
 
@@ -236,7 +237,7 @@ class TestArrayConfig:
 
     def test_undersized_trace_is_rejected(self):
         config = make_config()
-        small = uniform_workload(make_decoder(shards=2, blocks=240))
+        small = uniform_distribution(2 * 240)
         with pytest.raises(ConfigurationError, match="decodes"):
             ArrayEngine(config, small)
 
@@ -321,7 +322,7 @@ def run_array(jobs=1, policy="degraded", schedule=None, workload="hotspot",
     decoder = make_decoder(shards=config.num_shards,
                            blocks=config.software_blocks)
     if workload == "hotspot":
-        trace = hotspot_workload(decoder, cov=3.0, seed=7)
+        trace = hotspot_distribution(config.global_blocks, 3.0, seed=7)
     elif workload == "attack":
         trace = shard_attack_workload(decoder, shard=0, hot_share=0.9,
                                       seed=7)
@@ -329,9 +330,10 @@ def run_array(jobs=1, policy="degraded", schedule=None, workload="hotspot",
         trace = shard_attack_workload(decoder, shard=1, hot_share=1.0,
                                       seed=7)
     elif workload == "zipf":
-        trace = zipf_workload(decoder, exponent=1.0, seed=7)
+        trace = zipf_distribution(config.global_blocks, exponent=1.0,
+                                  seed=7)
     else:
-        trace = uniform_workload(decoder, seed=7)
+        trace = uniform_distribution(config.global_blocks, seed=7)
     engine = ArrayEngine(config, trace, label="t", jobs=jobs,
                          schedule=schedule)
     return engine.run()
@@ -480,6 +482,12 @@ class TestLockstep:
         "fail-stop-attack": (
             dict(policy="fail-stop", workload="attack"),
             "3f0de65dfcc36b73ef0cec47d267a62093bda2f8c034bcc7341ef1d3727ab84d"),
+        "degraded-hotspot": (
+            dict(policy="degraded", workload="hotspot"),
+            "c344daf7cd37c67bdacc76ad5ecd97389fcf0a060f47f196f109e7ead257cf30"),
+        "degraded-zipf": (
+            dict(policy="degraded", workload="zipf"),
+            "cff444969d05a72bb8e9585d503590904b99aa151c39acab687ecd6ba79974fb"),
     }
 
     #: All traffic on shard 1: under fail-stop shards 0, 2 and 3 never
@@ -563,14 +571,6 @@ class TestArrayDeterminism:
         # Wall-clock phase timers must not leak into the merged snapshot.
         assert not any(name.endswith(".seconds") for name in counters)
 
-    def test_deterministic_snapshot_strips_phase_seconds(self):
-        snapshot = {"counters": {"phase.run.seconds": 0.5,
-                                 "phase.run.calls": 3, "writes": 9},
-                    "gauges": {"peak": 2}, "histograms": {}}
-        cleaned = deterministic_snapshot(snapshot)
-        assert cleaned["counters"] == {"phase.run.calls": 3, "writes": 9}
-        assert cleaned["gauges"] == {"peak": 2}
-
 
 # ----------------------------------------------------------------- the CLI
 
@@ -600,3 +600,19 @@ class TestArrayCli:
         assert code == 0
         captured = capsys.readouterr()
         assert "dead shards: 0" in captured.out
+
+    def test_recorded_trace_output_is_pinned(self, tmp_path):
+        # A zipf trace over the 2 x 240-block software space, replayed
+        # to the last shard death through --workload trace.
+        trace, out = tmp_path / "w.trace", tmp_path / "array.json"
+        record_workload(trace, zipf_workload(480, requests=2_000,
+                                             write_ratio=0.7, seed=5),
+                        2_000, epoch_requests=500)
+        code = array_main(["--shards", "2", "--shard-blocks", "256",
+                           "--page-blocks", "16", "--mean", "200",
+                           "--batch-writes", "1000", "--workload", "trace",
+                           "--trace", str(trace), "--quiet",
+                           "--json", str(out)])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "58eafffaff1238695e661cc19673e1d4e6326ed46dec6e4008a6b6d5d4bdfdf3"

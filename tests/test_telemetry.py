@@ -23,11 +23,11 @@ from repro.telemetry import (TelemetrySession, TraceWriter, attach_controller,
                              attach_exact, attach_fast, attach_ftl, census,
                              diff_traces, merge_snapshots, read_trace,
                              run_meta, timed_call)
-from repro.telemetry.metrics import (DEFAULT_BUCKETS, NULL_COUNTER,
-                                     NULL_GAUGE, NULL_HISTOGRAM, Registry,
-                                     SLO_QUANTILES, gauge_payload,
-                                     gauge_value, histogram_quantile,
-                                     quantile_label, snapshot_quantiles)
+from repro.telemetry.metrics import (DEFAULT_BUCKETS, Registry,
+                                     SLO_QUANTILES, deterministic_snapshot,
+                                     gauge_payload, gauge_value,
+                                     histogram_quantile, quantile_label,
+                                     snapshot_quantiles)
 from repro.telemetry.trace import (EVENT_KINDS, PROFILE_KIND, dumps, loads,
                                    profile_of)
 
@@ -169,21 +169,6 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="different type"):
             registry.histogram("shared")
 
-    def test_disabled_registry_hands_out_shared_null_metrics(self):
-        registry = Registry(enabled=False)
-        assert registry.counter("a") is NULL_COUNTER
-        assert registry.gauge("b") is NULL_GAUGE
-        assert registry.histogram("c") is NULL_HISTOGRAM
-        registry.counter("a").inc(5)
-        registry.gauge("b").set(5)
-        registry.histogram("c").observe(5)
-        registry.histogram("c").observe_many([1, 5, 9])
-        assert NULL_COUNTER.value == 0
-        assert NULL_GAUGE.value == 0
-        assert NULL_HISTOGRAM.total == 0
-        assert registry.snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {}}
-
     def test_merge_folds_a_worker_snapshot(self):
         worker = Registry()
         worker.counter("cells").inc(3)
@@ -204,14 +189,6 @@ class TestRegistry:
         b.histogram("wall", bounds=(2.0,)).observe(0.5)
         with pytest.raises(ConfigurationError, match="bounds differ"):
             a.merge(b.snapshot())
-
-    def test_merge_into_disabled_registry_is_a_no_op(self):
-        worker = Registry()
-        worker.counter("cells").inc(3)
-        disabled = Registry(enabled=False)
-        disabled.merge(worker.snapshot())
-        assert disabled.snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {}}
 
     def test_merge_rejects_malformed_snapshots(self):
         registry = Registry()
@@ -314,6 +291,14 @@ class TestMergeSnapshotsEdges:
             merge_snapshots(snapshot, {})
         assert merge_snapshots({}, {}) == {
             "counters": {}, "gauges": {}, "histograms": {}}
+
+    def test_deterministic_snapshot_strips_phase_seconds(self):
+        snapshot = {"counters": {"phase.run.seconds": 0.5,
+                                 "phase.run.calls": 3, "writes": 9},
+                    "gauges": {"peak": 2}, "histograms": {}}
+        cleaned = deterministic_snapshot(snapshot)
+        assert cleaned["counters"] == {"phase.run.calls": 3, "writes": 9}
+        assert cleaned["gauges"] == {"peak": 2}
 
     def test_disjoint_labels_union(self):
         a = {"counters": {"s0.writes": 10}, "gauges": {"s0.peak": 2}}

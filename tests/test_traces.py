@@ -18,7 +18,6 @@ from repro.traces import (
     hammer_attack,
     hotspot_distribution,
     lognormal_distribution,
-    sequential_sweep,
     write_cov,
     zipf_distribution,
 )
@@ -212,15 +211,6 @@ class TestAttacks:
         trace = birthday_paradox_attack(1024, set_size=16, seed=1)
         assert (trace.probabilities > 0).all()
         assert distribution_cov(trace.probabilities) > 5.0
-
-    def test_sequential_sweep_deterministic(self):
-        trace = sequential_sweep(8, stride=3)
-        assert [trace.next_write() for _ in range(5)] == [0, 3, 6, 1, 4]
-
-    def test_sequential_batch_counts_uniform(self):
-        trace = sequential_sweep(8)
-        counts = trace.batch_counts(16)
-        assert (counts == 2).all()
 
 
 class TestFileIO:

@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.array import trace_workload
 from repro.array.decoder import InterleavedDecoder
+from repro.array.__main__ import main as array_main
 from repro.array.__main__ import trace_digest_lines
 from repro.array.engine import ArrayConfig
 from repro.errors import ConfigurationError
@@ -22,7 +22,7 @@ from repro.sim import FastConfig, FastEngine
 from repro.wl import StartGap
 from repro.workloads import (CHUNK, FTLConfig, PageMappingFTL, Phase,
                              PhasedWorkload, SequentialWorkload, TraceMeta,
-                             TraceReader, TraceReplay, canonical_bytes,
+                             TraceReplay, canonical_bytes,
                              check_canonical, convert_msr, fold_addresses,
                              per_shard_streams, phase_shifting_hotspot,
                              read_meta, read_msr_csv, record_workload,
@@ -74,12 +74,9 @@ class TestGenerators:
         extra = phase_shifting_hotspot(64, phases=1, phase_requests=100,
                                        seed=9)
         prefix = base.take(400)
-        combined = base.then(extra)
+        combined = PhasedWorkload(base.phases + extra.phases,
+                                  name=base.name, seed=9)
         assert np.array_equal(prefix, combined.take(400))
-
-    def test_then_rejects_mismatched_spaces(self):
-        with pytest.raises(ConfigurationError):
-            uniform_workload(16).then(uniform_workload(32))
 
     def test_cycle_wraps_with_fresh_streams(self):
         workload = uniform_workload(16, requests=50, seed=2)
@@ -181,38 +178,12 @@ class TestTraceFile:
         path.write_bytes(data)
         assert not check_canonical(path)
 
-    def test_seek_epoch_matches_slice(self, tmp_path):
-        path, meta = self._record(tmp_path)
-        replay = TraceReplay.load(path)
-        with TraceReader(path) as reader:
-            reader.seek_epoch(2)
-            tail = np.array(list(reader.records()), dtype=np.int64)
-        assert np.array_equal(tail, replay.records[2 * 50:])
-
-    def test_seek_backward_uses_the_index(self, tmp_path):
-        path, _ = self._record(tmp_path)
-        with TraceReader(path) as reader:
-            reader.seek_epoch(3)
-            reader.seek_epoch(1)
-            first = next(reader.records())
-        replay = TraceReplay.load(path)
-        assert first[0] == replay.records[50, 0]
-
-    def test_seek_epoch_out_of_range(self, tmp_path):
-        path, _ = self._record(tmp_path)
-        with TraceReader(path) as reader:
-            with pytest.raises(ConfigurationError):
-                reader.seek_epoch(4)
-            with pytest.raises(ConfigurationError):
-                reader.seek_epoch(-1)
-
     def test_read_all_detects_truncation(self, tmp_path):
         path, _ = self._record(tmp_path)
         lines = path.read_bytes().splitlines(keepends=True)
         path.write_bytes(b"".join(lines[:-5]))
-        with TraceReader(path) as reader:
-            with pytest.raises(ConfigurationError):
-                reader.read_all()
+        with pytest.raises(ConfigurationError):
+            TraceReplay.load(path)
 
     def test_write_records_validates(self, tmp_path):
         meta = TraceMeta(name="t", virtual_blocks=4, requests=2,
@@ -236,7 +207,9 @@ class TestTraceFile:
         "not a trace\n",
         TraceMeta(name="t", virtual_blocks=4, requests=1, epoch_requests=1,
                   write_ratio=1.0).encode() + "\n0,W\n",
-    ], ids=["bad-header", "no-epoch-0"])
+        TraceMeta(name="t", virtual_blocks=4, requests=1, epoch_requests=1,
+                  write_ratio=1.0).encode() + "\n0,W\n#EPOCH 0\n0,W\n",
+    ], ids=["bad-header", "no-epoch-0", "record-before-epoch-0"])
     def test_failed_open_closes_the_file(self, tmp_path, body):
         path = tmp_path / "bad.trace"
         path.write_text(body)
@@ -583,16 +556,17 @@ class TestConvert:
         # The array exposes whole pages below the gap block, so fold
         # the trace into exactly its software-visible global space.
         config = ArrayConfig(num_shards=4, shard_blocks=256,
-                             mean_endurance=50.0, batch_writes=93,
-                             seed=3)
-        decoder = InterleavedDecoder(config.num_shards,
-                                     config.software_blocks)
-        convert_msr(MSR_SAMPLE, out, blocks=decoder.global_blocks)
-        workload = trace_workload(decoder, str(out), seed=3)
-        from repro.array import ArrayEngine
-        result = ArrayEngine(config, workload, label="msr",
-                             jobs=1).run()
-        assert result.report.total_writes > 0
+                             page_blocks=64)
+        convert_msr(MSR_SAMPLE, out, blocks=config.global_blocks)
+        result = tmp_path / "array.json"
+        code = array_main(["--shards", "4", "--shard-blocks", "256",
+                           "--page-blocks", "64", "--mean", "50",
+                           "--batch-writes", "93", "--seed", "3",
+                           "--workload", "trace", "--trace", str(out),
+                           "--quiet", "--json", str(result)])
+        assert code == 0
+        report = json.loads(result.read_text())["report"]
+        assert report["total_writes"] > 0
 
     def test_convert_cli(self, tmp_path, capsys):
         out = tmp_path / "msr.trace"
@@ -647,26 +621,37 @@ class TestServeArrayEquivalence:
         assert shard_digests(issued, engine.decoder) == \
             shard_digests(replay.records[:, 0], engine.decoder)
 
-    def test_array_replays_the_same_file(self, trace_path):
+    def test_array_replays_the_same_file(self, trace_path, tmp_path):
         config = ArrayConfig(num_shards=4, shard_blocks=72, page_blocks=8,
                              mean_endurance=120.0, seed=7)
         assert config.software_blocks == 64  # same space as serve
         decoder = InterleavedDecoder(4, config.software_blocks,
                                      page_blocks=8)
-        workload = trace_workload(decoder, str(trace_path), seed=7)
+        out = tmp_path / "array.json"
+        code = array_main(["--shards", "4", "--shard-blocks", "72",
+                           "--page-blocks", "8", "--mean", "120",
+                           "--max-writes", "2000", "--workload", "trace",
+                           "--trace", str(trace_path), "--quiet",
+                           "--json", str(out)])
+        assert code == 0
         replay = TraceReplay.load(trace_path)
         expected = replay.write_distribution()
-        assert np.allclose(workload.probabilities,
-                           expected / expected.sum())
+        census = json.loads(out.read_text())["report"]["shards"]
+        assert [shard["share"] for shard in census] == pytest.approx(
+            decoder.shard_masses(expected / expected.sum()).tolist())
         lines = trace_digest_lines(str(trace_path), config)
         digests = shard_digests(replay.records[:, 0], decoder)
         assert lines == [f"  trace s{sid}: {digest}"
                          for sid, digest in digests.items()]
 
-    def test_geometry_mismatch_is_rejected_everywhere(self, trace_path):
-        small = InterleavedDecoder(2, 8)
-        with pytest.raises(ConfigurationError):
-            trace_workload(small, str(trace_path))
+    def test_geometry_mismatch_is_rejected_everywhere(self, trace_path,
+                                                       capsys):
+        code = array_main(["--shards", "2", "--shard-blocks", "72",
+                           "--page-blocks", "8", "--workload", "trace",
+                           "--trace", str(trace_path)])
+        assert code == 2
+        assert "trace covers 256 blocks, the decoder decodes 128" in \
+            capsys.readouterr().err
         config = ServeConfig(num_shards=2, shard_blocks=8, page_blocks=4,
                              clients=2, total_requests=10,
                              workload="trace", trace_path=str(trace_path),

@@ -25,10 +25,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workloads import (SequentialWorkload, TraceMeta, TraceReplay,
-                             canonical_bytes, phase_shifting_hotspot,
-                             record_workload, uniform_workload,
-                             zipf_workload)
+from repro.workloads import (PhasedWorkload, SequentialWorkload,
+                             TraceMeta, TraceReplay, canonical_bytes,
+                             phase_shifting_hotspot, record_workload,
+                             uniform_workload, zipf_workload)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 spaces = st.integers(min_value=4, max_value=128)
@@ -127,7 +127,9 @@ def test_appending_phases_never_rewrites_the_prefix(seed, blocks,
                                    name="extra")
     span = prefix_phases * 150
     prefix = base.take(span)
-    assert np.array_equal(prefix, base.then(extra).take(span))
+    combined = PhasedWorkload(base.phases + extra.phases, name=base.name,
+                              seed=seed)
+    assert np.array_equal(prefix, combined.take(span))
 
 
 @given(seed=seeds, blocks=spaces, kind=st.sampled_from(KINDS),
