@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.experiments import fig5
+from repro.experiments.parallel import GridRunner
 
 BENCHMARKS = ["ocean", "radix", "blackscholes", "fft", "mg"]
 JOBS = 4
@@ -24,7 +25,7 @@ JOBS = 4
 def _timed_run(jobs):
     started = time.perf_counter()
     result = fig5.run(scale="tiny", benchmarks=BENCHMARKS, seed=1,
-                      jobs=jobs)
+                      runner=GridRunner(jobs=jobs))
     return fig5.as_dict(result), time.perf_counter() - started
 
 

@@ -83,8 +83,8 @@ class WallClockRule(Rule):
                     findings.append(self.finding(
                         src, node,
                         f"time.{node.attr} reads the ambient clock; route "
-                        f"timing through repro.telemetry (timed_call / "
-                        f"PhaseTimer) or justify with an allow comment"))
+                        f"timing through repro.telemetry (PhaseTimer) or "
+                        f"justify with an allow comment"))
                 elif owner in _DATETIME_OWNERS \
                         and node.attr in DATETIME_ATTRS:
                     findings.append(self.finding(

@@ -14,8 +14,7 @@ as the numbered experiments (``run``/``render``/``as_dict``; CLI name
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from ..config import StartGapConfig
 from ..sim import FastConfig, FastEngine
@@ -24,7 +23,7 @@ from ..traces.base import DistributionTrace
 from ..traces.synthetic import hotspot_distribution
 from ..wl import StartGap
 from .common import ScaledParameters, build_chip, scaled_parameters
-from .parallel import Cell, GridRunner, ProgressFn, cell_seed, make_runner
+from .parallel import Cell, GridRunner, cell_seed
 from .report import format_number, format_table
 
 #: CLI names of the adversarial streams, in report order.
@@ -100,17 +99,14 @@ def grid(scale: str, seed: int) -> List[Cell]:
 
 
 def run(scale: str = "small", benchmarks: Optional[List[str]] = None,
-        seed: int = 1, jobs: int = 1,
-        resume: Union[None, str, Path] = None,
-        progress: Optional[ProgressFn] = None,
+        seed: int = 1,
         runner: Optional[GridRunner] = None) -> AttackResult:
     """Measure both systems' lifetimes under each attack stream.
 
     ``benchmarks`` is accepted for CLI uniformity and ignored: attack
     streams replace the workload.
     """
-    runner = make_runner(jobs=jobs, resume=resume, progress=progress,
-                         runner=runner)
+    runner = runner or GridRunner()
     values = runner.run(grid(scale, seed))
     rows = [AttackRow(
         attack=attack,

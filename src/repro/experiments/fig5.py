@@ -14,12 +14,11 @@ same system revived by the framework ("ECP6-SG-WLR").  Expected shape:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from ..traces import BENCHMARKS
 from .common import build_engine, scaled_parameters
-from .parallel import Cell, GridRunner, ProgressFn, cell_seed, make_runner
+from .parallel import Cell, GridRunner, cell_seed
 from .report import format_number, format_table
 
 #: The two systems of the figure's bar pairs.
@@ -77,14 +76,11 @@ def grid(scale: str, benchmarks: List[str], seed: int) -> List[Cell]:
 
 
 def run(scale: str = "small", benchmarks: Optional[List[str]] = None,
-        seed: int = 1, jobs: int = 1,
-        resume: Union[None, str, Path] = None,
-        progress: Optional[ProgressFn] = None,
+        seed: int = 1,
         runner: Optional[GridRunner] = None) -> Fig5Result:
     """Measure both configurations' lifetimes for every benchmark."""
     names = benchmarks if benchmarks is not None else list(BENCHMARKS)
-    runner = make_runner(jobs=jobs, resume=resume, progress=progress,
-                         runner=runner)
+    runner = runner or GridRunner()
     values = runner.run(grid(scale, names, seed))
     rows = [Fig5Row(benchmark=name,
                     write_cov=BENCHMARKS[name].write_cov,

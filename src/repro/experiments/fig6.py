@@ -16,12 +16,11 @@ start).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from ..sim.metrics import LifetimeSeries
 from .common import SYSTEM_CONFIGS, build_engine, scaled_parameters
-from .parallel import Cell, GridRunner, ProgressFn, cell_seed, make_runner
+from .parallel import Cell, GridRunner, cell_seed
 from .report import format_series
 
 
@@ -70,15 +69,12 @@ def grid(scale: str, benchmarks: List[str], systems: List[str],
 def run(scale: str = "small",
         benchmarks: Optional[List[str]] = None,
         systems: Optional[List[str]] = None,
-        seed: int = 1, jobs: int = 1,
-        resume: Union[None, str, Path] = None,
-        progress: Optional[ProgressFn] = None,
+        seed: int = 1,
         runner: Optional[GridRunner] = None) -> Fig6Result:
     """Produce the survival series for every (benchmark, system) pair."""
     benches = benchmarks if benchmarks is not None else ["ocean", "mg"]
     names = systems if systems is not None else list(SYSTEM_CONFIGS)
-    runner = make_runner(jobs=jobs, resume=resume, progress=progress,
-                         runner=runner)
+    runner = runner or GridRunner()
     values = runner.run(grid(scale, benches, names, seed))
     curves = [Fig6Curve(system=system, benchmark=bench,
                         series=LifetimeSeries.from_payload(

@@ -19,12 +19,11 @@ reserve postponing the first exposure longest.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from ..sim.metrics import LifetimeSeries
 from .common import build_engine, scaled_parameters
-from .parallel import Cell, GridRunner, ProgressFn, cell_seed, make_runner
+from .parallel import Cell, GridRunner, cell_seed
 from .report import format_series
 
 #: The paper's pre-reservation sweep.
@@ -89,15 +88,12 @@ def grid(scale: str, benchmarks: List[str], reserves: List[float],
 def run(scale: str = "small",
         benchmarks: Optional[List[str]] = None,
         reserves: Optional[List[float]] = None,
-        seed: int = 1, jobs: int = 1,
-        resume: Union[None, str, Path] = None,
-        progress: Optional[ProgressFn] = None,
+        seed: int = 1,
         runner: Optional[GridRunner] = None) -> Fig7Result:
     """Produce the usable-space series for WLR and each FREE-p reserve."""
     benches = benchmarks if benchmarks is not None else ["ocean", "mg"]
     sweep = reserves if reserves is not None else list(RESERVES)
-    runner = make_runner(jobs=jobs, resume=resume, progress=progress,
-                         runner=runner)
+    runner = runner or GridRunner()
     values = runner.run(grid(scale, benches, sweep, seed))
     curves = []
     for bench in benches:

@@ -12,13 +12,12 @@ blocks; *ocean*'s more uniform writes "barely help".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from ..sim.fast import FastEngine
 from ..sim.metrics import LifetimeSeries
 from .common import build_engine, build_lls_engine, scaled_parameters
-from .parallel import Cell, GridRunner, ProgressFn, cell_seed, jsonify, make_runner
+from .parallel import Cell, GridRunner, cell_seed, jsonify
 from .report import format_series
 
 #: Systems of the figure, in plot order.
@@ -77,15 +76,12 @@ def grid(scale: str, benchmarks: List[str], systems: List[str],
 def run(scale: str = "small",
         benchmarks: Optional[List[str]] = None,
         include_baseline: bool = True,
-        seed: int = 1, jobs: int = 1,
-        resume: Union[None, str, Path] = None,
-        progress: Optional[ProgressFn] = None,
+        seed: int = 1,
         runner: Optional[GridRunner] = None) -> Fig8Result:
     """Produce the usable-space series for LLS, WLR (and the baseline)."""
     benches = benchmarks if benchmarks is not None else ["ocean", "mg"]
     systems = list(SYSTEMS) if include_baseline else list(SYSTEMS[:2])
-    runner = make_runner(jobs=jobs, resume=resume, progress=progress,
-                         runner=runner)
+    runner = runner or GridRunner()
     values = runner.run(grid(scale, benches, systems, seed))
     curves = []
     for bench in benches:

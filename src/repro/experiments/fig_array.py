@@ -17,28 +17,22 @@ mode.  Expected shapes:
 Per cell one :class:`~repro.array.ArrayEngine` campaign runs serially
 (``jobs=1``); the experiment grid itself parallelizes across cells, so
 there is never a pool inside a pool.
-
-NOTE: :mod:`repro.array` is imported lazily inside the cell functions —
-the array engine reuses the parallel harness, so a module-level import
-here would cycle through :mod:`repro.experiments`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
+from ..array import (ArrayConfig, ArrayEngine, InterleavedDecoder,
+                     shard_attack_workload)
 from ..errors import ConfigurationError
 from ..sim.metrics import LifetimeSeries
 from ..traces import (DistributionTrace, hotspot_distribution,
                       uniform_distribution, zipf_distribution)
 from .common import scaled_parameters
-from .parallel import Cell, GridRunner, ProgressFn, cell_seed, make_runner
+from .parallel import Cell, GridRunner, cell_seed
 from .report import format_series
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..array import ArrayConfig
 
 #: Shard counts swept (1 = the single-chip baseline).
 SHARD_COUNTS = (1, 2, 4, 8)
@@ -75,10 +69,9 @@ class FigArrayResult:
     floor: float = 0.0
 
 
-def _workload_trace(workload: str, config: "ArrayConfig",
+def _workload_trace(workload: str, config: ArrayConfig,
                     seed: int) -> DistributionTrace:
-    """Build the global distribution for one cell (lazy array import)."""
-    from ..array import InterleavedDecoder, shard_attack_workload
+    """Build the global distribution for one cell."""
     size = config.global_blocks
     if workload == "uniform":
         return uniform_distribution(size, seed=seed)
@@ -100,7 +93,6 @@ def _workload_trace(workload: str, config: "ArrayConfig",
 def _cell(scale: str, workload: str, shards: int, policy: str,
           seed: int) -> dict:
     """One grid cell: a whole array campaign (executes in a worker)."""
-    from ..array import ArrayConfig, ArrayEngine
     params = scaled_parameters(scale)
     config = ArrayConfig(
         num_shards=shards,
@@ -145,9 +137,7 @@ def run(scale: str = "small",
         benchmarks: Optional[List[str]] = None,
         shard_counts: Optional[List[int]] = None,
         policy: str = "degraded",
-        seed: int = 1, jobs: int = 1,
-        resume: Union[None, str, Path] = None,
-        progress: Optional[ProgressFn] = None,
+        seed: int = 1,
         runner: Optional[GridRunner] = None) -> FigArrayResult:
     """Sweep shard counts and workloads at constant total capacity.
 
@@ -161,8 +151,7 @@ def run(scale: str = "small",
             f"no array workloads selected; choose from {WORKLOADS}")
     counts = list(shard_counts) if shard_counts is not None \
         else list(SHARD_COUNTS)
-    runner = make_runner(jobs=jobs, resume=resume, progress=progress,
-                         runner=runner)
+    runner = runner or GridRunner()
     values = runner.run(grid(scale, workloads, counts, policy, seed))
     curves = []
     for workload in workloads:

@@ -24,23 +24,19 @@ total-writes budget grows with the fourth shard.
 Per cell one :class:`~repro.array.ArrayEngine` campaign runs serially
 (``jobs=1``); the experiment grid parallelizes across cells, so there
 is never a pool inside a pool.
-
-NOTE: :mod:`repro.array` is imported lazily inside the cell function —
-the array engine reuses the parallel harness, so a module-level import
-here would cycle through :mod:`repro.experiments`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
+from ..array import ArrayConfig, ArrayEngine
 from ..errors import ConfigurationError
 from ..sim.metrics import LifetimeSeries
 from ..traces import zipf_distribution
 from .common import scaled_parameters
-from .parallel import Cell, GridRunner, ProgressFn, cell_seed, make_runner
+from .parallel import Cell, GridRunner, cell_seed
 from .report import format_series
 
 #: Array-management modes compared by the figure.
@@ -88,7 +84,6 @@ class FigElasticResult:
 
 def _cell(scale: str, mode: str, seed: int) -> dict:
     """One grid cell: a whole array campaign (executes in a worker)."""
-    from ..array import ArrayConfig, ArrayEngine
     params = scaled_parameters(scale)
     shard_blocks = max(PAGE_BLOCKS, params.num_blocks // 4)
     batch = max(1, params.batch_writes // BASE_SHARDS)
@@ -134,9 +129,7 @@ def grid(scale: str, modes: List[str], seed: int) -> List[Cell]:
 
 def run(scale: str = "small",
         benchmarks: Optional[List[str]] = None,
-        seed: int = 1, jobs: int = 1,
-        resume: Union[None, str, Path] = None,
-        progress: Optional[ProgressFn] = None,
+        seed: int = 1,
         runner: Optional[GridRunner] = None) -> FigElasticResult:
     """Compare the management modes under identical zipf traffic.
 
@@ -147,8 +140,7 @@ def run(scale: str = "small",
     if not modes:
         raise ConfigurationError(
             f"no management modes selected; choose from {MODES}")
-    runner = make_runner(jobs=jobs, resume=resume, progress=progress,
-                         runner=runner)
+    runner = runner or GridRunner()
     values = runner.run(grid(scale, modes, seed))
     curves = []
     for mode in modes:

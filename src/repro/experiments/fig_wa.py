@@ -24,8 +24,7 @@ blocks, not from the host's hot set):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from ..workloads import (FTLConfig, GC_POLICIES, PageMappingFTL, TraceMeta,
                          TraceReplay, phase_shifting_hotspot,
                          uniform_workload, zipf_workload)
 from .common import build_chip, scaled_parameters
-from .parallel import Cell, GridRunner, ProgressFn, cell_seed, make_runner
+from .parallel import Cell, GridRunner, cell_seed
 
 #: Host workloads the FTL amplifies, in report order.
 WA_WORKLOADS = ("uniform", "zipf", "hotshift")
@@ -169,9 +168,7 @@ def grid(scale: str, workloads: List[str], policies: List[str],
 def run(scale: str = "small",
         benchmarks: Optional[List[str]] = None,
         policies: Optional[List[str]] = None,
-        seed: int = 1, jobs: int = 1,
-        resume: Union[None, str, Path] = None,
-        progress: Optional[ProgressFn] = None,
+        seed: int = 1,
         runner: Optional[GridRunner] = None) -> FigWAResult:
     """Measure reviver gain under FTL-amplified streams.
 
@@ -182,8 +179,7 @@ def run(scale: str = "small",
     workloads = list(benchmarks) if benchmarks is not None \
         else list(WA_WORKLOADS)
     sweep = list(policies) if policies is not None else list(GC_POLICIES)
-    runner = make_runner(jobs=jobs, resume=resume, progress=progress,
-                         runner=runner)
+    runner = runner or GridRunner()
     values = runner.run(grid(scale, workloads, sweep, seed))
     rows = []
     for workload in workloads:

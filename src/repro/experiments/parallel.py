@@ -13,18 +13,12 @@ across worker processes:
 * cell outputs are JSON-serializable records; with ``resume`` pointing at
   a JSON file, completed cells are persisted as they finish and skipped
   on reruns (an interrupted sweep continues where it stopped).  Each
-  record carries a digest of its cell's function and kwargs, so a record
-  computed from other parameters under the same key is recomputed, never
-  replayed;
+  record holds the cell's value and a digest of its function and kwargs,
+  nothing else, so the file's bytes do not depend on ``jobs``, and a
+  record computed from other parameters under the same key is
+  recomputed, never replayed;
 * pooled results return over the pool's own pickle pipe (cell payloads
-  are a few KiB);
-* :meth:`GridRunner.report` summarizes per-cell wall/CPU time, queue
-  wait, and worker utilization.
-
-Timing is measured *inside* the cell by one shared helper
-(:func:`repro.telemetry.timing.timed_call`), so the serial and pool paths
-report identical semantics; the pool path additionally derives each
-cell's queue wait as time-to-completion minus in-cell wall time.
+  are a few KiB).
 
 ``jobs <= 1`` executes in-process with no pool (and no fork overhead) —
 the default, and the reference the parallel path must reproduce exactly.
@@ -36,10 +30,11 @@ import hashlib
 import importlib
 import json
 import os
-import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
+from time import perf_counter  # repro: allow(DET-WALLCLOCK): in-cell seconds feed only the CLIs' progress lines, never a cell record
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
@@ -47,7 +42,6 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..rng import SeedLike, derive_rng, spawn_seed
-from ..telemetry.timing import timed_call
 
 #: Signature of the progress callback: (finished cell, done count, total).
 ProgressFn = Callable[["CellOutcome", int, int], None]
@@ -102,33 +96,20 @@ class CellOutcome:
 
     key: str
     value: Any
-    #: In-cell wall-clock seconds (identical semantics serial or pooled).
+    #: In-cell wall-clock seconds (0.0 for a resumed cell).
     seconds: float
     #: True when the value came from the resume file, not a fresh run.
     cached: bool = False
-    #: In-cell process CPU seconds (user + system, in the worker).
-    cpu_seconds: float = 0.0
-    #: Pool only: time the finished result spent waiting on a worker slot
-    #: or on the parent draining other completions (0.0 when serial).
-    queue_seconds: float = 0.0
 
 
-def _execute(fn: str, kwargs: Dict[str, Any]) -> Any:
-    """Resolve a dotted cell reference and call it (worker entry point)."""
+def _execute(fn: str, kwargs: Dict[str, Any]) -> Tuple[Any, float]:
+    """Worker entry point: resolve a dotted cell reference, call it, and
+    return its JSON-safe value with the wall seconds spent inside it."""
     module_name, _, func_name = fn.partition(":")
-    module = importlib.import_module(module_name)
-    return jsonify(getattr(module, func_name)(**kwargs))
-
-
-def _execute_timed(fn: str,
-                   kwargs: Dict[str, Any]) -> Tuple[Any, float, float]:
-    """Run a cell under the shared timer; returns (value, wall, cpu).
-
-    Both execution paths go through here, so "seconds" always means the
-    same thing: wall time inside the cell, in whichever process ran it.
-    """
-    value, timing = timed_call(_execute, fn, kwargs)
-    return value, timing.wall, timing.cpu
+    func = getattr(importlib.import_module(module_name), func_name)
+    started = perf_counter()
+    value = jsonify(func(**kwargs))
+    return value, perf_counter() - started
 
 
 class GridRunner:
@@ -149,7 +130,6 @@ class GridRunner:
         self.progress = progress
         self.outcomes: List[CellOutcome] = []
         self._unsaved = 0
-        self._dirty = False
 
     # ------------------------------------------------------------------ run
 
@@ -165,12 +145,9 @@ class GridRunner:
             record = completed.get(cell.key)
             if record is not None and record.get("digest") == cell.digest():
                 results[cell.key] = record["value"]
-                self._finish(CellOutcome(
-                    key=cell.key, value=results[cell.key],
-                    seconds=float(record.get("seconds", 0.0)),
-                    cpu_seconds=float(record.get("cpu_seconds", 0.0)),
-                    queue_seconds=float(record.get("queue_seconds", 0.0)),
-                    cached=True), len(results), len(cells))
+                self._finish(CellOutcome(key=cell.key, value=record["value"],
+                                         seconds=0.0, cached=True),
+                             len(results), len(cells))
             else:
                 pending.append(cell)
         if pending:
@@ -179,10 +156,9 @@ class GridRunner:
                     self._run_pool(pending, results, completed, len(cells))
                 else:
                     for cell in pending:
-                        value, wall, cpu = _execute_timed(cell.fn,
-                                                          cell.kwargs)
-                        self._record(cell, value, wall, cpu, 0.0,
-                                     results, completed, len(cells))
+                        value, seconds = _execute(cell.fn, cell.kwargs)
+                        self._record(cell, value, seconds, results,
+                                     completed, len(cells))
             finally:
                 # Throttled saves leave a tail of unsaved cells when a run
                 # dies mid-campaign; persist whatever completed.
@@ -191,53 +167,34 @@ class GridRunner:
 
     def _run_pool(self, cells: List[Cell], results: Dict[str, Any],
                   completed: Dict[str, dict], total: int) -> None:
-        workers = min(self.jobs, len(cells))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures: Dict[Any, Tuple[Cell, float]] = {}
-            cursor = 0
-
-            def submit_next() -> None:
-                nonlocal cursor
-                if cursor >= len(cells):
-                    return
-                cell = cells[cursor]
-                cursor += 1
-                future = pool.submit(_execute_timed, cell.fn, cell.kwargs)
-                # Per-future submit time: queue wait must measure *this*
-                # future's time-to-completion, not the whole grid's.
-                futures[future] = (cell, time.perf_counter())  # repro: allow(DET-WALLCLOCK): queue-wait profile, never part of a cell record
-
-            for _ in range(workers):
-                submit_next()
+        # At most ``jobs`` cells are in flight: when a cell raises, the
+        # executor's exit waits only for those, not for a queued grid.
+        queued = iter(cells)
+        with ProcessPoolExecutor(max_workers=min(self.jobs,
+                                                 len(cells))) as pool:
+            futures = {pool.submit(_execute, cell.fn, cell.kwargs): cell
+                       for cell in islice(queued, self.jobs)}
             while futures:
-                done, _ = wait(list(futures), return_when=FIRST_COMPLETED)
+                done, _ = wait(futures, return_when=FIRST_COMPLETED)
                 for future in done:
-                    cell, submitted = futures.pop(future)
-                    value, wall, cpu = future.result()
-                    # The worker measured the in-cell wall time; whatever
-                    # is left since *this submission* was spent queued
-                    # (waiting for a worker slot, pickling, or parent-side
-                    # draining).
-                    queue = max(0.0,
-                                time.perf_counter() - submitted - wall)  # repro: allow(DET-WALLCLOCK): queue-wait profile, never part of a cell record
-                    self._record(cell, value, wall, cpu, queue,
-                                 results, completed, total)
-                    submit_next()
+                    cell = futures.pop(future)
+                    value, seconds = future.result()
+                    self._record(cell, value, seconds, results, completed,
+                                 total)
+                    following = next(queued, None)
+                    if following is not None:
+                        futures[pool.submit(_execute, following.fn,
+                                            following.kwargs)] = following
 
-    def _record(self, cell: Cell, value: Any, seconds: float, cpu: float,
-                queue: float, results: Dict[str, Any],
-                completed: Dict[str, dict], total: int) -> None:
-        key = cell.key
-        results[key] = value
-        completed[key] = {"value": value, "digest": cell.digest(),
-                          "seconds": seconds, "cpu_seconds": cpu,
-                          "queue_seconds": queue}
+    def _record(self, cell: Cell, value: Any, seconds: float,
+                results: Dict[str, Any], completed: Dict[str, dict],
+                total: int) -> None:
+        results[cell.key] = value
+        completed[cell.key] = {"digest": cell.digest(), "value": value}
         self._unsaved += 1
-        self._dirty = True
         if self._unsaved >= self._SAVE_EVERY or len(results) >= total:
             self._save_resume(completed)
-        self._finish(CellOutcome(key=key, value=value, seconds=seconds,
-                                 cpu_seconds=cpu, queue_seconds=queue),
+        self._finish(CellOutcome(key=cell.key, value=value, seconds=seconds),
                      len(results), total)
 
     def _finish(self, outcome: CellOutcome, done: int, total: int) -> None:
@@ -263,7 +220,6 @@ class GridRunner:
 
     def _save_resume(self, completed: Dict[str, dict]) -> None:
         self._unsaved = 0
-        self._dirty = False
         if self.resume is None:
             return
         self.resume.parent.mkdir(parents=True, exist_ok=True)
@@ -279,44 +235,5 @@ class GridRunner:
 
     def _flush_resume(self, completed: Dict[str, dict]) -> None:
         """Persist any cells recorded since the last throttled save."""
-        if self._dirty:
+        if self._unsaved:
             self._save_resume(completed)
-
-    # ---------------------------------------------------------------- report
-
-    def report(self) -> str:
-        """Per-cell timing summary of the last :meth:`run`."""
-        if not self.outcomes:
-            return "no cells executed"
-        fresh = [o for o in self.outcomes if not o.cached]
-        cached = len(self.outcomes) - len(fresh)
-        lines = [f"{len(self.outcomes)} cells "
-                 f"({cached} resumed, jobs={self.jobs})"]
-        for outcome in sorted(self.outcomes, key=lambda o: o.key):
-            marker = ("cached" if outcome.cached
-                      else f"{outcome.seconds:.2f}s "
-                           f"(cpu {outcome.cpu_seconds:.2f}s)")
-            lines.append(f"  {outcome.key:<44s} {marker}")
-        if fresh:
-            slowest = max(fresh, key=lambda o: o.seconds)
-            lines.append(f"  slowest: {slowest.key} "
-                         f"({slowest.seconds:.2f}s)")
-            wall = sum(o.seconds for o in fresh)
-            cpu = sum(o.cpu_seconds for o in fresh)
-            queue = sum(o.queue_seconds for o in fresh)
-            lines.append(f"  total: wall {wall:.2f}s, cpu {cpu:.2f}s, "
-                         f"queue {queue:.2f}s")
-            # CPU seconds actually burned per second the cells were open:
-            # near 1.0 means compute-bound workers, well below 1.0 means
-            # the cells idled (I/O, GIL handoffs, oversubscription).
-            if wall > 0:
-                lines.append(f"  worker utilization: {cpu / wall:.0%}")
-        return "\n".join(lines)
-
-
-def make_runner(jobs: int = 1, resume: Union[None, str, Path] = None,
-                progress: Optional[ProgressFn] = None,
-                runner: Optional[GridRunner] = None) -> GridRunner:
-    """The runner the experiment modules share: reuse *runner* or build one."""
-    return runner if runner is not None else GridRunner(
-        jobs=jobs, resume=resume, progress=progress)

@@ -9,12 +9,11 @@ probability field and empirically from a sampled address stream).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, List, Optional
 
 from ..traces import BENCHMARKS, benchmark_trace, counts_cov, distribution_cov
 from .common import scaled_parameters
-from .parallel import Cell, GridRunner, ProgressFn, make_runner
+from .parallel import Cell, GridRunner
 from .report import format_table
 
 
@@ -62,14 +61,11 @@ def grid(scale: str, sample_writes: int, seed: int) -> List[Cell]:
 
 
 def run(scale: str = "small", sample_writes: int = 2_000_000,
-        seed: int = 9, jobs: int = 1,
-        resume: Union[None, str, Path] = None,
-        progress: Optional[ProgressFn] = None,
+        seed: int = 9,
         runner: Optional[GridRunner] = None) -> Table1Result:
     """Build every benchmark trace and measure its CoV."""
     params = scaled_parameters(scale)
-    runner = make_runner(jobs=jobs, resume=resume, progress=progress,
-                         runner=runner)
+    runner = runner or GridRunner()
     values = runner.run(grid(scale, sample_writes, seed))
     rows = [Table1Row(name=spec.name, suite=spec.suite,
                       paper_cov=spec.write_cov,

@@ -12,15 +12,14 @@ failure ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from ..config import CacheConfig
 from ..mc.cache import RemapCache
 from ..rng import derive_rng
 from ..sim.fast import FastEngine
 from .common import build_engine, build_lls_engine, scaled_parameters
-from .parallel import Cell, GridRunner, ProgressFn, cell_seed, make_runner
+from .parallel import Cell, GridRunner, cell_seed
 from .report import format_table
 
 #: Failure ratios of the paper's rows.
@@ -132,15 +131,12 @@ def run(scale: str = "small",
         ratios: Optional[List[float]] = None,
         cache_entries: int = 4096,
         samples: int = 200_000,
-        seed: int = 1, jobs: int = 1,
-        resume: Union[None, str, Path] = None,
-        progress: Optional[ProgressFn] = None,
+        seed: int = 1,
         runner: Optional[GridRunner] = None) -> Table2Result:
     """Age chips to each failure ratio and measure both systems."""
     benches = benchmarks if benchmarks is not None else ["mg", "ocean"]
     sweep = ratios if ratios is not None else list(FAILURE_RATIOS)
-    runner = make_runner(jobs=jobs, resume=resume, progress=progress,
-                         runner=runner)
+    runner = runner or GridRunner()
     values = runner.run(grid(scale, benches, sweep, cache_entries,
                              samples, seed))
     rows = []

@@ -121,7 +121,6 @@ def campaign_grid(seeds: int, seed: int = 0, telemetry: bool = True,
 def run_campaign(seeds: int, seed: int = 0, jobs: int = 1, batch: int = 1,
                  telemetry: bool = True,
                  resume: Union[None, str, Path] = None,
-                 progress: Any = None,
                  **params: Any) -> Dict[str, Any]:
     """Run the campaign; return cells, lifetime stats, merged telemetry.
 
@@ -133,8 +132,7 @@ def run_campaign(seeds: int, seed: int = 0, jobs: int = 1, batch: int = 1,
     if batch < 1:
         raise ConfigurationError("batch must be >= 1")
     cells = campaign_grid(seeds, seed=seed, telemetry=telemetry, **params)
-    runner = GridRunner(jobs=jobs, resume=resume, progress=progress)
-    results = runner.run(cells)
+    results = GridRunner(jobs=jobs, resume=resume).run(cells)
     ordered = [results[cell.key] for cell in cells]
     lifetimes = [record["lifetime"] for record in ordered]
     payload: Dict[str, Any] = {

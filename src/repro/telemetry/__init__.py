@@ -29,7 +29,6 @@ from .metrics import (Counter, GAUGE_MODES, Gauge, Histogram, Registry,
                       gauge_value, histogram_quantile, merge_snapshots,
                       quantile_label, snapshot_quantiles)
 from .session import PhaseTimer, TelemetrySession
-from .timing import CellTiming, timed_call
 from .trace import (EVENT_KINDS, META_KIND, PROFILE_KIND, TraceWriter,
                     census, diff_traces, read_trace, run_meta)
 
@@ -97,9 +96,9 @@ __all__ = [
     "GAUGE_MODES", "deterministic_snapshot", "gauge_payload", "gauge_value",
     "histogram_quantile", "merge_snapshots", "quantile_label",
     "snapshot_quantiles",
-    "TelemetrySession", "PhaseTimer", "TraceWriter", "CellTiming",
-    "timed_call", "EVENT_KINDS", "META_KIND", "PROFILE_KIND", "census",
-    "diff_traces", "read_trace", "run_meta",
+    "TelemetrySession", "PhaseTimer", "TraceWriter", "EVENT_KINDS",
+    "META_KIND", "PROFILE_KIND", "census", "diff_traces", "read_trace",
+    "run_meta",
     "attach_reporter", "attach_reviver", "attach_controller",
     "attach_exact", "attach_fast", "attach_ftl",
 ]

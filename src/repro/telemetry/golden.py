@@ -83,11 +83,4 @@ def golden_trace(seed: int = 2014, num_blocks: int = 64, mean: float = 150.0,
     return writer.getvalue()
 
 
-def golden_cell(seed: int = 2014, num_blocks: int = 64, mean: float = 150.0,
-                max_writes: int = 12_000) -> str:
-    """GridRunner cell wrapper around :func:`golden_trace`."""
-    return golden_trace(seed=seed, num_blocks=num_blocks, mean=mean,
-                        max_writes=max_writes)
-
-
-__all__ = ["golden_trace", "golden_cell", "TRACE_FORMAT"]
+__all__ = ["golden_trace", "TRACE_FORMAT"]

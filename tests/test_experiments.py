@@ -1,6 +1,9 @@
 """Tests for the experiment harness: every table/figure runner at tiny scale,
 with shape assertions matching the paper's qualitative claims."""
 
+import inspect
+import typing
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -23,6 +26,7 @@ from repro.experiments.common import (
     build_lls_engine,
     scaled_parameters,
 )
+from repro.experiments.parallel import GridRunner
 from repro.experiments.report import (
     format_number,
     format_percent,
@@ -337,3 +341,13 @@ class TestCLI:
         assert set(EXPERIMENTS) == {"table1", "fig5", "fig6", "fig7",
                                     "fig8", "table2", "attacks",
                                     "fig_array", "fig_wa", "fig_elastic"}
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_run_takes_only_a_runner(self, name):
+        # Every annotation must resolve: a name used in a hint but never
+        # imported raises NameError here.
+        run = EXPERIMENTS[name].run
+        hints = typing.get_type_hints(run)
+        assert hints["runner"] == typing.Optional[GridRunner]
+        assert not {"jobs", "resume", "progress"} & set(
+            inspect.signature(run).parameters)

@@ -16,7 +16,7 @@ and note the regeneration in the commit message.
 from pathlib import Path
 
 from repro.experiments.parallel import Cell, GridRunner
-from repro.telemetry.golden import golden_cell, golden_trace
+from repro.telemetry.golden import golden_trace
 from repro.telemetry.trace import census, read_trace, run_meta
 
 FIXTURE = Path(__file__).parent / "data" / "golden_trace.jsonl"
@@ -40,9 +40,7 @@ def test_golden_run_reproduces_the_fixture_byte_identically():
 
 
 def test_two_runs_are_byte_identical():
-    # The second run goes through the GridRunner cell wrapper, proving
-    # the cell function is a faithful in-process alias as well.
-    assert golden_trace() == golden_cell()
+    assert golden_trace() == golden_trace()
 
 
 def test_golden_run_is_identical_under_a_process_pool():
@@ -50,9 +48,9 @@ def test_golden_run_is_identical_under_a_process_pool():
     workers (jobs=2) must both reproduce the fixture exactly."""
     runner = GridRunner(jobs=2)
     results = runner.run([
-        Cell(key="golden/a", fn="repro.telemetry.golden:golden_cell",
+        Cell(key="golden/a", fn="repro.telemetry.golden:golden_trace",
              kwargs={}),
-        Cell(key="golden/b", fn="repro.telemetry.golden:golden_cell",
+        Cell(key="golden/b", fn="repro.telemetry.golden:golden_trace",
              kwargs={}),
     ])
     fixture = FIXTURE.read_text()

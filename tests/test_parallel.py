@@ -84,12 +84,6 @@ class TestGridRunner:
         assert [s[0] for s in seen] == ["unit/0", "unit/1", "unit/2"]
         assert seen[-1][1:] == (3, 3)
 
-    def test_report_mentions_cells(self):
-        runner = GridRunner(jobs=1)
-        runner.run(_grid(2))
-        text = runner.report()
-        assert "2 cells" in text and "unit/1" in text
-
     def test_resume_skips_completed_cells(self, tmp_path):
         resume = tmp_path / "cells.json"
         GridRunner(jobs=1, resume=resume).run(_grid())
@@ -127,6 +121,40 @@ class TestGridRunner:
         cached = {o.key for o in runner.outcomes if o.cached}
         assert cached == {"unit/0", "unit/1"}
 
+    def test_resume_bytes_do_not_depend_on_jobs(self, tmp_path):
+        written = []
+        for jobs in (1, 2):
+            resume = tmp_path / f"jobs{jobs}.json"
+            GridRunner(jobs=jobs, resume=resume).run(_grid())
+            written.append(resume.read_bytes())
+        assert written[0] == written[1]
+        records = json.loads(written[0])["cells"].values()
+        assert all(set(record) == {"digest", "value"} for record in records)
+
+    def test_records_with_timing_fields_still_replay(self, tmp_path):
+        resume = tmp_path / "cells.json"
+        GridRunner(jobs=1, resume=resume).run(_grid())
+        payload = json.loads(resume.read_text())
+        # Earlier runners saved timing fields beside digest and value;
+        # fields this runner does not write are ignored on replay.
+        for record in payload["cells"].values():
+            record.update(seconds=0.5, cpu=0.4, queue=0.1)
+        resume.write_text(json.dumps(payload))
+        runner = GridRunner(jobs=2, resume=resume)
+        assert runner.run(_grid()) == GridRunner().run(_grid())
+        assert all(o.cached for o in runner.outcomes)
+
+    def test_a_failing_cell_waits_only_for_the_cells_in_flight(self,
+                                                              tmp_path):
+        cells = [Cell(key=f"fail/{i}", fn=f"{__name__}:_fail_first",
+                      kwargs=dict(directory=str(tmp_path), index=i))
+                 for i in range(12)]
+        with pytest.raises(ValueError):
+            GridRunner(jobs=2).run(cells)
+        # The pool holds at most ``jobs`` cells, so the error surfaces
+        # without the executor first running the 11 queued naps.
+        assert len(list(tmp_path.iterdir())) <= 4
+
 
 class TestSeriesPayload:
     def test_round_trip(self):
@@ -143,10 +171,10 @@ class TestExperimentDeterminism:
     def test_fig5_parallel_matches_serial_exactly(self):
         serial = fig5.as_dict(fig5.run(scale="tiny",
                                        benchmarks=["ocean", "mg"],
-                                       seed=1, jobs=1))
+                                       seed=1))
         pooled = fig5.as_dict(fig5.run(scale="tiny",
-                                       benchmarks=["ocean", "mg"],
-                                       seed=1, jobs=2))
+                                       benchmarks=["ocean", "mg"], seed=1,
+                                       runner=GridRunner(jobs=2)))
         assert serial == pooled
 
     def test_fig5_seed_changes_results_deterministically(self):
@@ -158,35 +186,23 @@ class TestExperimentDeterminism:
 
 
 def _nap(seconds, payload):
-    """Short sleeping cell for timing-accounting tests."""
+    """Short sleeping cell, so a killed run stops between saves."""
     time.sleep(seconds)
     return {"payload": payload}
+
+
+def _fail_first(directory, index):
+    """Cell 0 raises; every other cell leaves a marker file and naps."""
+    if index == 0:
+        raise ValueError("cell 0 fails")
+    (Path(directory) / str(index)).touch()
+    time.sleep(0.3)
+    return {"index": index}
 
 
 def _big(n, seed):
     """Cell with a payload of a few dozen KiB."""
     return {"vals": list(range(seed, seed + n))}
-
-
-class TestPoolQueueAccounting:
-    """Queue seconds measure *per-future* wait, not grid-wide elapsed."""
-
-    def test_single_worker_backlog_is_not_queue_time(self):
-        cells = [Cell(key=f"nap/{i}", fn=f"{__name__}:_nap",
-                      kwargs={"seconds": 0.05, "payload": i})
-                 for i in range(8)]
-        runner = GridRunner(jobs=1)
-        results = {}
-        runner._run_pool(cells, results, {}, len(cells))
-        assert len(results) == 8
-        wall = sum(o.seconds for o in runner.outcomes)
-        queue = sum(o.queue_seconds for o in runner.outcomes)
-        assert wall > 0.3
-        # Pre-fix, one grid-wide submit stamp meant cell k reported ~k
-        # cells' worth of runtime as queue wait: on this single-worker
-        # pool the queue total came out ~3.5x the wall total.  With
-        # per-future stamps the backlog never counts as queue time.
-        assert queue < 0.5 * wall
 
 
 class TestResumeThrottle:

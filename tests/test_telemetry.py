@@ -22,7 +22,7 @@ from repro.errors import ConfigurationError
 from repro.telemetry import (TelemetrySession, TraceWriter, attach_controller,
                              attach_exact, attach_fast, attach_ftl, census,
                              diff_traces, merge_snapshots, read_trace,
-                             run_meta, timed_call)
+                             run_meta)
 from repro.telemetry.metrics import (DEFAULT_BUCKETS, Registry,
                                      SLO_QUANTILES, deterministic_snapshot,
                                      gauge_payload, gauge_value,
@@ -443,11 +443,6 @@ class TestSession:
         session.append_profile()
         records = read_trace(session.writer.getvalue().splitlines())
         assert profile_of(records)["verify"]["calls"] == 1
-
-    def test_timed_call_returns_value_and_timing(self):
-        value, timing = timed_call(sum, [1, 2, 3])
-        assert value == 6
-        assert timing.wall >= 0.0 and timing.cpu >= 0.0
 
     def test_gauge_and_histogram_shorthands(self):
         session = TelemetrySession()
