@@ -2,12 +2,14 @@
 
 The fast engine is the lifetime-scale hot path; the telemetry subsystem's
 core promise is that an engine with no session attached (``telem is
-None``, the default) runs the *identical* epoch code as before the
-subsystem existed.  This benchmark A/B-times the same seeded FastEngine
-lifetime with telemetry detached and attached:
+None``, the default) pays nothing measurable for it.  The epoch runs one
+body either way: each of its four timed phases goes through
+:func:`repro.telemetry.session.phase`, which hands a detached engine one
+shared no-op context.  This benchmark A/B-times the same seeded
+FastEngine lifetime with telemetry detached and attached:
 
 * detached vs. attached overhead is reported (attached is allowed to
-  cost a little — it times three phases per epoch);
+  cost a little — it times four phases per epoch);
 * the detached run must not be slower than the attached one beyond noise,
   and the two must produce bit-identical simulation results either way
   (telemetry observes, never perturbs).

@@ -12,8 +12,9 @@ array at runtime.  Three cooperating pieces:
   wear-headroom plus an EWMA of the recent failure rate (seeded, so
   results are byte-identical at any ``--jobs``);
 * :class:`~repro.balance.remap.BalancedDecoder` — the elastic address
-  map: wraps an :class:`~repro.array.decoder.InterleavedDecoder` with a
-  remap table supporting bounded hot/cold swaps, consistent-hash shard
+  map: wraps an :class:`~repro.array.decoder.InterleavedDecoder` with an
+  explicit ``address -> (shard, slot)`` map supporting bounded hot/cold
+  swaps, consistent-hash shard
   addition (adding shard ``N+1`` moves only the ~``1/(N+1)`` of
   addresses that hash to it), and the degraded-mode re-home rule;
 * :mod:`~repro.balance.leveler` — the bounded-budget planner that turns
@@ -28,9 +29,9 @@ from __future__ import annotations
 
 from .health import ShardHealthModel
 from .leveler import plan_swaps
-from .remap import BalancedDecoder, RemapTable, movers_mask
+from .remap import BalancedDecoder, movers_mask
 
 __all__ = [
     "ShardHealthModel", "plan_swaps",
-    "BalancedDecoder", "RemapTable", "movers_mask",
+    "BalancedDecoder", "movers_mask",
 ]

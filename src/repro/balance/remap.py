@@ -23,16 +23,10 @@ as the base decoder would) and then absorbs three kinds of mutation:
     inherited addresses on top of its own).  This is the only
     implementation of the rule; the array and serving engines both
     call it.
-
-The map serializes to a sparse :class:`RemapTable` (only non-identity
-entries) that round-trips through JSON, so a control plane can persist
-and restore its steering state.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -74,57 +68,6 @@ def movers_mask(addresses: np.ndarray, new_shard: int,
     hashed = _mix64(np.asarray(addresses, dtype=np.int64), new_shard)
     mask = hashed % np.uint64(total_shards) == np.uint64(0)
     return np.asarray(mask, dtype=bool)
-
-
-@dataclass(frozen=True)
-class RemapTable:
-    """Sparse, JSON-serializable state of a :class:`BalancedDecoder`.
-
-    ``moves`` holds one ``(address, shard, slot)`` triple per global
-    address whose home differs from the base decoder's identity map,
-    sorted by address.  Together with the base geometry this is the
-    decoder's full state.
-    """
-
-    base_shards: int
-    num_shards: int
-    shard_blocks: int
-    interleave: str
-    page_blocks: int
-    moves: Tuple[Tuple[int, int, int], ...]
-
-    def to_json(self) -> str:
-        """Canonical JSON form (sorted keys, no whitespace surprises)."""
-        return json.dumps({
-            "base_shards": self.base_shards,
-            "num_shards": self.num_shards,
-            "shard_blocks": self.shard_blocks,
-            "interleave": self.interleave,
-            "page_blocks": self.page_blocks,
-            "moves": [list(m) for m in self.moves],
-        }, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RemapTable":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"remap table is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigurationError("remap table JSON must be an object")
-        try:
-            moves = tuple((int(a), int(s), int(l))
-                          for a, s, l in data["moves"])
-            return cls(base_shards=int(data["base_shards"]),
-                       num_shards=int(data["num_shards"]),
-                       shard_blocks=int(data["shard_blocks"]),
-                       interleave=str(data["interleave"]),
-                       page_blocks=int(data["page_blocks"]),
-                       moves=moves)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"remap table JSON is malformed: {exc}") from exc
 
 
 class BalancedDecoder:
@@ -240,54 +183,5 @@ class BalancedDecoder:
             self._slot[affected] % len(live)]
         return affected
 
-    # --------------------------------------------------------- serialization
 
-    def table(self) -> RemapTable:
-        """Sparse snapshot of every non-identity map entry."""
-        addresses = np.arange(self.base.global_blocks, dtype=np.int64)
-        base_owner = np.asarray(self.base.shard_of(addresses),
-                                dtype=np.int64)
-        base_slot = np.asarray(self.base.local_of(addresses),
-                               dtype=np.int64)
-        changed = np.nonzero((self._owner != base_owner)
-                             | (self._slot != base_slot))[0]
-        moves = tuple((int(a), int(self._owner[a]), int(self._slot[a]))
-                      for a in changed)
-        return RemapTable(base_shards=self.base.num_shards,
-                          num_shards=self.num_shards,
-                          shard_blocks=self.shard_blocks,
-                          interleave=self.base.interleave,
-                          page_blocks=self.base.page_blocks,
-                          moves=moves)
-
-    @classmethod
-    def from_table(cls, table: RemapTable) -> "BalancedDecoder":
-        """Reconstruct a decoder from its sparse :class:`RemapTable`."""
-        if table.num_shards < table.base_shards:
-            raise ConfigurationError(
-                f"remap table shrinks the array ({table.base_shards} -> "
-                f"{table.num_shards}); shards can only be added")
-        base = InterleavedDecoder(table.base_shards, table.shard_blocks,
-                                  interleave=table.interleave,
-                                  page_blocks=table.page_blocks)
-        decoder = cls(base)
-        decoder.num_shards = table.num_shards
-        for address, shard, slot in table.moves:
-            if not 0 <= address < decoder.global_blocks:
-                raise ConfigurationError(
-                    f"remap table address {address} outside the global "
-                    f"space [0, {decoder.global_blocks})")
-            if not 0 <= shard < table.num_shards:
-                raise ConfigurationError(
-                    f"remap table shard {shard} outside "
-                    f"[0, {table.num_shards})")
-            if not 0 <= slot < table.shard_blocks:
-                raise ConfigurationError(
-                    f"remap table slot {slot} outside "
-                    f"[0, {table.shard_blocks})")
-            decoder._owner[address] = shard
-            decoder._slot[address] = slot
-        return decoder
-
-
-__all__ = ["BalancedDecoder", "RemapTable", "movers_mask"]
+__all__ = ["BalancedDecoder", "movers_mask"]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..traces import BENCHMARKS, benchmark_trace, counts_cov, distribution_cov
+from ..traces import BENCHMARKS, benchmark_trace, counts_cov
 from .common import scaled_parameters
 from .parallel import Cell, GridRunner
 from .report import format_table
@@ -47,7 +47,7 @@ def _cell(scale: str, benchmark: str, sample_writes: int,
     """
     params = scaled_parameters(scale)
     trace = benchmark_trace(benchmark, params.num_blocks, seed=seed)
-    asymptotic = distribution_cov(trace.probabilities)
+    asymptotic = counts_cov(trace.probabilities)
     sampled = counts_cov(trace.batch_counts(sample_writes))
     return {"calibrated": asymptotic, "sampled": sampled}
 

@@ -21,7 +21,7 @@ The reproduction implements the behaviours the paper measures LLS by:
 
 from .chunks import ChunkReservation
 from .groups import SalvageGroups
-from .lls import LLSRecovery, LLSFastEngine, make_lls_engine
+from .lls import LLSRecovery, LLSFastEngine
 
 __all__ = ["ChunkReservation", "SalvageGroups", "LLSRecovery",
-           "LLSFastEngine", "make_lls_engine"]
+           "LLSFastEngine"]

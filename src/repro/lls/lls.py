@@ -23,6 +23,7 @@ same 32 KB remap cache via
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -99,8 +100,9 @@ class LLSFastEngine(FastEngine):
                  lls_config: Optional[LLSConfig] = None,
                  startgap_config: Optional[StartGapConfig] = None,
                  label: str = "") -> None:
-        fast_config = config or FastConfig()
-        fast_config.recovery = "none"  # the base class's mode is unused here
+        # The base class's recovery mode is unused here; the copy leaves
+        # the caller's config as it was.
+        fast_config = replace(config or FastConfig(), recovery="none")
         self.lls = LLSRecovery(chip.num_blocks, lls_config,
                                blocks_per_page=fast_config.blocks_per_page,
                                is_usable_backup=lambda da: not chip.failed[da])
@@ -109,8 +111,6 @@ class LLSFastEngine(FastEngine):
         wl = self._build_wl(self.lls.chunks.working_blocks)
         super().__init__(chip, wl, trace, fast_config,
                          label=label or "LLS")
-        #: Exposed-failure page losses after LLS gives up.
-        self._given_up = False
 
     # --------------------------------------------------------------- helpers
 
@@ -150,7 +150,6 @@ class LLSFastEngine(FastEngine):
             if self.lls.chunks.chunks != before:
                 self._shrink_to(self.lls.chunks.working_blocks)
             if backup is None:
-                self._given_up = True
                 self._baseline_failure(int(da))
 
     def _rebuild_redirect(self) -> None:
@@ -175,13 +174,3 @@ class LLSFastEngine(FastEngine):
         merged = super().stats()
         merged.update({f"lls_{k}": v for k, v in self.lls.stats().items()})
         return merged
-
-
-def make_lls_engine(chip: PCMChip, trace: WriteTrace,
-                    config: Optional[FastConfig] = None,
-                    lls_config: Optional[LLSConfig] = None,
-                    startgap_config: Optional[StartGapConfig] = None,
-                    label: str = "LLS") -> LLSFastEngine:
-    """Convenience factory mirroring the other engines' construction."""
-    return LLSFastEngine(chip, trace, config=config, lls_config=lls_config,
-                         startgap_config=startgap_config, label=label)

@@ -13,11 +13,12 @@
 Concrete controllers differ only in how they resolve failures:
 
 * :class:`ReviverController` — runs the full WL-Reviver protocol;
-* :class:`BaselineController` — no recovery: the wear-leveler freezes at the
-  first failure; every software access error retires a page;
 * :class:`FreePController` — the adapted FREE-p of Section IV-C: failed
-  blocks hide behind pre-reserved slots until the region is exhausted, then
-  behaves like the baseline.
+  blocks hide behind pre-reserved slots until the region is exhausted;
+  after that the wear-leveler freezes at the next failure and every
+  software access error retires a page.  With a zero-slot region
+  (``FreePRegion(n, 0.0)``) it is the no-recovery baseline from the start
+  (the "-SG" curves).
 """
 
 from __future__ import annotations
@@ -95,8 +96,9 @@ class BaseController(abc.ABC):
         """Resolve *da* for a software access.
 
         Returns ``(final_da, pcm_accesses, redirected)``; ``final_da`` is
-        ``None`` when the block is failed and has no redirection (baseline
-        configs), in which case the caller reports an access error.
+        ``None`` when the block is failed and has no redirection (an
+        exhausted FREE-p region), in which case the caller reports an
+        access error.
         """
 
     @abc.abstractmethod
@@ -234,7 +236,7 @@ class BaseController(abc.ABC):
         da = self.wl.map(pa)
         final, cost, redirected = self._resolve_counted(da)
         if final is None:
-            # Baseline configs: reading a dead block returns garbage.
+            # No redirection (exhausted FREE-p): a dead block reads garbage.
             result = AccessResult(vblock=vblock, pa=pa, da=da,
                                   pcm_accesses=cost, tag=None,
                                   redirected=redirected)
@@ -590,40 +592,14 @@ class ReviverController(BaseController):
             self.check_invariants()
 
 
-class BaselineController(BaseController):
-    """Wear-leveling alone: the scheme freezes at the first failure."""
-
-    def _resolve_counted(self, da: int) -> Tuple[Optional[int], int, bool]:
-        if self.chip.is_failed(da):
-            return None, 1, False
-        return da, 1, False
-
-    def _handle_software_fault(self, failed_da: Optional[int], pa: int,
-                               new_failure: bool) -> None:
-        if not self.wl.frozen:
-            self.wl.freeze()
-        self._retire_page_for(pa, victimized=False)
-
-    def _migration_resolve(self, pa: int) -> Optional[int]:
-        da = self.wl.map(pa)
-        if self.chip.is_failed(da):
-            # Migration into a known-dead block: data lost (Section III-A's
-            # motivation for suspension; the baseline has no recourse).
-            return None
-        return da
-
-    def _handle_migration_fault(self, failed_da: int, pa: int) -> str:
-        if not self.wl.frozen:
-            self.wl.freeze()
-        return "drop"
-
-
 class FreePController(BaseController):
     """Wear-leveling + adapted FREE-p with a pre-reserved remap region.
 
     The wear-leveler must be constructed over ``region.working_blocks``
     device blocks; slot DAs above that never participate in leveling, which
     is exactly why the original FREE-p's direct DA pointers stay valid here.
+    A region with no slots is exhausted from the start: every failure
+    freezes the wear-leveler and retires a page (wear-leveling alone).
     """
 
     def __init__(self, chip: PCMChip, wl: WearLeveler, ospool: PagePool,

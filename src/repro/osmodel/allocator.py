@@ -189,37 +189,6 @@ class PagePool:
         base = self.base_pa + page_id * self.blocks_per_page
         return list(range(base, base + self.blocks_per_page))
 
-    def relocate(self, page_id: int) -> List[tuple]:
-        """Move the virtual pages off *page_id* without retiring it.
-
-        Models the OS rehoming an application's page after a write error
-        when it does not quarantine the frame (the no-recovery baseline:
-        usable space is accounted at block granularity, but the hot data
-        must still land somewhere fresh to keep being written).  Targets
-        are free frames while they last, then random other usable frames
-        (consolidation).  Returns ``(vpage, old_phys, new_phys, shared)``
-        moves like :meth:`retire`.
-        """
-        info = self.pages[page_id]
-        if info.status is PageStatus.RETIRED:
-            raise AddressError(f"page {page_id} is retired")
-        self.last_moves = []
-        for vpage in list(info.virtual_pages):
-            if self._free_frames:
-                new_phys = self._free_frames.pop()
-            else:
-                new_phys = self._sample_usable()
-                if new_phys == page_id and self._usable_count > 1:
-                    new_phys = self._sample_usable()
-                if new_phys == page_id:
-                    continue  # nowhere else to go
-            shared = bool(self.pages[new_phys].virtual_pages)
-            info.virtual_pages.remove(vpage)
-            self._virt_to_phys[vpage] = new_phys
-            self.pages[new_phys].virtual_pages.append(vpage)
-            self.last_moves.append((vpage, page_id, new_phys, shared))
-        return self.last_moves
-
     def _remove_usable(self, page_id: int) -> None:
         pos = self._usable_pos.pop(page_id)
         last = self._usable_list.pop()

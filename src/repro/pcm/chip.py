@@ -180,13 +180,3 @@ class PCMChip:
                     newly_failed.append(da)
                     break
         return np.asarray(sorted(newly_failed), dtype=np.int64)
-
-    # -------------------------------------------------------------- statistics
-
-    def wear_cov(self, include_failed: bool = True) -> float:
-        """Coefficient of variation of per-block wear (leveling quality)."""
-        wear = self.wear if include_failed else self.wear[~self.failed]
-        mean = float(wear.mean()) if wear.size else 0.0
-        if mean == 0.0:  # repro: allow(FLOAT-EQ): exact-zero guard, mean of all-zero wear is exactly 0.0
-            return 0.0
-        return float(wear.std()) / mean

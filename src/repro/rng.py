@@ -10,7 +10,7 @@ the endurance draws.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -63,12 +63,3 @@ def _stream_token(stream: str) -> int:
 def spawn_seed(rng: np.random.Generator) -> int:
     """Draw a fresh integer seed from *rng* for handing to a subcomponent."""
     return int(rng.integers(0, 2**63 - 1))
-
-
-def optional_int_seed(seed: SeedLike) -> Optional[int]:
-    """Normalize a seed-like value to an ``int`` when possible."""
-    if seed is None:
-        return DEFAULT_SEED
-    if isinstance(seed, np.random.Generator):
-        return None
-    return int(seed)

@@ -22,11 +22,11 @@ from .metrics import LifetimeSeries, LifetimeSummary, SamplePoint
 from .engine import ExactEngine
 from .fast import FastEngine, FastConfig
 from .stop import EndOfLifeReport, StopCause, StopReason
-from .wearstats import WearReport, endurance_utilization, gini, wear_cov
+from .wearstats import WearReport, endurance_utilization, gini
 
 __all__ = [
     "LifetimeSeries", "LifetimeSummary", "SamplePoint",
     "ExactEngine", "FastEngine", "FastConfig",
     "EndOfLifeReport", "StopCause", "StopReason",
-    "WearReport", "endurance_utilization", "gini", "wear_cov",
+    "WearReport", "endurance_utilization", "gini",
 ]

@@ -113,7 +113,9 @@ def campaign_grid(seeds: int, seed: int = 0, telemetry: bool = True,
         kwargs = dict(merged)
         kwargs["seed"] = cell_seed(seed, key)
         kwargs["telemetry"] = telemetry
-        cells.append(Cell(key=key, fn=f"{__name__}:campaign_cell",
+        # The literal module name: under ``python -m`` this module is
+        # ``__main__``, and a resume file must name the same cell either way.
+        cells.append(Cell(key=key, fn="repro.sim.campaign:campaign_cell",
                           kwargs=kwargs))
     return cells
 

@@ -14,6 +14,7 @@ from typing import Dict, Optional, TYPE_CHECKING
 from ..errors import (CapacityExhaustedError, ConfigurationError,
                       SimulatedCrash)
 from ..mc.controller import BaseController, ReviverController
+from ..telemetry.session import phase
 from ..traces.base import WriteTrace
 from .metrics import LifetimeSeries, LifetimeSummary
 from .stop import EndOfLifeReport, StopCause, StopReason
@@ -97,21 +98,15 @@ class ExactEngine:
         tag = self._next_tag if self.verify else None
         self._next_tag += 1
         try:
-            if self.telem is None:
+            with phase(self.telem, "service-write"):
                 self.controller.service_write(vblock, tag=tag)
-            else:
-                with self.telem.phase("service-write"):
-                    self.controller.service_write(vblock, tag=tag)
         except SimulatedCrash as crash:
             # Power loss mid-write: the write itself is lost along with all
             # volatile controller state; the controller reboots and the
             # run continues (the OS would simply reissue its workload).
             self.controller.lost_vblocks.add(vblock)
-            if self.telem is None:
+            with phase(self.telem, "crash-recover"):
                 self.controller.crash_and_recover(crash)
-            else:
-                with self.telem.phase("crash-recover"):
-                    self.controller.crash_and_recover(crash)
             return
         if self.verify and tag is not None:
             self.expected[vblock] = tag
@@ -119,11 +114,8 @@ class ExactEngine:
         self._reads_owed += self.read_fraction
         while self._reads_owed >= 1.0:
             self._reads_owed -= 1.0
-            if self.telem is None:
+            with phase(self.telem, "service-read"):
                 self.controller.service_read(self.trace.next_write())
-            else:
-                with self.telem.phase("service-read"):
-                    self.controller.service_read(self.trace.next_write())
 
     def _sample(self) -> None:
         chip = self.controller.chip
@@ -176,19 +168,14 @@ class ExactEngine:
 
     def verify_all(self) -> None:
         """Assert every live virtual block reads back its last written tag."""
-        if self.telem is not None:
-            with self.telem.phase("verify"):
-                self._verify_all()
-            return
-        self._verify_all()
-
-    def _verify_all(self) -> None:
         lost = self.controller.lost_vblocks
-        for vblock, tag in self.expected.items():
-            if vblock in lost:
-                continue
-            result = self.controller.service_read(vblock)
-            if result.tag != tag:
-                raise AssertionError(
-                    f"data corruption: vblock {vblock} read {result.tag}, "
-                    f"expected {tag} (pa {result.pa}, da {result.da})")
+        with phase(self.telem, "verify"):
+            for vblock, tag in self.expected.items():
+                if vblock in lost:
+                    continue
+                result = self.controller.service_read(vblock)
+                if result.tag != tag:
+                    raise AssertionError(
+                        f"data corruption: vblock {vblock} read "
+                        f"{result.tag}, expected {tag} "
+                        f"(pa {result.pa}, da {result.da})")

@@ -33,9 +33,11 @@ Documented approximations relative to :class:`~repro.sim.engine.ExactEngine`
   *every* contributing stream in proportion to its round traffic rather
   than serialized write-by-write.
 
-The failure hot path (overshoot clawback, redirect-table rebuild, baseline
-page retirement) is vectorized with numpy; the redirect rebuild follows
-link chains by iterative pointer-jumping instead of per-key dict walks.
+The failure hot path (overshoot clawback, redirect-table rebuild) is
+vectorized with numpy; the redirect rebuild follows link chains by
+iterative pointer-jumping instead of per-key dict walks.  Failures
+themselves are handled one at a time in ``newly`` order, because each
+recovery choice depends on the bookkeeping the previous one left.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from ..reviver.invariants import InvariantChecker
 from ..reviver.pages import PageLedger
 from ..reviver.registers import SparePool
 from ..rng import SeedLike, derive_rng
+from ..telemetry.session import phase
 from ..traces.base import WriteTrace
 from ..wl.base import WearLeveler
 from .metrics import LifetimeSeries, LifetimeSummary
@@ -160,8 +163,8 @@ class FastEngine:
         #: default) disables injection.  Only :mod:`repro.faultinject`
         #: may set this.
         self.inject: Optional["ScheduleDriver"] = None
-        #: Telemetry hook; ``None`` (the default) keeps the epoch hot path
-        #: untouched.  Only :mod:`repro.telemetry` may attach a session.
+        #: Telemetry hook; ``None`` (the default) times nothing.  Only
+        #: :mod:`repro.telemetry` may attach a session.
         self.telem: Optional["TelemetrySession"] = None
         # --- recovery state -------------------------------------------------
         self.region = region
@@ -188,9 +191,6 @@ class FastEngine:
         self._epoch_counts: Optional[np.ndarray] = None
         #: Redirected (extra-access) traffic accumulator for avg access time.
         self._redirected_traffic = 0
-        #: Failures visible to software (baseline always; FREE-p after its
-        #: region is exhausted).  Drives the block-granular usable metric.
-        self.exposed_failures = 0
         #: Traffic the OS gave up on after repeated relocation churn.
         self.dropped_writes = 0
 
@@ -267,31 +267,21 @@ class FastEngine:
     # ----------------------------------------------------------------- epoch
 
     def _epoch(self, batch: int) -> None:
-        if self.telem is None:
-            # The disabled-telemetry hot path: identical to the historical
-            # epoch loop, zero per-epoch overhead beyond this one test.
-            counts = self.trace.batch_counts(batch)
-            self._epoch_counts = counts
-            self._rebuild_redirect()
-            self._apply_software(counts)
-            self.total_writes += batch
-            self._rebuild_redirect()
-            self._advance_wear_leveling()
-            return
         telem = self.telem
         counts = self.trace.batch_counts(batch)
         self._epoch_counts = counts
-        with telem.phase("redirect-rebuild"):
+        with phase(telem, "redirect-rebuild"):
             self._rebuild_redirect()
-        with telem.phase("software-apply"):
+        with phase(telem, "software-apply"):
             self._apply_software(counts)
         self.total_writes += batch
-        with telem.phase("redirect-rebuild"):
+        with phase(telem, "redirect-rebuild"):
             self._rebuild_redirect()
-        with telem.phase("wear-leveling"):
+        with phase(telem, "wear-leveling"):
             self._advance_wear_leveling()
-        telem.count("fast.epochs")
-        telem.count("fast.writes", batch)
+        if telem is not None:
+            telem.count("fast.epochs")
+            telem.count("fast.writes", batch)
 
     def _apply_software(self, counts: np.ndarray) -> None:
         """Apply the epoch's software writes with overshoot re-issue.
@@ -448,40 +438,14 @@ class FastEngine:
                           migration: bool = False) -> None:
         if newly.size == 0:
             return
-        mode = self.config.recovery
-        if mode == "reviver":
-            # Each failure may acquire a page or consume a spare, and the
-            # choice depends on the bookkeeping left by the previous one:
-            # inherently sequential.
-            for da in newly.tolist():
-                self._reviver_failure(int(da))
-        elif mode == "freep":
-            for da in newly.tolist():
-                self._freep_failure(int(da))
-        else:
-            self._baseline_failures(newly)
-
-    def _baseline_failures(self, newly: np.ndarray) -> None:
-        """Batched no-recovery failure handling, grouped per OS page.
-
-        All failures of the batch freeze the scheme once and are counted
-        at once; page retirement is issued once per distinct affected page
-        (retiring a page already covers every failure inside it).
-        """
-        if not self.wl.frozen:
-            self.wl.freeze()
-        self.exposed_failures += int(newly.size)
-        retired_pages = set()
+        # Each failure may acquire a page, consume a spare or a slot, or
+        # retire a page, and the choice depends on the bookkeeping left
+        # by the previous one: inherently sequential.
+        handle = {"reviver": self._reviver_failure,
+                  "freep": self._freep_failure,
+                  "none": self._baseline_failure}[self.config.recovery]
         for da in newly.tolist():
-            pa = self.wl.inverse(int(da))
-            if pa is None or not self.ospool.pa_in_software_space(pa):
-                continue  # unmapped (gap line) or tail slack
-            page = self.ospool.page_of_pa(pa)
-            if page in retired_pages:
-                continue
-            if self.ospool.is_usable(page):
-                retired_pages.add(page)
-                self.reporter.report(pa, self.total_writes)
+            handle(int(da))
 
     def _baseline_failure(self, da: int) -> None:
         """No recovery: the scheme freezes and the OS loses a page.
@@ -496,7 +460,6 @@ class FastEngine:
         """
         if not self.wl.frozen:
             self.wl.freeze()
-        self.exposed_failures += 1
         pa = self.wl.inverse(da)
         if pa is None or not self.ospool.pa_in_software_space(pa):
             return  # unmapped (gap line) or tail slack: nothing to retire

@@ -54,17 +54,6 @@ class LifetimeSeries:
         """Writes at the last sample."""
         return self.points[-1].writes if self.points else 0
 
-    def writes_to_survival(self, threshold: float) -> Optional[int]:
-        """First sampled write count at which survival drops to *threshold*.
-
-        Returns ``None`` if the series never reaches it.  This is the
-        paper's lifetime metric with ``threshold = 0.7`` (30 % failed).
-        """
-        for point in self.points:
-            if point.survival <= threshold:
-                return point.writes
-        return None
-
     def writes_to_usable(self, threshold: float) -> Optional[int]:
         """First sampled write count at which usable space drops that low."""
         for point in self.points:
@@ -72,25 +61,12 @@ class LifetimeSeries:
                 return point.writes
         return None
 
-    def survival_at(self, writes: int) -> float:
-        """Survival at the latest sample not after *writes*."""
-        return self._at(writes).survival
-
-    def usable_at(self, writes: int) -> float:
-        """Usable fraction at the latest sample not after *writes*."""
-        return self._at(writes).usable
-
     def sample_at(self, writes: int) -> SamplePoint:
         """Latest sample not after *writes* (carry-forward semantics).
 
         Before the first sample the chip is pristine, so the synthetic
         point ``SamplePoint(0, 1.0, 1.0)`` is returned.
         """
-        return self._at(writes)
-
-    def _at(self, writes: int) -> SamplePoint:
-        if not self.points:
-            return SamplePoint(0, 1.0, 1.0)
         keys = [p.writes for p in self.points]
         index = bisect.bisect_right(keys, writes) - 1
         if index < 0:
@@ -176,15 +152,6 @@ class LifetimeSeries:
                                         payload["usable"],
                                         payload["avg_access"])]
         return cls(label=label, points=points)
-
-    def trimmed(self, min_survival: float) -> "LifetimeSeries":
-        """Copy containing only samples with survival >= *min_survival*.
-
-        Figure 6 plots survival down to 70 % only ("a more severely faulted
-        PCM is less likely to be usable in practice").
-        """
-        kept = [p for p in self.points if p.survival >= min_survival]
-        return LifetimeSeries(label=self.label, points=kept)
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,14 @@
 
 Quantifies *how well* a configuration levels, beyond the lifetime numbers:
 
-* the CoV of per-block wear (the paper's own workload metric, applied to
-  the outcome instead of the input);
+* the CoV of per-block wear (the paper's own workload metric,
+  :func:`~repro.traces.stats.counts_cov`, applied to the outcome instead
+  of the input);
 * the Gini coefficient of wear (0 = perfectly even, ->1 = one block takes
   everything);
 * normalized endurance utilization — how much of the chip's total write
   budget was actually delivered before death (an ideal leveler reaches the
-  endurance-variation-limited bound, a broken one strands most of it);
-* wear histograms for reports.
+  endurance-variation-limited bound, a broken one strands most of it).
 
 Used by the ablation benchmarks and the ``wear_quality`` example.
 """
@@ -17,20 +17,11 @@ Used by the ablation benchmarks and the ``wear_quality`` example.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
 
 import numpy as np
 
 from ..pcm.chip import PCMChip
-
-
-def wear_cov(wear: np.ndarray) -> float:
-    """CoV of a wear vector (0 for perfectly even wear)."""
-    wear = np.asarray(wear, dtype=np.float64)
-    mean = wear.mean() if wear.size else 0.0
-    if mean == 0.0:  # repro: allow(FLOAT-EQ): exact-zero guard, mean of all-zero wear is exactly 0.0
-        return 0.0
-    return float(wear.std() / mean)
+from ..traces.stats import counts_cov
 
 
 def gini(wear: np.ndarray) -> float:
@@ -64,16 +55,6 @@ def endurance_utilization(chip: PCMChip) -> float:
     return float(consumed.sum() / budget)
 
 
-def wear_histogram(wear: np.ndarray, bins: int = 16) -> List[Tuple[float, int]]:
-    """``(upper_edge, count)`` pairs of a linear wear histogram."""
-    wear = np.asarray(wear, dtype=np.float64)
-    if wear.size == 0:
-        return []
-    counts, edges = np.histogram(wear, bins=bins)
-    return [(float(edge), int(count))
-            for edge, count in zip(edges[1:], counts)]
-
-
 @dataclass(frozen=True)
 class WearReport:
     """Summary of a chip's wear distribution at one instant."""
@@ -89,7 +70,7 @@ class WearReport:
     def of(cls, chip: PCMChip) -> "WearReport":
         """Snapshot *chip*'s current wear statistics."""
         wear = chip.wear
-        return cls(cov=wear_cov(wear),
+        return cls(cov=counts_cov(wear),
                    gini=gini(wear),
                    utilization=endurance_utilization(chip),
                    max_wear=int(wear.max()) if wear.size else 0,

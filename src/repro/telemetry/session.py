@@ -3,10 +3,11 @@
 Instrumented classes (controllers, engines, the link table, the fault
 reporter) each carry a ``telem`` attribute that is ``None`` by default —
 the same discipline as the fault-injection ``inject`` hooks: a system
-without telemetry pays one ``is not None`` test per instrumented event
-and *nothing* on the per-write hot paths.  Only this package may attach a
-session to a foreign object (the TELEM-API lint rule enforces it), which
-keeps "who can observe and account the run" audit-sized.
+without telemetry pays one ``is not None`` test per instrumented event,
+and a phase timed through :func:`phase` enters one shared no-op context
+manager.  Only this package may attach a session to a foreign object
+(the TELEM-API lint rule enforces it), which keeps "who can observe and
+account the run" audit-sized.
 
 A session bundles:
 
@@ -25,6 +26,7 @@ across worker processes exactly like any other counter.
 from __future__ import annotations
 
 import time
+from contextlib import AbstractContextManager, nullcontext
 from types import TracebackType
 from typing import Dict, Optional, Sequence, Type
 
@@ -32,6 +34,10 @@ from .metrics import DEFAULT_BUCKETS, Number, Registry
 from .trace import Json, TraceWriter
 
 _PHASE_PREFIX = "phase."
+
+#: The one context a detached phase enters; sharing it keeps a phase
+#: without a session to a function call and a ``with`` on a no-op.
+_DETACHED: "AbstractContextManager[None]" = nullcontext()
 
 
 class PhaseTimer:
@@ -126,4 +132,16 @@ class TelemetrySession:
                 {name: dict(stats) for name, stats in self.profile().items()})
 
 
-__all__ = ["TelemetrySession", "PhaseTimer"]
+def phase(session: Optional[TelemetrySession],
+          name: str) -> "AbstractContextManager[object]":
+    """Time phase *name* on *session*, or do nothing when it is ``None``.
+
+    Instrumented code writes ``with phase(self.telem, "verify"): ...``
+    once, for both the attached and the detached run.
+    """
+    if session is None:
+        return _DETACHED
+    return session.phase(name)
+
+
+__all__ = ["TelemetrySession", "PhaseTimer", "phase"]

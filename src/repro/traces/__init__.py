@@ -26,7 +26,7 @@ from .synthetic import (
 )
 from .benchmarks import BENCHMARKS, BenchmarkSpec, benchmark_trace, benchmark_names
 from .attacks import birthday_paradox_attack, hammer_attack
-from .stats import write_cov, counts_cov, distribution_cov
+from .stats import counts_cov
 
 __all__ = [
     "WriteTrace", "DistributionTrace", "RequestStream",
@@ -35,5 +35,5 @@ __all__ = [
     "solve_hot_fraction",
     "BENCHMARKS", "BenchmarkSpec", "benchmark_trace", "benchmark_names",
     "birthday_paradox_attack", "hammer_attack",
-    "write_cov", "counts_cov", "distribution_cov",
+    "counts_cov",
 ]

@@ -113,37 +113,3 @@ def block_at(page: BlockLike, offset: BlockLike, blocks_per_page: int) -> BlockL
     if blocks_per_page <= 0:
         raise ConfigurationError("blocks_per_page must be positive")
     return page * blocks_per_page + offset
-
-
-def parse_size(text: str) -> int:
-    """Parse a human-readable size such as ``"1GB"``, ``"64MB"``, ``"4KB"``.
-
-    Plain integers (a number of bytes) are accepted too.  Units are
-    case-insensitive and the ``i`` of IEC units is optional (``KB`` == ``KiB``
-    == 1024 bytes, matching the paper's usage).
-    """
-    text = text.strip()
-    suffixes = [
-        ("GIB", GIB), ("MIB", MIB), ("KIB", KIB),
-        ("GB", GIB), ("MB", MIB), ("KB", KIB), ("B", 1),
-    ]
-    upper = text.upper()
-    for suffix, multiplier in suffixes:
-        if upper.endswith(suffix):
-            number = upper[: -len(suffix)].strip()
-            try:
-                return int(float(number) * multiplier)
-            except ValueError as exc:
-                raise ConfigurationError(f"cannot parse size {text!r}") from exc
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ConfigurationError(f"cannot parse size {text!r}") from exc
-
-
-def format_size(num_bytes: int) -> str:
-    """Render a byte count with the largest fitting IEC unit."""
-    for unit, multiplier in (("GB", GIB), ("MB", MIB), ("KB", KIB)):
-        if num_bytes >= multiplier and num_bytes % multiplier == 0:
-            return f"{num_bytes // multiplier}{unit}"
-    return f"{num_bytes}B"

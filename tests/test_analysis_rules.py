@@ -326,9 +326,9 @@ class TestHookNone:
         assert findings_for("HOOK-NONE", good) == []
 
     def test_verbatim_fast_epoch_alias_guard_stays_clean(self):
-        # sim/fast.py's _epoch idiom: early return on None, then a local
-        # alias used unguarded — the dataflow pass must carry the fact
-        # through the rebind.
+        # The early-return idiom: return on None, then a local alias
+        # used unguarded — the dataflow pass must carry the fact through
+        # the rebind.
         good = ("class E:\n"
                 "    def _epoch(self) -> None:\n"
                 "        if self.telem is None:\n"

@@ -367,7 +367,7 @@ class TestArrayEndOfLife:
         # The array kept serving well past the casualty...
         assert report.total_writes > victim.died_at_global
         # ...at reduced capacity: usable drops to 3/4 after the death.
-        after = result.series.usable_at(victim.died_at_global + 1)
+        after = result.series.sample_at(victim.died_at_global + 1).usable
         assert after == pytest.approx(0.75, abs=0.05)
         # The survivors inherited the victim's share.
         final = [c.final_share for c in report.shards]

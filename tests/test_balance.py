@@ -24,8 +24,8 @@ import pytest
 
 from repro.array import ArrayConfig, ArrayEngine, InterleavedDecoder
 from repro.array.workloads import zipf_workload
-from repro.balance import (BalancedDecoder, RemapTable, ShardHealthModel,
-                           movers_mask, plan_swaps)
+from repro.balance import (BalancedDecoder, ShardHealthModel, movers_mask,
+                           plan_swaps)
 from repro.errors import ConfigurationError
 from repro.faultinject import shard_death_schedule
 from repro.serve import ServeConfig
@@ -182,42 +182,6 @@ class TestBalancedDecoder:
         assert local.sum() == pytest.approx(masses[0])
         with pytest.raises(ConfigurationError, match="covers"):
             decoder.shard_masses(np.ones(3))
-
-    def test_table_round_trips_through_json(self):
-        decoder = _decoder()
-        decoder.swap(0, decoder.global_blocks - 1)
-        decoder.add_shard()
-        table = decoder.table()
-        restored = BalancedDecoder.from_table(
-            RemapTable.from_json(table.to_json()))
-        addresses = np.arange(decoder.global_blocks, dtype=np.int64)
-        assert np.array_equal(decoder.shard_of(addresses),
-                              restored.shard_of(addresses))
-        assert np.array_equal(decoder.local_of(addresses),
-                              restored.local_of(addresses))
-        assert restored.num_shards == decoder.num_shards
-
-    def test_malformed_tables_are_rejected(self):
-        with pytest.raises(ConfigurationError, match="not valid JSON"):
-            RemapTable.from_json("{nope")
-        with pytest.raises(ConfigurationError, match="must be an object"):
-            RemapTable.from_json("[1]")
-        with pytest.raises(ConfigurationError, match="malformed"):
-            RemapTable.from_json("{}")
-        table = _decoder().table()
-        shrunk = RemapTable(base_shards=3, num_shards=2,
-                            shard_blocks=table.shard_blocks,
-                            interleave=table.interleave,
-                            page_blocks=table.page_blocks, moves=())
-        with pytest.raises(ConfigurationError, match="shrinks"):
-            BalancedDecoder.from_table(shrunk)
-        bad_move = RemapTable(base_shards=3, num_shards=3,
-                              shard_blocks=table.shard_blocks,
-                              interleave=table.interleave,
-                              page_blocks=table.page_blocks,
-                              moves=((10**9, 0, 0),))
-        with pytest.raises(ConfigurationError, match="outside"):
-            BalancedDecoder.from_table(bad_move)
 
     def test_movers_mask_is_a_pure_address_function(self):
         addresses = np.arange(4096, dtype=np.int64)

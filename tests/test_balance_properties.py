@@ -6,10 +6,6 @@ interleave modes, and mutation histories:
 * **monotone remap** — growing the array moves exactly the addresses
   the consistent hash selects; every other address keeps its exact
   ``(shard, slot)`` home, so growth never reshuffles settled data;
-* **table round trip** — a decoder's sparse :class:`RemapTable`
-  survives JSON serialization, and a decoder rebuilt from the restored
-  table decodes every address identically, after arbitrary histories
-  of swaps and growth;
 * **transparent wrap** — before any mutation, a ``BalancedDecoder``
   is an exact identity over its base ``InterleavedDecoder``;
 * **swap conservation** — any sequence of swaps is a permutation:
@@ -21,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.array import InterleavedDecoder
-from repro.balance import BalancedDecoder, RemapTable, movers_mask
+from repro.balance import BalancedDecoder, movers_mask
 
 INTERLEAVES = ("block", "page")
 
@@ -82,30 +78,6 @@ def test_growth_is_monotone(num_shards, interleave, page_blocks,
         assert np.array_equal(before_shard[stay], after_shard[stay])
         assert np.array_equal(before_slot[stay], after_slot[stay])
         assert np.all(after_shard[movers] == old_shards)
-
-
-@given(num_shards=shards, interleave=st.sampled_from(INTERLEAVES),
-       page_blocks=pages, seed=seeds,
-       swap_count=st.integers(min_value=0, max_value=12),
-       grow=st.booleans())
-@settings(max_examples=60, deadline=None)
-def test_table_round_trips_after_any_history(num_shards, interleave,
-                                             page_blocks, seed,
-                                             swap_count, grow):
-    decoder = build(num_shards, interleave, page_blocks)
-    rng = np.random.default_rng(seed)
-    for _ in range(swap_count):
-        a, b = rng.integers(0, decoder.global_blocks, size=2)
-        decoder.swap(int(a), int(b))
-    if grow:
-        decoder.add_shard()
-    table = decoder.table()
-    restored_table = RemapTable.from_json(table.to_json())
-    assert restored_table == table
-    restored = BalancedDecoder.from_table(restored_table)
-    assert np.array_equal(np.asarray(homes(decoder)),
-                          np.asarray(homes(restored)))
-    assert restored.num_shards == decoder.num_shards
 
 
 @given(num_shards=shards, interleave=st.sampled_from(INTERLEAVES),

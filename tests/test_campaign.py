@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim.campaign import main, run_campaign
+from repro.experiments.parallel import GridRunner
+from repro.sim.campaign import campaign_grid, main, run_campaign
 
 #: A small campaign whose six cells die at different write counts, with
 #: reviver recovery and telemetry on, so the merged snapshot is covered.
@@ -72,6 +75,20 @@ class TestCampaignResume:
 
 
 class TestCampaignCli:
+    def test_cli_resume_file_replays_through_the_library(self, tmp_path):
+        """``python -m`` runs the module as ``__main__``; its cells must
+        still name ``repro.sim.campaign`` or no library run can reuse
+        them."""
+        resume = tmp_path / "campaign-resume.json"
+        subprocess.run(
+            [sys.executable, "-m", "repro.sim.campaign", "--seeds", "2",
+             "--blocks", "256", "--mean", "300", "--resume", str(resume),
+             "--quiet"], check=True)
+        runner = GridRunner(resume=resume)
+        runner.run(campaign_grid(2, num_blocks=256, mean_endurance=300.0))
+        assert [outcome.cached for outcome in runner.outcomes] \
+            == [True, True]
+
     def test_json_output_is_the_payload(self, tmp_path, capsys):
         out = tmp_path / "campaign.json"
         code = main(["--seeds", "3", "--blocks", "256", "--mean", "300",

@@ -1,4 +1,8 @@
-"""Integration tests for the baseline and FREE-p controllers."""
+"""Integration tests for the FREE-p controller, with and without slots.
+
+The no-recovery baseline is FREE-p with a zero-slot region: exhausted from
+the start, so the first failure freezes the wear-leveler.
+"""
 
 import random
 
@@ -7,7 +11,7 @@ import pytest
 from repro.config import CacheConfig
 from repro.ecc import FreePRegion
 from repro.errors import CapacityExhaustedError
-from repro.mc import BaselineController, FreePController, RemapCache
+from repro.mc import FreePController, RemapCache
 from repro.osmodel import PagePool
 from repro.wl import StartGap
 
@@ -15,11 +19,9 @@ from .conftest import make_chip
 
 
 def make_baseline(num_blocks: int = 128, mean: float = 300.0, seed: int = 11):
-    chip = make_chip(num_blocks=num_blocks, mean=mean, seed=seed)
-    wear_leveler = StartGap(num_blocks)
-    ospool = PagePool(wear_leveler.logical_blocks, blocks_per_page=8,
-                      utilization=0.8, seed=5)
-    return BaselineController(chip, wear_leveler, ospool), chip, wear_leveler
+    controller, chip, wear_leveler, _ = make_freep(
+        num_blocks=num_blocks, mean=mean, reserve=0.0, seed=seed)
+    return controller, chip, wear_leveler
 
 
 def make_freep(num_blocks: int = 128, mean: float = 300.0,
@@ -48,6 +50,11 @@ def drive(controller, steps: int, seed: int = 7):
 
 
 class TestBaselineController:
+    def test_zero_slot_region_is_exhausted_from_the_start(self):
+        controller, *_ = make_baseline()
+        assert controller.region.exhausted
+        assert controller.region.resolve(5) == 5
+
     def test_round_trip_before_failures(self):
         controller, *_ = make_baseline(mean=10_000)
         controller.service_write(3, tag=7)

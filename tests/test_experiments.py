@@ -181,10 +181,12 @@ class TestFig8:
 
 
 class TestFigurePins:
-    """Digests of the tiny-scale fig5-fig8 rows at seed 1.
+    """Digests of the tiny-scale fig5-fig8, table1, table2 and attacks rows.
 
     Every lifetime figure runs its cells through ``FastEngine.run``; any
     drift in the engine, the chip or the grid plumbing changes a digest.
+    ``table1`` covers the CoV arithmetic, ``table2`` the LLS engine and
+    the access-time path, ``attacks`` WL-Reviver against no recovery.
     """
 
     PINS = {
@@ -196,6 +198,19 @@ class TestFigurePins:
                 "e909ccbc2dce43bec16bb4aabe3ae6e9",
         "fig8": "9b65e0492d4e6395588272c9f7cc14a8"
                 "82c5d86fec3d3d05dbcdbb189cc03c79",
+        "table1": "d0a5b7b192d59bf449c0f40ddaed9a20"
+                  "09781151df095f937023528b5c5b48b8",
+        "attacks": "43f8c781027f7829a2443da7b1ff602d"
+                   "d2a15d872a1cc7e604578a0e35db2950",
+        "table2": "8478e9859ff865951827ee8d8a0afea8"
+                  "3330b93ddec0290a02353a94270f2bb2",
+    }
+
+    #: Per-experiment ``run()`` arguments beyond ``scale="tiny"``.
+    ARGS = {
+        "table1": {},
+        "table2": dict(benchmarks=["ocean"], ratios=[0.10, 0.30],
+                       samples=20_000, seed=1),
     }
 
     @pytest.mark.parametrize("name", sorted(PINS))
@@ -203,7 +218,8 @@ class TestFigurePins:
         import hashlib
         import json
         module = EXPERIMENTS[name]
-        data = module.as_dict(module.run(scale="tiny", seed=1))
+        kwargs = self.ARGS.get(name, dict(seed=1))
+        data = module.as_dict(module.run(scale="tiny", **kwargs))
         blob = json.dumps(data, sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == self.PINS[name]
 

@@ -6,7 +6,7 @@ import pytest
 from repro.config import LLSConfig, StartGapConfig
 from repro.ecc import ECP
 from repro.errors import CapacityExhaustedError, ConfigurationError
-from repro.lls import ChunkReservation, LLSRecovery, SalvageGroups, make_lls_engine
+from repro.lls import ChunkReservation, LLSFastEngine, LLSRecovery, SalvageGroups
 from repro.pcm import AddressGeometry, EnduranceModel, PCMChip
 from repro.sim import FastConfig, FastEngine
 from repro.traces import hotspot_distribution
@@ -114,11 +114,11 @@ def make_engines(num_blocks: int = 512, mean: float = 300.0, seed: int = 3):
         return PCMChip(geometry, ECP(endurance, 1))
 
     trace = hotspot_distribution(num_blocks, 6.0, seed=seed)
-    lls = make_lls_engine(
+    lls = LLSFastEngine(
         chip(), hotspot_distribution(num_blocks, 6.0, seed=seed),
         FastConfig(batch_writes=2000, seed=seed),
         LLSConfig(chunk_blocks=64, num_groups=8),
-        StartGapConfig(psi=10))
+        StartGapConfig(psi=10), label="LLS")
     wlr = FastEngine(chip(), StartGap(num_blocks,
                                       config=StartGapConfig(psi=10)),
                      trace, FastConfig(recovery="reviver", batch_writes=2000,
@@ -127,6 +127,19 @@ def make_engines(num_blocks: int = 512, mean: float = 300.0, seed: int = 3):
 
 
 class TestLLSFastEngine:
+    def test_callers_config_is_left_as_it_was(self):
+        num_blocks = 512
+        geometry = AddressGeometry(num_blocks=num_blocks)
+        endurance = EnduranceModel(num_blocks=num_blocks, mean=300.0,
+                                   cov=0.2, max_order=10, seed=3)
+        config = FastConfig(recovery="reviver", batch_writes=2000, seed=3)
+        lls = LLSFastEngine(PCMChip(geometry, ECP(endurance, 1)),
+                            hotspot_distribution(num_blocks, 6.0, seed=3),
+                            config, LLSConfig(chunk_blocks=64, num_groups=8))
+        assert config.recovery == "reviver"
+        assert lls.config.recovery == "none"
+        assert lls.config.batch_writes == 2000
+
     def test_runs_and_reserves_chunks(self):
         lls, _ = make_engines()
         summary = lls.run()

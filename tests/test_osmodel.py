@@ -84,19 +84,6 @@ class TestRetirement:
         with pytest.raises(CapacityExhaustedError):
             pool.retire(1)
 
-    def test_relocate_keeps_page_usable(self):
-        pool = make_pool(utilization=0.5, seed=5)
-        moves = pool.relocate(3)
-        assert pool.is_usable(3)
-        assert len(moves) == 1
-        assert pool.pages[3].virtual_pages == []
-
-    def test_relocate_retired_rejected(self):
-        pool = make_pool()
-        pool.retire(3)
-        with pytest.raises(AddressError):
-            pool.relocate(3)
-
 
 class TestFaultReporter:
     def test_report_retires_and_logs(self):

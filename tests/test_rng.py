@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.rng import DEFAULT_SEED, derive_rng, make_rng, optional_int_seed, spawn_seed
+from repro.rng import DEFAULT_SEED, derive_rng, make_rng, spawn_seed
 
 
 class TestMakeRng:
@@ -50,8 +50,3 @@ class TestHelpers:
         rng = make_rng(1)
         for _ in range(32):
             assert 0 <= spawn_seed(rng) < 2 ** 63
-
-    def test_optional_int_seed(self):
-        assert optional_int_seed(None) == DEFAULT_SEED
-        assert optional_int_seed(9) == 9
-        assert optional_int_seed(np.random.default_rng(0)) is None

@@ -20,12 +20,6 @@ class TestLifetimeSeries:
         assert make_series().total_writes == 300
         assert LifetimeSeries().total_writes == 0
 
-    def test_writes_to_survival(self):
-        series = make_series()
-        assert series.writes_to_survival(0.95) == 100
-        assert series.writes_to_survival(0.7) == 300
-        assert series.writes_to_survival(0.1) is None
-
     def test_writes_to_usable(self):
         series = make_series()
         assert series.writes_to_usable(0.7) == 200
@@ -33,20 +27,15 @@ class TestLifetimeSeries:
 
     def test_point_lookup(self):
         series = make_series()
-        assert series.survival_at(150) == 0.95
-        assert series.survival_at(200) == 0.80
-        assert series.usable_at(250) == 0.7
+        assert series.sample_at(150).survival == 0.95
+        assert series.sample_at(200).survival == 0.80
+        assert series.sample_at(250).usable == 0.7
         # Before any sample: pristine chip.
-        assert series.survival_at(-1) == 1.0
+        assert series.sample_at(-1).survival == 1.0
 
     def test_empty_series_lookup(self):
         series = LifetimeSeries()
-        assert series.survival_at(1000) == 1.0
-
-    def test_trimmed(self):
-        trimmed = make_series().trimmed(0.8)
-        assert len(trimmed.points) == 3
-        assert trimmed.points[-1].survival == 0.80
+        assert series.sample_at(1000).survival == 1.0
 
     def test_sample_at_carries_forward(self):
         series = make_series()

@@ -28,6 +28,7 @@ from repro.telemetry.metrics import (DEFAULT_BUCKETS, Registry,
                                      gauge_payload, gauge_value,
                                      histogram_quantile, quantile_label,
                                      snapshot_quantiles)
+from repro.telemetry.session import phase
 from repro.telemetry.trace import (EVENT_KINDS, PROFILE_KIND, dumps, loads,
                                    profile_of)
 
@@ -436,6 +437,23 @@ class TestSession:
         profile = session.profile()
         assert profile["verify"]["calls"] == 2
         assert profile["verify"]["seconds"] >= 1.25
+
+    def test_detached_phase_records_nothing(self):
+        first = phase(None, "verify")
+        with first:
+            pass
+        # Every detached phase shares one no-op context.
+        assert phase(None, "service-write") is first
+
+    def test_attached_phase_adds_one_call(self):
+        session = TelemetrySession()
+        with phase(session, "verify"):
+            pass
+        counters = session.registry.snapshot()["counters"]
+        assert counters["phase.verify.calls"] == 1
+        assert session.profile() == {
+            "verify": {"seconds": counters["phase.verify.seconds"],
+                       "calls": 1}}
 
     def test_append_profile_lands_in_the_trace(self):
         session = TelemetrySession(writer=TraceWriter())

@@ -14,11 +14,9 @@ from repro.traces import (
     benchmark_trace,
     birthday_paradox_attack,
     counts_cov,
-    distribution_cov,
     hammer_attack,
     hotspot_distribution,
     lognormal_distribution,
-    write_cov,
     zipf_distribution,
 )
 from repro.traces.synthetic import mixture_cov, solve_hot_fraction
@@ -46,20 +44,20 @@ class TestCovMath:
 
     def test_write_cov_from_stream(self):
         addresses = np.array([0, 0, 0, 1])
-        assert write_cov(addresses, 4) > 1.0
+        assert counts_cov(np.bincount(addresses, minlength=4)) > 1.0
 
 
 class TestGenerators:
     @pytest.mark.parametrize("target", [2.0, 5.0, 12.0])
     def test_hotspot_hits_target_cov(self, target):
         trace = hotspot_distribution(4096, target, seed=1)
-        assert distribution_cov(trace.probabilities) == \
+        assert counts_cov(trace.probabilities) == \
             pytest.approx(target, rel=0.02)
 
     @pytest.mark.parametrize("target", [2.0, 5.0, 12.0, 30.0])
     def test_lognormal_hits_target_cov(self, target):
         trace = lognormal_distribution(4096, target, seed=1)
-        assert distribution_cov(trace.probabilities) == \
+        assert counts_cov(trace.probabilities) == \
             pytest.approx(target, rel=1e-3)
 
     def test_lognormal_impossible_cov_rejected(self):
@@ -77,7 +75,7 @@ class TestGenerators:
 
     def test_zipf_cov_calibration(self):
         trace = zipf_distribution(2048, target_cov=6.0, seed=3)
-        assert distribution_cov(trace.probabilities) == \
+        assert counts_cov(trace.probabilities) == \
             pytest.approx(6.0, rel=1e-3)
 
     def test_probabilities_normalized(self):
@@ -184,12 +182,12 @@ class TestBenchmarks:
     @pytest.mark.parametrize("name", ["ocean", "fft", "blackscholes"])
     def test_benchmark_trace_calibrated(self, name):
         trace = benchmark_trace(name, 4096, seed=1)
-        assert distribution_cov(trace.probabilities) == \
+        assert counts_cov(trace.probabilities) == \
             pytest.approx(BENCHMARKS[name].write_cov, rel=0.02)
 
     def test_mg_clamped_at_small_spaces(self):
         trace = benchmark_trace("mg", 256, seed=1)
-        cov = distribution_cov(trace.probabilities)
+        cov = counts_cov(trace.probabilities)
         assert cov <= 0.8 * np.sqrt(255) + 1e-6
 
     def test_unknown_benchmark_rejected(self):
@@ -198,7 +196,7 @@ class TestBenchmarks:
 
     def test_lognormal_family_available(self):
         trace = benchmark_trace("ocean", 4096, seed=1, family="lognormal")
-        assert distribution_cov(trace.probabilities) == \
+        assert counts_cov(trace.probabilities) == \
             pytest.approx(4.15, rel=1e-3)
 
 
@@ -210,7 +208,7 @@ class TestAttacks:
     def test_birthday_has_background(self):
         trace = birthday_paradox_attack(1024, set_size=16, seed=1)
         assert (trace.probabilities > 0).all()
-        assert distribution_cov(trace.probabilities) > 5.0
+        assert counts_cov(trace.probabilities) > 5.0
 
 
 class TestFileIO:

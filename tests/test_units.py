@@ -4,15 +4,10 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.units import (
-    GIB,
-    KIB,
-    MIB,
     blocks_per_page,
     ceil_div,
-    format_size,
     is_power_of_two,
     log2_exact,
-    parse_size,
 )
 
 
@@ -62,33 +57,3 @@ class TestBlocksPerPage:
     def test_rejects_misaligned(self):
         with pytest.raises(ConfigurationError):
             blocks_per_page(1000, 64)
-
-
-class TestParseSize:
-    @pytest.mark.parametrize("text,expected", [
-        ("1GB", GIB), ("64MB", 64 * MIB), ("4KB", 4 * KIB),
-        ("1GiB", GIB), ("512B", 512), ("123", 123),
-        ("2.5KB", int(2.5 * KIB)), (" 8 MB ".strip(), 8 * MIB),
-    ])
-    def test_parses(self, text, expected):
-        assert parse_size(text) == expected
-
-    def test_case_insensitive(self):
-        assert parse_size("1gb") == parse_size("1GB")
-
-    def test_rejects_garbage(self):
-        with pytest.raises(ConfigurationError):
-            parse_size("lots")
-
-    def test_rejects_empty(self):
-        with pytest.raises(ConfigurationError):
-            parse_size("")
-
-
-class TestFormatSize:
-    def test_round_trip(self):
-        for text in ("1GB", "64MB", "4KB"):
-            assert format_size(parse_size(text)) == text
-
-    def test_odd_bytes(self):
-        assert format_size(1000) == "1000B"

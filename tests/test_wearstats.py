@@ -9,9 +9,8 @@ from repro.sim.wearstats import (
     WearReport,
     endurance_utilization,
     gini,
-    wear_cov,
-    wear_histogram,
 )
+from repro.traces import counts_cov
 
 from .conftest import make_chip
 
@@ -51,19 +50,10 @@ class TestGini:
 
 class TestCovAndHistogram:
     def test_cov_zero_for_even(self):
-        assert wear_cov(np.full(10, 3)) == 0.0
+        assert counts_cov(np.full(10, 3)) == 0.0
 
     def test_cov_empty(self):
-        assert wear_cov(np.array([])) == 0.0
-
-    def test_histogram_covers_all_blocks(self):
-        wear = np.arange(100)
-        hist = wear_histogram(wear, bins=10)
-        assert sum(count for _, count in hist) == 100
-        assert len(hist) == 10
-
-    def test_histogram_empty(self):
-        assert wear_histogram(np.array([])) == []
+        assert counts_cov(np.array([])) == 0.0
 
 
 class TestUtilization:
