@@ -5,7 +5,7 @@ shipped (and was fixed in a past PR) or that silently breaks a guarantee the
 package documents:
 
 * **RAW-GEOM** — raw ``blocks_per_page`` address arithmetic outside the
-  geometry owners (:mod:`repro.pcm.geometry`, :mod:`repro.osmodel.allocator`,
+  two page-geometry owners (:class:`~repro.osmodel.allocator.PagePool` and
   :mod:`repro.units`).
 * **RNG-DET** — module-level ``np.random.*`` / stdlib ``random`` instead of
   seeded :class:`numpy.random.Generator` streams from :mod:`repro.rng`.

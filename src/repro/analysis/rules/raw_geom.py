@@ -5,9 +5,10 @@ computed a page id from a PA without the :class:`~repro.osmodel.allocator.
 PagePool` ``base_pa`` offset, silently retiring the wrong page once the
 software window moved.  Every ``//``, ``%``, ``*`` or ``divmod`` whose
 operand is a ``blocks_per_page`` value (or a ``bpp`` alias) re-derives
-address geometry that :class:`~repro.pcm.geometry.AddressGeometry`,
-:class:`~repro.osmodel.allocator.PagePool` and :mod:`repro.units` already
-centralize — so outside those owners it is banned.
+page geometry that has exactly two owners —
+:class:`~repro.osmodel.allocator.PagePool` for software-window PAs and
+:mod:`repro.units` for raw 0-based block spaces — so outside those two
+modules it is banned.
 """
 
 from __future__ import annotations
@@ -38,12 +39,10 @@ class RawGeometryRule(Rule):
 
     id = "RAW-GEOM"
     summary = ("page-geometry arithmetic (//, %, *, divmod with "
-               "blocks_per_page) outside pcm.geometry / osmodel.allocator / "
-               "units")
+               "blocks_per_page) outside osmodel.allocator / units")
     rationale = ("PR 1 shipped `pa // blocks_per_page` in sim/fast.py that "
                  "ignored PagePool.base_pa and retired the wrong victim page")
     exempt_patterns: Tuple[str, ...] = (
-        "*/repro/pcm/geometry.py",
         "*/repro/osmodel/allocator.py",
         "*/repro/units.py",
     )
@@ -57,7 +56,7 @@ class RawGeometryRule(Rule):
                     findings.append(self.finding(
                         src, node,
                         f"raw `{symbol}` arithmetic with blocks_per_page; "
-                        f"use an AddressGeometry/PagePool/units helper"))
+                        f"use a PagePool or repro.units helper"))
             elif (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Name)
                     and node.func.id == "divmod"
@@ -65,5 +64,5 @@ class RawGeometryRule(Rule):
                 findings.append(self.finding(
                     src, node,
                     "raw divmod() with blocks_per_page; "
-                    "use an AddressGeometry/PagePool/units helper"))
+                    "use a PagePool or repro.units helper"))
         return findings

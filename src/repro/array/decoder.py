@@ -41,7 +41,9 @@ class InterleavedDecoder:
     The global space has ``num_shards * shard_blocks`` block addresses;
     ``encode``/``decode`` form a bijection between global addresses and
     ``(shard, local)`` pairs.  Every method accepts scalars or numpy
-    arrays (the engine projects whole probability vectors at once).
+    arrays.  Traffic-mass projections live on
+    :class:`~repro.balance.remap.BalancedDecoder`, which every engine
+    wraps around this layout.
     """
 
     def __init__(self, num_shards: int, shard_blocks: int,
@@ -105,34 +107,3 @@ class InterleavedDecoder:
         return block_at(page * self.num_shards + shard,
                         block_offset_in_page(local, self.page_blocks),
                         self.page_blocks)
-
-    # ----------------------------------------------------------- projections
-
-    def shard_masses(self, probabilities: np.ndarray) -> np.ndarray:
-        """Traffic mass each shard receives under a global distribution."""
-        probabilities = self._checked(probabilities)
-        shards = self.shard_of(np.arange(self.global_blocks, dtype=np.int64))
-        return np.bincount(shards, weights=probabilities,
-                           minlength=self.num_shards)
-
-    def local_mass(self, probabilities: np.ndarray,
-                   shard: int) -> np.ndarray:
-        """Shard-local mass vector projected from a global distribution.
-
-        Unnormalized: entry ``l`` is the global probability of the global
-        address that shard *shard* stores at local position ``l``, so the
-        vector sums to the shard's share of the traffic (possibly zero
-        for a shard no global address of interest maps to).
-        """
-        probabilities = self._checked(probabilities)
-        where = self.encode(shard,
-                            np.arange(self.shard_blocks, dtype=np.int64))
-        return probabilities[where].astype(np.float64)
-
-    def _checked(self, probabilities: np.ndarray) -> np.ndarray:
-        probabilities = np.asarray(probabilities, dtype=np.float64)
-        if probabilities.shape != (self.global_blocks,):
-            raise ConfigurationError(
-                f"distribution covers {probabilities.shape} addresses, "
-                f"decoder needs ({self.global_blocks},)")
-        return probabilities

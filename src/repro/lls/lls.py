@@ -165,11 +165,6 @@ class LLSFastEngine(FastEngine):
     def _reserved_fraction(self) -> float:
         return self.lls.reserved_fraction
 
-    def _usable_fraction(self) -> float:
-        reserved = self.lls.reserved_fraction
-        retired = self.ospool.retired_blocks / self.chip.num_blocks
-        return max(0.0, 1.0 - reserved - retired)
-
     def stats(self) -> dict:
         merged = super().stats()
         merged.update({f"lls_{k}": v for k, v in self.lls.stats().items()})

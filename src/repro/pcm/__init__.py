@@ -17,13 +17,11 @@ block (see :mod:`repro.pcm.endurance`).
 
 from .geometry import AddressGeometry
 from .endurance import EnduranceModel, sample_failure_times
-from .block import BlockState
 from .chip import PCMChip
 
 __all__ = [
     "AddressGeometry",
     "EnduranceModel",
     "sample_failure_times",
-    "BlockState",
     "PCMChip",
 ]

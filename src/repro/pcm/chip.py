@@ -25,7 +25,6 @@ from typing import Optional, TYPE_CHECKING
 import numpy as np
 
 from ..errors import AddressError, WriteFault
-from .block import BlockState, BlockView
 from .geometry import AddressGeometry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -78,13 +77,6 @@ class PCMChip:
     def wear_of(self, da: int) -> int:
         """Wear counter of block *da*."""
         return int(self.wear[self.geometry.check_block(da)])
-
-    def view(self, da: int) -> BlockView:
-        """Debug snapshot of block *da*."""
-        self.geometry.check_block(da)
-        state = BlockState.FAILED if self.failed[da] else BlockState.HEALTHY
-        return BlockView(da=da, state=state, wear=int(self.wear[da]),
-                         threshold=int(self.ecc.threshold(da)))
 
     # ---------------------------------------------------------- single access
 

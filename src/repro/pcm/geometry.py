@@ -9,19 +9,19 @@ Terminology (follows the paper, Section I-B):
 * **Page**: the OS allocation unit; a contiguous run of PAs
   (64 with paper defaults).
 
-:class:`AddressGeometry` centralizes every conversion between these spaces
-so no module hand-rolls the arithmetic.
+:class:`AddressGeometry` describes the chip's layout and bounds-checks
+block addresses.  Page arithmetic has one owner per space: a PA's page
+comes from :class:`~repro.osmodel.allocator.PagePool` (which applies the
+software window's ``base_pa``), and raw 0-based block/page conversions
+from the :mod:`repro.units` helpers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
-
-import numpy as np
 
 from ..errors import AddressError
-from ..units import blocks_per_page
+from ..units import blocks_per_page, is_page_aligned
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class AddressGeometry:
     def __post_init__(self) -> None:
         if self.num_blocks <= 0:
             raise AddressError("num_blocks must be positive")
-        if self.num_blocks % self.blocks_per_page:
+        if not is_page_aligned(self.num_blocks, self.blocks_per_page):
             raise AddressError("num_blocks must be a whole number of pages")
 
     @property
@@ -43,68 +43,9 @@ class AddressGeometry:
         """Number of block addresses per OS page."""
         return blocks_per_page(self.page_bytes, self.block_bytes)
 
-    @property
-    def num_pages(self) -> int:
-        """Number of OS pages covering the block address space."""
-        return self.num_blocks // self.blocks_per_page
-
-    # ---------------------------------------------------------------- checks
-
     def check_block(self, address: int) -> int:
         """Validate a block address (PA or DA) and return it."""
         if not 0 <= address < self.num_blocks:
             raise AddressError(
                 f"block address {address} out of range [0, {self.num_blocks})")
         return address
-
-    def check_page(self, page: int) -> int:
-        """Validate a page number and return it."""
-        if not 0 <= page < self.num_pages:
-            raise AddressError(f"page {page} out of range [0, {self.num_pages})")
-        return page
-
-    # --------------------------------------------------------- PA <-> page
-
-    def page_of(self, pa: int) -> int:
-        """OS page containing physical address *pa*."""
-        return self.check_block(pa) // self.blocks_per_page
-
-    def offset_in_page(self, pa: int) -> int:
-        """Index of *pa* within its page (0..blocks_per_page-1)."""
-        return self.check_block(pa) % self.blocks_per_page
-
-    def page_base(self, page: int) -> int:
-        """First PA of *page*."""
-        return self.check_page(page) * self.blocks_per_page
-
-    def page_range(self, page: int) -> Tuple[int, int]:
-        """Half-open PA range ``(start, end)`` of *page*."""
-        base = self.page_base(page)
-        return base, base + self.blocks_per_page
-
-    def pas_of_page(self, page: int) -> Iterator[int]:
-        """Iterate the PAs belonging to *page* in ascending order."""
-        start, end = self.page_range(page)
-        return iter(range(start, end))
-
-    def split(self, pa: int) -> Tuple[int, int]:
-        """Return ``(page, offset)`` for *pa*."""
-        self.check_block(pa)
-        return divmod(pa, self.blocks_per_page)
-
-    def join(self, page: int, offset: int) -> int:
-        """Inverse of :meth:`split`."""
-        self.check_page(page)
-        if not 0 <= offset < self.blocks_per_page:
-            raise AddressError(f"offset {offset} out of range")
-        return page * self.blocks_per_page + offset
-
-    # --------------------------------------------------------- vector forms
-
-    def pages_of(self, pas: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`page_of` (no bounds check)."""
-        return pas // self.blocks_per_page
-
-    def offsets_of(self, pas: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`offset_in_page` (no bounds check)."""
-        return pas % self.blocks_per_page

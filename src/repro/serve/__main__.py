@@ -22,7 +22,8 @@ import sys
 from typing import List, Optional, Sequence
 
 from ..errors import ReproError
-from ..faultinject import FaultAction, FaultSchedule
+from ..faultinject import (FaultSchedule, shard_death_schedule,
+                           shard_stall_schedule)
 from .config import (ADMISSION_MODES, ARRIVAL_PROCESSES, SERVE_POLICIES,
                      SERVE_WORKLOADS, ServeConfig)
 from .engine import ServiceEngine, ServiceResult
@@ -116,18 +117,18 @@ def config_of(args: argparse.Namespace) -> ServeConfig:
 
 def schedule_of(args: argparse.Namespace) -> Optional[FaultSchedule]:
     """Combine the CLI's kill/stall switches into one fault schedule."""
-    actions: List[FaultAction] = []
+    schedules: List[FaultSchedule] = []
     if args.kill_shard is not None:
-        actions.append(FaultAction(
-            "fail-block", at_write=args.kill_at,
-            das=tuple(range(args.shard_blocks)), shard=args.kill_shard))
+        schedules.append(shard_death_schedule(
+            args.kill_shard, args.kill_at, args.shard_blocks))
     if args.stall_shard is not None:
-        actions.append(FaultAction(
-            "shard-stall", at_write=args.stall_at,
-            requests=args.stall_requests, shard=args.stall_shard))
-    if not actions:
+        schedules.append(shard_stall_schedule(
+            args.stall_shard, args.stall_at, args.stall_requests))
+    if not schedules:
         return None
-    return FaultSchedule(actions=tuple(actions), seed=None, name="serve-cli")
+    return FaultSchedule(
+        actions=tuple(action for one in schedules for action in one.actions),
+        seed=None, name="serve-cli")
 
 
 def render(result: ServiceResult) -> str:

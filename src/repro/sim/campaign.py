@@ -18,7 +18,8 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
+from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..config import StartGapConfig
 from ..ecc import ECP
@@ -49,6 +50,11 @@ DEFAULTS: Dict[str, Any] = {
     "trace_cov": 3.0,
 }
 
+#: Recovery modes a campaign cell runs.  FREE-p is out: its pre-reserve
+#: needs a wear-leveler sized to the working space, and the cell's
+#: Start-Gap spans the whole chip.
+CAMPAIGN_RECOVERY: Tuple[str, ...] = ("reviver", "none")
+
 
 def campaign_cell(seed: int,
                   num_blocks: int = 1024,
@@ -68,6 +74,10 @@ def campaign_cell(seed: int,
     Every random stream is derived from the cell seed by purpose-named
     :func:`~repro.rng.derive_rng` children.
     """
+    if recovery not in CAMPAIGN_RECOVERY:
+        raise ConfigurationError(
+            f"campaign cells cannot run recovery {recovery!r}; "
+            f"choose from {CAMPAIGN_RECOVERY}")
     geometry = AddressGeometry(num_blocks=num_blocks)
     endurance = EnduranceModel(
         num_blocks=num_blocks, mean=mean_endurance, cov=endurance_cov,
@@ -173,7 +183,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--psi", type=int, default=int(DEFAULTS["psi"]),
                         help="Start-Gap psi (writes per gap move)")
     parser.add_argument("--recovery", default=str(DEFAULTS["recovery"]),
-                        choices=("reviver", "none", "freep"),
+                        choices=CAMPAIGN_RECOVERY,
                         help="recovery mode (default reviver)")
     parser.add_argument("--no-telemetry", action="store_true",
                         help="skip per-cell telemetry sessions")

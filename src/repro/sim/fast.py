@@ -157,6 +157,9 @@ class FastEngine:
         self.series = LifetimeSeries(label=label or f"{wl.name}-{self.config.recovery}")
         self._rng = derive_rng(self.config.seed, "fast-engine")
         self.total_writes = 0
+        #: Live write cap: :meth:`run` takes the config's, :meth:`resume`
+        #: moves it, and the caller's config is never rewritten.
+        self.max_writes: Optional[int] = None
         #: Structured reason the run ended (None while running).
         self.stop: Optional[StopReason] = None
         #: Fault-injection driver polled once per epoch; ``None`` (the
@@ -205,6 +208,7 @@ class FastEngine:
         """Simulate epochs until a stop condition; return the summary."""
         # The zero-write sample anchors the series.
         self._sample()
+        self.max_writes = self.config.max_writes
         return self._step_epochs()
 
     def resume(self, max_writes: Optional[int]) -> LifetimeSummary:
@@ -224,7 +228,7 @@ class FastEngine:
             raise ProtocolError(
                 f"cannot resume to {max_writes} writes: the run is "
                 f"already at {self.total_writes}")
-        self.config.max_writes = max_writes
+        self.max_writes = max_writes
         self.stop = None
         return self._step_epochs()
 
@@ -235,7 +239,7 @@ class FastEngine:
         fixed order: dead fraction, lost capacity, write budget.
         """
         cfg = self.config
-        budget = (float(cfg.max_writes) if cfg.max_writes is not None
+        budget = (float(self.max_writes) if self.max_writes is not None
                   else float("inf"))
         while True:
             if self.inject is not None:

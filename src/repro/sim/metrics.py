@@ -77,52 +77,34 @@ class LifetimeSeries:
 
     @classmethod
     def merge(cls, series: Sequence["LifetimeSeries"],
-              weights: Optional[Sequence[float]] = None,
-              grid: Optional[Sequence[int]] = None,
               access_weights: Optional[Sequence[float]] = None,
               label: str = "merged") -> "LifetimeSeries":
         """Point-wise combination of several series onto a shared grid.
 
         Each input series describes one device (or shard) of a larger
-        aggregate.  At every write count on the *grid* (default: the sorted
-        union of all sampled write counts), the merged sample is:
+        aggregate.  At every write count any series sampled, the merged
+        sample is:
 
-        * ``survival`` / ``usable`` — the *weights*-weighted mean of each
-          series' carry-forward sample (weights default to equal; use block
-          counts when devices differ in capacity);
-        * ``avg_access`` — weighted by *access_weights* times the writes each
-          series has absorbed so far, so devices that serviced more traffic
-          dominate the mean (0 while nothing has been written).
-
-        *access_weights* defaults to *weights*: with equal-capacity shards
-        fed proportional traffic that is exactly the write-weighted mean.
+        * ``survival`` / ``usable`` — the mean of each series'
+          carry-forward sample;
+        * ``avg_access`` — weighted by *access_weights* (default: equal)
+          times the writes each series has absorbed so far, so devices
+          that serviced more traffic dominate the mean (0 while nothing
+          has been written).
         """
         if not series:
             raise ConfigurationError("merge() needs at least one series")
-        if weights is None:
-            weights = [1.0] * len(series)
-        if len(weights) != len(series):
-            raise ConfigurationError(
-                f"{len(series)} series but {len(weights)} weights")
-        if any(w < 0 for w in weights):
-            raise ConfigurationError("merge() weights must be non-negative")
-        total_weight = float(sum(weights))
-        if total_weight <= 0:
-            raise ConfigurationError("merge() weights must not all be zero")
         if access_weights is None:
-            access_weights = weights
+            access_weights = [1.0] * len(series)
         if len(access_weights) != len(series):
             raise ConfigurationError(
                 f"{len(series)} series but {len(access_weights)} access weights")
-        if grid is None:
-            grid = sorted({p.writes for one in series for p in one.points})
+        grid = sorted({p.writes for one in series for p in one.points})
         merged = cls(label=label)
         for writes in grid:
             samples = [one.sample_at(writes) for one in series]
-            survival = sum(w * s.survival
-                           for w, s in zip(weights, samples)) / total_weight
-            usable = sum(w * s.usable
-                         for w, s in zip(weights, samples)) / total_weight
+            survival = sum(s.survival for s in samples) / len(series)
+            usable = sum(s.usable for s in samples) / len(series)
             access_mass = sum(a * s.writes
                               for a, s in zip(access_weights, samples))
             if access_mass > 0:

@@ -23,6 +23,7 @@ from ..errors import ConfigurationError
 from ..numeric import brentq
 from ..rng import SeedLike, derive_rng
 from .base import DistributionTrace
+from .stats import counts_cov
 
 
 def mixture_cov(hot_fraction: float, hot_share: float) -> float:
@@ -133,8 +134,7 @@ def lognormal_distribution(virtual_blocks: int, target_cov: float,
     log_base = np.log(base)
 
     def realized(alpha: float) -> float:
-        rates = np.exp(alpha * (log_base - log_base.max()))
-        return float(rates.std() / rates.mean())
+        return counts_cov(np.exp(alpha * (log_base - log_base.max())))
 
     lo, hi = 1e-3, 1.0
     while realized(hi) < target_cov and hi < 64:
@@ -173,8 +173,7 @@ def zipf_distribution(virtual_blocks: int, exponent: float = 1.0,
 
     if target_cov is not None:
         def gap(s: float) -> float:
-            p = build(s)
-            return float(p.std() / p.mean()) - target_cov
+            return counts_cov(build(s)) - target_cov
 
         lo, hi = 1e-6, 8.0
         if gap(lo) > 0 or gap(hi) < 0:

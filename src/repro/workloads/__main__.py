@@ -34,6 +34,7 @@ import numpy as np
 
 from ..array.decoder import INTERLEAVE_MODES, InterleavedDecoder
 from ..errors import ReproError
+from ..traces.stats import counts_cov
 from .generators import (SequentialWorkload, Workload,
                          phase_shifting_hotspot, uniform_workload,
                          zipf_workload)
@@ -155,13 +156,11 @@ def summarize(records: np.ndarray, virtual_blocks: int) -> Dict[str, Any]:
     addresses = records[:, 0]
     writes = records[:, 1]
     counts = np.bincount(addresses, minlength=virtual_blocks)
-    mean = counts.mean()
-    cov = float(counts.std() / mean) if mean > 0 else 0.0
     return {"requests": int(len(records)),
             "virtual_blocks": int(virtual_blocks),
             "distinct_addresses": int((counts > 0).sum()),
             "write_ratio": float(writes.mean()) if len(writes) else 0.0,
-            "address_cov": cov}
+            "address_cov": counts_cov(counts)}
 
 
 def render_summary(stats: Dict[str, Any]) -> str:

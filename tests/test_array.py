@@ -19,6 +19,7 @@ from repro.array import (ArrayConfig, ArrayEngine, InterleavedDecoder,
                          SegmentedTrace, shard_attack_workload, shard_seed)
 from repro.array.shard import build_shard
 from repro.array.__main__ import main as array_main
+from repro.balance import BalancedDecoder
 from repro.errors import ConfigurationError
 from repro.faultinject import FaultSchedule, shard_death_schedule
 from repro.telemetry import deterministic_snapshot
@@ -58,9 +59,12 @@ class TestInterleavedDecoder:
         pairs = set(zip(shards.tolist(), locals_.tolist()))
         assert len(pairs) == decoder.global_blocks
 
+    # The mass projections live on BalancedDecoder; at its identity map
+    # it decodes exactly like the interleaved layout it wraps.
+
     @pytest.mark.parametrize("interleave", ["block", "page"])
     def test_uniform_traffic_splits_evenly(self, interleave):
-        decoder = make_decoder(interleave=interleave)
+        decoder = BalancedDecoder(make_decoder(interleave=interleave))
         probabilities = np.full(decoder.global_blocks,
                                 1.0 / decoder.global_blocks)
         masses = decoder.shard_masses(probabilities)
@@ -76,7 +80,7 @@ class TestInterleavedDecoder:
             assert len(set(page_shards.tolist())) == 1
 
     def test_local_mass_partitions_the_distribution(self):
-        decoder = make_decoder()
+        decoder = BalancedDecoder(make_decoder())
         rng = np.random.default_rng(3)
         probabilities = rng.random(decoder.global_blocks)
         probabilities /= probabilities.sum()
@@ -101,7 +105,7 @@ class TestInterleavedDecoder:
             InterleavedDecoder(**kwargs)
 
     def test_probability_shape_is_checked(self):
-        decoder = make_decoder()
+        decoder = BalancedDecoder(make_decoder())
         with pytest.raises(ConfigurationError):
             decoder.shard_masses(np.ones(decoder.global_blocks - 1))
 

@@ -9,7 +9,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.parallel import GridRunner
-from repro.sim.campaign import campaign_grid, main, run_campaign
+from repro.sim.campaign import (campaign_cell, campaign_grid, main,
+                                run_campaign)
 
 #: A small campaign whose six cells die at different write counts, with
 #: reviver recovery and telemetry on, so the merged snapshot is covered.
@@ -98,3 +99,15 @@ class TestCampaignCli:
         payload = json.loads(out.read_text())
         assert payload == json.loads(json.dumps(run_campaign(
             3, num_blocks=256, mean_endurance=300.0)))
+
+    def test_freep_is_refused_before_any_chip_is_built(self, capsys):
+        # A cell's Start-Gap spans the whole chip, which FREE-p's
+        # pre-reserve cannot share.
+        with pytest.raises(ConfigurationError, match="freep"):
+            campaign_cell(0, num_blocks=256, mean_endurance=100.0,
+                          recovery="freep")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--seeds", "1", "--recovery", "freep", "--blocks", "256",
+                  "--mean", "100"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'freep'" in capsys.readouterr().err

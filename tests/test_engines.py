@@ -198,6 +198,19 @@ class TestFastEngine:
             == whole.end_of_life_report().as_dict()
         assert np.array_equal(split.chip.wear, whole.chip.wear)
 
+    def test_resume_leaves_the_callers_config_alone(self):
+        config = FastConfig(max_writes=2_000, batch_writes=1_000, seed=3)
+        geometry = AddressGeometry(num_blocks=512)
+        endurance = EnduranceModel(num_blocks=512, mean=100_000, cov=0.2,
+                                   max_order=10, seed=3)
+        engine = FastEngine(PCMChip(geometry, ECP(endurance, 1)),
+                            StartGap(512, config=StartGapConfig(psi=10)),
+                            hotspot_distribution(512, 6.0, seed=3), config)
+        engine.run()
+        engine.resume(4_000)
+        assert engine.total_writes == 4_000
+        assert config.max_writes == 2_000
+
     def test_only_a_run_stopped_at_its_cap_resumes(self):
         engine = make_fast("reviver", mean=60.0)
         with pytest.raises(ProtocolError):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import AddressError, WriteFault
-from repro.pcm import BlockState
 from repro.pcm.chip import EMPTY_TAG
 from repro.traces import counts_cov
 
@@ -129,14 +128,6 @@ class TestBatchedWrites:
 
 
 class TestViewsAndStats:
-    def test_view_reports_state(self, small_chip):
-        small_chip.write(7)
-        view = small_chip.view(7)
-        assert view.da == 7
-        assert view.state is BlockState.HEALTHY
-        assert view.wear == 1
-        assert view.remaining == view.threshold - 1
-
     def test_wear_cov_uniform_is_zero(self, small_chip):
         for da in range(small_chip.num_blocks):
             small_chip.write(da)

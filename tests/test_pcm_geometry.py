@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import AddressError
 from repro.pcm import AddressGeometry
+from repro.units import block_at, block_offset_in_page, page_of_block
 
 
 @pytest.fixture
@@ -15,7 +16,6 @@ def geometry() -> AddressGeometry:
 class TestConstruction:
     def test_derived_quantities(self, geometry):
         assert geometry.blocks_per_page == 8
-        assert geometry.num_pages == 32
 
     def test_rejects_partial_pages(self):
         with pytest.raises(AddressError):
@@ -27,45 +27,37 @@ class TestConstruction:
 
 
 class TestScalarConversions:
-    def test_page_of(self, geometry):
-        assert geometry.page_of(0) == 0
-        assert geometry.page_of(7) == 0
-        assert geometry.page_of(8) == 1
-        assert geometry.page_of(255) == 31
-
-    def test_offset_in_page(self, geometry):
-        assert geometry.offset_in_page(13) == 5
-
-    def test_split_join_round_trip(self, geometry):
-        for pa in (0, 1, 8, 100, 255):
-            page, offset = geometry.split(pa)
-            assert geometry.join(page, offset) == pa
+    """Raw page arithmetic over the geometry's blocks_per_page."""
 
     def test_page_range(self, geometry):
-        assert geometry.page_range(2) == (16, 24)
+        bpp = geometry.blocks_per_page
+        assert (block_at(2, 0, bpp), block_at(3, 0, bpp)) == (16, 24)
 
     def test_pas_of_page(self, geometry):
-        assert list(geometry.pas_of_page(3)) == list(range(24, 32))
+        bpp = geometry.blocks_per_page
+        assert [block_at(3, offset, bpp) for offset in range(bpp)] == \
+            list(range(24, 32))
 
     def test_bounds_checks(self, geometry):
+        assert geometry.check_block(255) == 255
         with pytest.raises(AddressError):
             geometry.check_block(256)
         with pytest.raises(AddressError):
             geometry.check_block(-1)
-        with pytest.raises(AddressError):
-            geometry.check_page(32)
-        with pytest.raises(AddressError):
-            geometry.join(0, 8)
 
 
 class TestVectorConversions:
     def test_pages_of_matches_scalar(self, geometry):
-        pas = np.arange(256)
-        pages = geometry.pages_of(pas)
-        assert all(pages[pa] == geometry.page_of(int(pa)) for pa in pas)
+        bpp = geometry.blocks_per_page
+        pas = np.arange(geometry.num_blocks)
+        pages = page_of_block(pas, bpp)
+        assert all(pages[pa] == page_of_block(int(pa), bpp) for pa in pas)
 
     def test_offsets_of_matches_scalar(self, geometry):
-        pas = np.arange(256)
-        offsets = geometry.offsets_of(pas)
-        assert all(offsets[pa] == geometry.offset_in_page(int(pa))
+        bpp = geometry.blocks_per_page
+        pas = np.arange(geometry.num_blocks)
+        offsets = block_offset_in_page(pas, bpp)
+        assert all(offsets[pa] == block_offset_in_page(int(pa), bpp)
                    for pa in pas)
+        np.testing.assert_array_equal(
+            block_at(page_of_block(pas, bpp), offsets, bpp), pas)

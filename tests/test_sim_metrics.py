@@ -74,12 +74,6 @@ class TestLifetimeSeriesMerge:
         assert at_200.survival == pytest.approx(0.7)
         assert at_200.usable == pytest.approx(0.6)
 
-    def test_capacity_weights_shift_the_mean(self):
-        merged = LifetimeSeries.merge(two_shards(), weights=[3.0, 1.0])
-        at_200 = merged.sample_at(200)
-        assert at_200.survival == pytest.approx((3 * 0.9 + 0.5) / 4)
-        assert at_200.usable == pytest.approx((3 * 0.8 + 0.4) / 4)
-
     def test_avg_access_is_write_weighted(self):
         merged = LifetimeSeries.merge(two_shards())
         # At 200: a absorbed 100 writes at access 2.0, b 200 at 4.0.
@@ -87,12 +81,6 @@ class TestLifetimeSeriesMerge:
         assert merged.sample_at(200).avg_access == pytest.approx(expected)
         # At 0 nothing has been written: access mean is defined as 0.
         assert merged.sample_at(0).avg_access == 0.0
-
-    def test_explicit_grid_aligns_the_output(self):
-        merged = LifetimeSeries.merge(two_shards(), grid=[50, 150, 250])
-        assert [p.writes for p in merged.points] == [50, 150, 250]
-        # 150 sees a's 100-write sample and b's pristine carry-forward.
-        assert merged.sample_at(150).survival == pytest.approx(0.95)
 
     def test_single_series_round_trips(self):
         series = make_series()
@@ -104,12 +92,6 @@ class TestLifetimeSeriesMerge:
         a, b = two_shards()
         with pytest.raises(ConfigurationError, match="at least one"):
             LifetimeSeries.merge([])
-        with pytest.raises(ConfigurationError, match="weights"):
-            LifetimeSeries.merge([a, b], weights=[1.0])
-        with pytest.raises(ConfigurationError, match="non-negative"):
-            LifetimeSeries.merge([a, b], weights=[1.0, -1.0])
-        with pytest.raises(ConfigurationError, match="not all be zero"):
-            LifetimeSeries.merge([a, b], weights=[0.0, 0.0])
         with pytest.raises(ConfigurationError, match="access weights"):
             LifetimeSeries.merge([a, b], access_weights=[1.0])
 

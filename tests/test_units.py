@@ -4,10 +4,13 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.units import (
+    block_at,
+    block_offset_in_page,
     blocks_per_page,
     ceil_div,
     is_power_of_two,
     log2_exact,
+    page_of_block,
 )
 
 
@@ -57,3 +60,22 @@ class TestBlocksPerPage:
     def test_rejects_misaligned(self):
         with pytest.raises(ConfigurationError):
             blocks_per_page(1000, 64)
+
+
+class TestPageArithmetic:
+    """0-based block <-> (page, offset) conversions, 8 blocks per page."""
+
+    BPP = 8
+
+    def test_page_of(self):
+        assert [page_of_block(b, self.BPP) for b in (0, 7, 8, 255)] == \
+            [0, 0, 1, 31]
+
+    def test_offset_in_page(self):
+        assert block_offset_in_page(13, self.BPP) == 5
+
+    def test_split_join_round_trip(self):
+        for block in (0, 1, 8, 100, 255):
+            page = page_of_block(block, self.BPP)
+            offset = block_offset_in_page(block, self.BPP)
+            assert block_at(page, offset, self.BPP) == block

@@ -15,6 +15,7 @@ from repro.array.decoder import InterleavedDecoder
 from repro.array.__main__ import main as array_main
 from repro.array.__main__ import trace_digest_lines
 from repro.array.engine import ArrayConfig
+from repro.balance import BalancedDecoder
 from repro.errors import ConfigurationError
 from repro.experiments.common import build_chip, scaled_parameters
 from repro.serve import ServeConfig, ServiceEngine
@@ -638,7 +639,8 @@ class TestServeArrayEquivalence:
         expected = replay.write_distribution()
         census = json.loads(out.read_text())["report"]["shards"]
         assert [shard["share"] for shard in census] == pytest.approx(
-            decoder.shard_masses(expected / expected.sum()).tolist())
+            BalancedDecoder(decoder).shard_masses(
+                expected / expected.sum()).tolist())
         lines = trace_digest_lines(str(trace_path), config)
         digests = shard_digests(replay.records[:, 0], decoder)
         assert lines == [f"  trace s{sid}: {digest}"
