@@ -4,8 +4,8 @@ PR 1's victim-page bug was exactly this shape: ``pa // blocks_per_page``
 computed a page id from a PA without the :class:`~repro.osmodel.allocator.
 PagePool` ``base_pa`` offset, silently retiring the wrong page once the
 software window moved.  Every ``//``, ``%``, ``*`` or ``divmod`` whose
-operand is a ``blocks_per_page`` value (or a ``bpp`` alias) re-derives
-page geometry that has exactly two owners —
+operand is a ``blocks_per_page`` value (or a ``bpp`` or ``page_blocks``
+alias) re-derives page geometry that has exactly two owners —
 :class:`~repro.osmodel.allocator.PagePool` for software-window PAs and
 :mod:`repro.units` for raw 0-based block spaces — so outside those two
 modules it is banned.
@@ -19,14 +19,14 @@ from typing import List, Tuple
 from ..core import Finding, Rule, SourceFile
 
 #: Names whose involvement in arithmetic marks page-geometry math.
-GEOMETRY_NAMES = frozenset({"blocks_per_page", "bpp"})
+GEOMETRY_NAMES = frozenset({"blocks_per_page", "bpp", "page_blocks"})
 
 _BANNED_OPS = (ast.FloorDiv, ast.Mod, ast.Mult)
 _OP_SYMBOL = {ast.FloorDiv: "//", ast.Mod: "%", ast.Mult: "*"}
 
 
 def _is_geometry_ref(node: ast.AST) -> bool:
-    """Whether *node* is a direct ``blocks_per_page``/``bpp`` reference."""
+    """Whether *node* is a direct reference to a page-size name."""
     if isinstance(node, ast.Name):
         return node.id in GEOMETRY_NAMES
     if isinstance(node, ast.Attribute):

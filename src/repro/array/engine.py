@@ -62,7 +62,7 @@ from ..sim.stop import EndOfLifeReport, StopCause, StopReason
 from ..telemetry import (TelemetrySession, deterministic_snapshot,
                          merge_snapshots)
 from ..traces.base import DistributionTrace
-from ..units import blocks_of_pages, ceil_div, page_count
+from ..units import blocks_of_pages, ceil_div, is_page_aligned, page_count
 from .decoder import INTERLEAVE_MODES, InterleavedDecoder
 from .report import ArrayEndOfLifeReport, ShardCensus
 from .shard import build_shard
@@ -133,13 +133,13 @@ class ArrayConfig:
             raise ConfigurationError("array needs at least one shard")
         if self.page_blocks < 1:
             raise ConfigurationError("page_blocks must be >= 1")
-        if self.shard_blocks < 2 * self.page_blocks:
+        if self.shard_blocks < blocks_of_pages(2, self.page_blocks):
             # Start-Gap spends one line on the gap, which costs the
             # software space a whole page; below two pages nothing is
             # left to serve.
             raise ConfigurationError(
                 "shard_blocks must be at least two OS pages")
-        if self.shard_blocks % self.page_blocks:
+        if not is_page_aligned(self.shard_blocks, self.page_blocks):
             raise ConfigurationError(
                 "shard_blocks must be a whole number of OS pages")
         if self.recovery not in ARRAY_RECOVERY:

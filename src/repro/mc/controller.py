@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import abc
 from collections import OrderedDict
-from typing import List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import (Container, Dict, List, Optional, Set, Tuple,
+                    TYPE_CHECKING)
 
 from ..config import ReviverConfig
 from ..errors import (ConfigurationError, ProtocolError, ReadRetriesExhausted,
@@ -92,13 +93,15 @@ class BaseController(abc.ABC):
     # ------------------------------------------------------- subclass hooks
 
     @abc.abstractmethod
-    def _resolve_counted(self, da: int) -> Tuple[Optional[int], int, bool]:
+    def _resolve_counted(self, da: int, parked: Container[int] = ()
+                         ) -> Tuple[Optional[int], int, bool, Optional[int]]:
         """Resolve *da* for a software access.
 
-        Returns ``(final_da, pcm_accesses, redirected)``; ``final_da`` is
-        ``None`` when the block is failed and has no redirection (an
-        exhausted FREE-p region), in which case the caller reports an
-        access error.
+        Returns ``(final_da, pcm_accesses, redirected, in_flight_pa)``;
+        ``final_da`` is ``None`` when the block is failed and has no
+        redirection (an exhausted FREE-p region): an access error.
+        ``in_flight_pa`` is a store-buffer PA (a key of *parked*) on the
+        chain, whose datum the access reads instead; else ``None``.
         """
 
     @abc.abstractmethod
@@ -196,7 +199,7 @@ class BaseController(abc.ABC):
         while True:
             pa = self.ospool.translate(vblock)
             da = self.wl.map(pa)
-            final, cost, redirected = self._resolve_counted(da)
+            final, cost, redirected, _ = self._resolve_counted(da)
             accesses += cost
             redirected_any = redirected_any or redirected
             if final is None or self.chip.is_failed(final):
@@ -234,16 +237,19 @@ class BaseController(abc.ABC):
             self.stats.record(result, is_write=False)
             return result
         da = self.wl.map(pa)
-        final, cost, redirected = self._resolve_counted(da)
-        if final is None:
-            # No redirection (exhausted FREE-p): a dead block reads garbage.
-            result = AccessResult(vblock=vblock, pa=pa, da=da,
-                                  pcm_accesses=cost, tag=None,
-                                  redirected=redirected)
+        final, cost, redirected, in_flight = self._resolve_counted(
+            da, self._parked)
+        tag: Optional[int] = None
+        if in_flight is not None:
+            # A shadow datum on the chain is still in the store buffer.
+            final, tag = da, self._parked[in_flight]
+        elif final is None:
+            final = da  # no redirection (exhausted FREE-p): reads garbage
         else:
-            result = AccessResult(vblock=vblock, pa=pa, da=final,
-                                  pcm_accesses=cost, tag=self._read_block(final),
-                                  redirected=redirected)
+            tag = self._read_block(final)
+        result = AccessResult(vblock=vblock, pa=pa, da=final,
+                              pcm_accesses=cost, tag=tag,
+                              redirected=redirected)
         self.stats.record(result, is_write=False)
         return result
 
@@ -258,12 +264,11 @@ class BaseController(abc.ABC):
         pa = self.wl.inverse(da)
         if pa is not None and pa in self._parked:
             return self._parked[pa]
-        target = self._read_resolve(da)
-        return self._read_block(target)
+        return self._read_through(da)
 
-    def _read_resolve(self, da: int) -> int:
-        """Redirection for migration reads; defaults to no redirection."""
-        return da
+    def _read_through(self, da: int) -> int:
+        """Migration read of *da* through redirections; defaults to none."""
+        return self._read_block(da)
 
     def write_migration_pa(self, pa: int, tag: int) -> None:
         """Port hook: store *tag* as PA *pa*'s data under the new mapping."""
@@ -389,71 +394,62 @@ class ReviverController(BaseController):
         #: Mirror of the pointer/inverse cells as physically written; this
         #: is what survives a crash and what recovery scans.
         self.durable = DurableMetadata()
+        #: Loops read by this tick's migrations: shadow PA -> loop DA.
+        self._loop_reads: Dict[int, int] = {}
 
     # ------------------------------------------------------------ resolution
 
-    def _resolve_counted(self, da: int) -> Tuple[Optional[int], int, bool]:
+    def _resolve_counted(self, da: int, parked: Container[int] = ()
+                         ) -> Tuple[Optional[int], int, bool, Optional[int]]:
         if not self.chip.is_failed(da):
-            return da, 1, False
+            return da, 1, False, None
         if self.cache is not None:
             vpa = self.cache.get(da)
             if vpa is not None:
                 # Remap-cache hit: go straight to the shadow, 1 access.
-                return self.wl.map(vpa), 1, True
-        resolution = self.reviver.resolve(da)
-        if resolution.is_loop:
+                if vpa in parked:
+                    return da, 1, True, vpa
+                return self.wl.map(vpa), 1, True, None
+        final, hops, outcome, vpa = self.reviver.resolver.walk(da, parked)
+        if outcome == "unlinked":
+            raise ProtocolError(f"failed block {final} has no link")
+        if outcome == "loop":
             raise ProtocolError(f"software access reached loop block {da}")
         if self.cache is not None:
-            vpa = self.reviver.links.vpa_of(da)
-            if vpa is not None:
-                self.cache.put(da, vpa)
-        # 1 access to read the pointer + 1 access per chain step.
-        return resolution.final_da, 1 + resolution.hops, True
+            link = self.reviver.links.vpa_of(da)
+            if link is not None:
+                self.cache.put(da, link)
+        # 1 access to read the pointer + 1 access per chain step; ``vpa``
+        # is the in-flight shadow PA when the walk stopped on ``parked``.
+        return final, 1 + hops, True, vpa
 
-    def read_migration(self, da: int) -> int:
-        pa = self.wl.inverse(da)
-        if pa is not None and pa in self._parked:
-            return self._parked[pa]
-        hops = 0
-        while self.chip.is_failed(da):
-            vpa = self.reviver.links.vpa_of(da)
-            if vpa is None:
-                return self._read_block(da)  # fresh failure: data destroyed
-            if vpa in self._parked:
+    def _read_through(self, da: int) -> int:
+        final, _, outcome, vpa = self.reviver.resolver.walk(da, self._parked)
+        if vpa is not None:  # the walk stopped on "parked" or "loop"
+            if outcome == "parked":
                 # The shadow datum is still in flight in the store buffer.
                 return self._parked[vpa]
-            nxt = self.wl.map(vpa)
-            if nxt == da:
-                return self._read_block(da)  # loop: garbage by construction
-            da = nxt
-            hops += 1
-            if hops > 64:
-                raise ProtocolError("chain walk did not terminate")
-        return self._read_block(da)
+            # A loop holds garbage by construction; remembered so the
+            # write of this datum can be dropped (see _migration_resolve).
+            self._loop_reads[vpa] = final
+        # An unlinked stop failed moments ago: its content is what is left.
+        return self._read_block(final)
 
     def _migration_resolve(self, pa: int) -> Optional[int]:
-        """Lenient chain walk for internal (migration/copy) writes.
+        """Destination of an internal (migration/copy/pointer) write.
 
-        Tolerates the transient states internal traffic can observe: a
-        block that failed moments ago and is not linked yet is *returned*
+        A block that failed moments ago and is not linked yet is *returned*
         (the write will fault and re-enter the failure machinery), while a
         PA-DA loop yields ``None`` (the data is garbage by construction —
-        drop the write).
+        drop the write).  So does a datum this tick read from a loop whose
+        block a swap has since moved under another PA (the port contract
+        in :class:`~repro.wl.base.MigrationPort`).
         """
-        da = self.wl.map(pa)
-        hops = 0
-        while self.chip.is_failed(da):
-            vpa = self.reviver.links.vpa_of(da)
-            if vpa is None:
-                return da  # fresh unlinked failure: let the write fault
-            nxt = self.wl.map(vpa)
-            if nxt == da:
-                return None  # PA-DA loop: garbage data, drop
-            da = nxt
-            hops += 1
-            if hops > 64:
-                raise ProtocolError("chain walk did not terminate")
-        return da
+        loop_da = self._loop_reads.get(pa)
+        if loop_da is not None and self.wl.inverse(loop_da) not in (None, pa):
+            return None
+        final, _, outcome, _ = self.reviver.resolver.walk(self.wl.map(pa))
+        return None if outcome == "loop" else final
 
     def _migration_unroutable(self, pa: int) -> None:
         """Loop blocks hold garbage for a reserved PA: nothing is lost."""
@@ -555,6 +551,7 @@ class ReviverController(BaseController):
         # Recovery itself must not trip armed crash points or read errors:
         # the machine is rebooting, the injection campaign resumes after.
         hooks, self.inject = self.inject, None
+        self._loop_reads.clear()
         chip_hooks, self.chip.inject = self.chip.inject, None  # repro: allow(FAULT-HOOK): the rebooting controller detaches its own chip's hooks for the recovery window
         try:
             self.reviver.recover(
@@ -588,6 +585,7 @@ class ReviverController(BaseController):
 
     def _run_wear_leveling(self, pa: Optional[int] = None) -> None:
         super()._run_wear_leveling(pa=pa)
+        self._loop_reads.clear()
         if self.reviver_config.check_invariants:
             self.check_invariants()
 
@@ -615,22 +613,23 @@ class FreePController(BaseController):
                 "wear-leveler must cover exactly the non-reserved space")
         self.region = region
 
-    def _resolve_counted(self, da: int) -> Tuple[Optional[int], int, bool]:
+    def _resolve_counted(self, da: int, parked: Container[int] = ()
+                         ) -> Tuple[Optional[int], int, bool, Optional[int]]:
         if not self.chip.is_failed(da):
-            return da, 1, False
+            return da, 1, False, None
         if self.cache is not None:
             slot = self.cache.get(da)
             if slot is not None:
-                return slot, 1, True
+                return slot, 1, True, None
         slot = self.region.resolve(da)
         if slot == da:
-            return None, 1, False  # exposed failure: no slot behind it
+            return None, 1, False, None  # exposed failure: no slot behind it
         if self.cache is not None:
             self.cache.put(da, slot)
-        return slot, 2, True  # pointer read + slot access
+        return slot, 2, True, None  # pointer read + slot access
 
-    def _read_resolve(self, da: int) -> int:
-        return self.region.resolve(da)
+    def _read_through(self, da: int) -> int:
+        return self._read_block(self.region.resolve(da))
 
     def _migration_resolve(self, pa: int) -> Optional[int]:
         da = self.wl.map(pa)

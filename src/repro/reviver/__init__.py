@@ -14,7 +14,7 @@ Modules:
   virtual-shadow section and the inverse-pointer section (Figure 4);
 * :mod:`~repro.reviver.links` — the failed-block -> VPA link table and its
   inverse-pointer mirror, with metadata-write accounting;
-* :mod:`~repro.reviver.chains` — chain resolution and the reduction that
+* :mod:`~repro.reviver.chains` — the one chain walk and the reduction that
   keeps every chain at one step (the switches of Figures 2 and 3);
 * :mod:`~repro.reviver.bitmap` — the replicated retired-page bitmap read at
   reboot;
@@ -26,13 +26,13 @@ Modules:
 from .registers import SparePool
 from .pages import PageLedger, AcquiredPage
 from .links import LinkTable, MetadataWrite
-from .chains import ChainResolver, Resolution
+from .chains import ChainResolver
 from .bitmap import RetiredPageBitmap
 from .invariants import InvariantChecker
 from .reviver import WLReviver, FaultContext
 
 __all__ = [
     "SparePool", "PageLedger", "AcquiredPage", "LinkTable", "MetadataWrite",
-    "ChainResolver", "Resolution", "RetiredPageBitmap", "InvariantChecker",
+    "ChainResolver", "RetiredPageBitmap", "InvariantChecker",
     "WLReviver", "FaultContext",
 ]

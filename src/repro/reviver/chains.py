@@ -19,35 +19,17 @@ software and Theorem 3 keeps migrations away.  The switch needs the inverse
 mapping function (to find who points at a DA) and the inverse pointers (to
 find the failed block owning a virtual shadow PA); both are available.
 
-:class:`ChainResolver` packages the walk (:meth:`resolve`) and the repair
-(:meth:`reduce`) over a :class:`~repro.reviver.links.LinkTable` and the
-wear-leveler's live mapping.
+:meth:`ChainResolver.walk` is the one way anything follows a chain and
+:meth:`ChainResolver.reduce` the repair, both over a
+:class:`~repro.reviver.links.LinkTable` and the live mapping.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Container, Optional, Tuple
 
 from ..errors import ProtocolError
 from .links import LinkTable
-
-
-@dataclass(frozen=True)
-class Resolution:
-    """Outcome of following a block's chain."""
-
-    #: Healthy block finally reached, or ``None`` for a PA-DA loop.
-    final_da: Optional[int]
-    #: Steps followed (0 = the block itself is healthy).
-    hops: int
-    #: DAs visited, starting with the queried block.
-    path: Tuple[int, ...]
-
-    @property
-    def is_loop(self) -> bool:
-        """True when the chain ends on a PA-DA loop (no shadow block)."""
-        return self.final_da is None
 
 
 class ChainResolver:
@@ -64,51 +46,56 @@ class ChainResolver:
 
     # ---------------------------------------------------------------- walking
 
-    def resolve(self, da: int) -> Resolution:
-        """Follow *da*'s chain to its shadow block without modifying it."""
-        path = [da]
-        current = da
-        while self.is_failed(current):
-            vpa = self.links.vpa_of(current)
+    def walk(self, da: int, parked: Container[int] = ()
+             ) -> Tuple[int, int, str, Optional[int]]:
+        """Follow *da*'s chain without modifying it.
+
+        Returns ``(stop_da, hops, outcome, shadow_pa)``.  The walk stops on
+        a working block (``"healthy"``), a PA-DA loop whose content is
+        garbage (``"loop"``), a failed block not linked yet
+        (``"unlinked"``), or a failed block whose shadow PA is a key of
+        *parked*, the store buffer (``"parked"``).  ``shadow_pa`` is set
+        for ``loop`` and ``parked`` only.  An acyclic walk leaves each
+        linked block once, so more hops than links is a longer cycle.
+        """
+        hops = 0
+        while self.is_failed(da):
+            vpa = self.links.vpa_of(da)
             if vpa is None:
-                raise ProtocolError(f"failed block {current} has no link")
+                return da, hops, "unlinked", None
+            if vpa in parked:
+                return da, hops, "parked", vpa
             nxt = self.map_fn(vpa)
-            if nxt in path:
-                # The only legal cycle is the self-loop current -> vpa ->
-                # current; anything longer is a protocol violation.
-                if nxt == current:
-                    return Resolution(None, len(path) - 1, tuple(path))
-                raise ProtocolError(f"chain cycle through {path + [nxt]}")
-            path.append(nxt)
-            current = nxt
-        return Resolution(current, len(path) - 1, tuple(path))
+            if nxt == da:
+                return da, hops, "loop", vpa
+            hops += 1
+            if hops > len(self.links):
+                raise ProtocolError(f"chain cycle through failed block {da}")
+            da = nxt
+        return da, hops, "healthy", None
 
     # --------------------------------------------------------------- reducing
 
-    def reduce(self, da: int) -> Resolution:
-        """Flatten *da*'s chain to at most one step; return the result.
+    def reduce(self, da: int) -> None:
+        """Flatten *da*'s chain to at most one step.
 
         Every iteration that finds the next hop failed performs one switch,
         which pins that hop onto a PA-DA loop; progress is therefore strictly
-        monotone and the walk terminates.
+        monotone and the walk terminates.  A next hop that failed moments
+        ago and is not linked yet is left alone: once it is linked, its own
+        failure handler re-flattens this chain (upstream reduction in
+        WLReviver._link).
         """
         if not self.is_failed(da):
-            return Resolution(da, 0, (da,))
+            return
         while True:
             vpa = self.links.vpa_of(da)
             if vpa is None:
                 raise ProtocolError(f"failed block {da} has no link")
             target = self.map_fn(vpa)
-            if target == da:
-                return Resolution(None, 1, (da, da))
-            if not self.is_failed(target):
-                return Resolution(target, 1, (da, target))
-            if self.links.vpa_of(target) is None:
-                # The target failed moments ago and its own failure handling
-                # is still in flight; once it is linked, that handler
-                # re-flattens this chain (upstream reduction in
-                # WLReviver._link).
-                return Resolution(target, 1, (da, target))
+            if (target == da or not self.is_failed(target)
+                    or self.links.vpa_of(target) is None):
+                return
             # Two-step chain da -> vpa -> target -> ...: switch the two
             # failed blocks' virtual shadows (Figures 2(d) / 3(b)).
             self.links.switch(da, target)

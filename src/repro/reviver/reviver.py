@@ -38,7 +38,7 @@ from ..config import ReviverConfig
 from ..errors import ProtocolError
 from ..osmodel.faults import FaultReporter
 from .bitmap import RetiredPageBitmap
-from .chains import ChainResolver, Resolution
+from .chains import ChainResolver
 from .invariants import InvariantChecker
 from .links import LinkTable
 from .pages import AcquiredPage, PageLedger
@@ -108,10 +108,6 @@ class WLReviver:
         self.telem: Optional["TelemetrySession"] = None
 
     # ---------------------------------------------------------------- queries
-
-    def resolve(self, da: int) -> Resolution:
-        """Follow *da*'s chain (read path; does not modify state)."""
-        return self.resolver.resolve(da)
 
     def is_reserved_pa(self, pa: int) -> bool:
         """Whether *pa* belongs to the framework's reserved virtual space."""

@@ -37,7 +37,13 @@ import numpy as np
 
 @runtime_checkable
 class MigrationPort(Protocol):
-    """Data-movement interface handed to wear-leveling schemes."""
+    """Data-movement interface handed to wear-leveling schemes.
+
+    A reviving port also keeps this contract for every scheme: a datum
+    read from a PA-DA loop is garbage, and the port drops its write when
+    the loop's block now serves a live PA (a Security Refresh swap can move
+    it there), so the garbage never overwrites that PA's datum.
+    """
 
     def can_start_migration(self) -> bool:
         """Whether a new migration may begin now.

@@ -46,6 +46,7 @@ class TestRawGeom:
         "base = page_id * bpp\n",
         "page, offset = divmod(pa, blocks_per_page)\n",
         "blocks = self.ledger.pages_acquired * self.blocks_per_page\n",
+        "x = blocks % page_blocks\n",
     ])
     def test_each_banned_operation_is_caught(self, bad):
         assert [f.rule for f in findings_for("RAW-GEOM", bad)] == ["RAW-GEOM"]

@@ -6,6 +6,7 @@ hook mutation elsewhere in ``src``); the driver is attached to a minimal
 engine stand-in so each scenario can step the controller by hand.
 """
 
+import dataclasses
 import pickle
 import random
 from types import SimpleNamespace
@@ -18,10 +19,13 @@ from repro.faultinject import (ACTION_KINDS, CRASH_SITES, ChipHooks,
                                ControllerHooks, FaultAction, FaultSchedule,
                                ScheduleDriver, for_shard, random_schedule,
                                shard_death_schedule, shard_stall_schedule)
-from repro.faultinject.campaign import (RATIO_BAND, _schedule_horizon,
-                                        reproduce, run_cell, summarize)
+from repro.faultinject import campaign
+from repro.faultinject.campaign import (RATIO_BAND, _exact_system,
+                                        _schedule_horizon, reproduce,
+                                        run_cell, summarize)
 from repro.mc.controller import READ_RETRY_LIMIT
 from repro.reviver.registers import SparePool
+from repro.wl import SecurityRefresh, StartGap, TwoLevelSecurityRefresh
 
 from .conftest import (assert_data_consistent, drive_random_writes,
                        make_reviver_system)
@@ -530,12 +534,13 @@ class TestCampaign:
             "dead-fraction", "exhausted", "max-writes", "capacity-lost")
         assert report["crashes_recovered"] == exact["recoveries"]
 
-    # The Start-Gap chaos seeds of ROADMAP item 3 fail on the exact side
-    # at the default cell size; the strict xfails turn red once fixed.
+    # Seeds 17038 and 10953 once read through a shadow PA whose datum sat
+    # in the store buffer, then on into an unlinked failed block.  The
+    # page-copy seeds still fail on the exact side at the default cell
+    # size; their strict xfails turn red once fixed.
     @pytest.mark.parametrize("seed", [
-        pytest.param(17038, marks=pytest.mark.xfail(
-            strict=True, raises=AssertionError,
-            reason="ProtocolError: failed block 89 has no link")),
+        17038,
+        10953,
         pytest.param(10001, marks=pytest.mark.xfail(
             strict=True, raises=AssertionError,
             reason="data corruption: vblock 55 read 1876, expected 1730")),
@@ -546,6 +551,28 @@ class TestCampaign:
     def test_start_gap_chaos_seed_passes(self, seed):
         result = run_cell(seed)
         assert result["ok"], result["failure"]["error"]
+
+    # Revive *any* scheme: the cell's exact system with its Start-Gap
+    # swapped for the scheme under test, no fault schedule, Theorems 1-3
+    # checked every tick and every datum verified at the end.
+    # Security Refresh seed 11 and Two-Level seeds 0-3 once lost data or
+    # walked a 2-cycle when a swap moved a PA-DA loop under a live PA.
+    @pytest.mark.parametrize("make_wl, seed", [
+        pytest.param(StartGap, 0, id="startgap-0"),
+        pytest.param(SecurityRefresh, 11, id="secref-11"),
+        *(pytest.param(TwoLevelSecurityRefresh, seed, id=f"secref2-{seed}")
+          for seed in range(4)),
+    ])
+    def test_fault_free_scheme_keeps_every_datum(self, monkeypatch, make_wl,
+                                                 seed):
+        monkeypatch.setattr(campaign, "StartGap", make_wl)
+        exact = _exact_system(seed, 128, 250.0)
+        controller = exact.controller
+        controller.reviver_config = dataclasses.replace(
+            controller.reviver_config, check_invariants=True)
+        exact.run(max_writes=40_000)
+        exact.verify_all()
+        controller.check_invariants()
 
     def test_reproduce_reruns_from_reported_schedule(self):
         result = run_cell(1, **self.SMALL)

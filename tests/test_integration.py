@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import ReviverConfig, SecurityRefreshConfig
-from repro.errors import CapacityExhaustedError, ProtocolError
+from repro.errors import CapacityExhaustedError
 from repro.mc import ReviverController
 from repro.osmodel import PagePool
 from repro.reviver import RetiredPageBitmap
@@ -44,18 +44,11 @@ def make_secref_system(num_blocks: int = 128, mean: float = 400.0,
 class TestSecurityRefreshRevival:
     """The framework claim: *any* scheme works unmodified."""
 
-    # Chip seeds 2 and 24 pin Security Refresh's open data loss (the
-    # chain walk loops, or a read returns EMPTY_TAG); the strict xfails
-    # turn red once it is fixed.  Seeds 4, 13 and 15 fail the same way.
-    @pytest.mark.parametrize("seed", [
-        11,
-        pytest.param(2, marks=pytest.mark.xfail(
-            strict=True, raises=ProtocolError,
-            reason="chain walk did not terminate")),
-        pytest.param(24, marks=pytest.mark.xfail(
-            strict=True, raises=AssertionError,
-            reason="vblock 53: read -1, expected 8865")),
-    ])
+    # Chip seeds 2, 4, 13, 15, 24, 27, 28 and 30 each once lost data when
+    # a refresh swapped a PA-DA loop's block under a live PA: the loop's
+    # garbage overwrote the live datum (a read returned EMPTY_TAG), or two
+    # swapped loops formed a 2-cycle the chain walk could not leave.
+    @pytest.mark.parametrize("seed", [11, 2, 4, 13, 15, 24, 27, 28, 30])
     def test_secref_data_survives_heavy_failure(self, seed):
         controller, chip = make_secref_system(mean=300, seed=seed)
         rng = random.Random(5)

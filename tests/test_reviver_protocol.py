@@ -114,7 +114,7 @@ class TestLinking:
         spares_before = harness.reviver.spares.available
         harness.fail(target, context=FaultContext.MIGRATION)
         assert harness.reviver.links.vpa_of(target) == spare
-        assert harness.reviver.resolve(target).is_loop
+        assert harness.reviver.resolver.walk(target)[2] == "loop"
         # Exactly the specific spare was consumed.
         assert harness.reviver.spares.available == spares_before - 1
 
@@ -125,7 +125,7 @@ class TestLinking:
         vpa = harness.reviver.links.vpa_of(10)
         old_shadow = harness.mapping[vpa]
         harness.mapping[vpa] = 50  # wear-leveling moved the shadow
-        assert harness.reviver.resolve(10).final_da == 50
+        assert harness.reviver.resolver.walk(10)[:3] == (50, 1, "healthy")
         assert old_shadow != 50
 
     def test_on_mapping_changed_reduces_new_chain(self):
@@ -138,9 +138,8 @@ class TestLinking:
         # The wear-leveler remaps vpa10 onto failed block 20.
         harness.mapping[vpa10] = 20
         harness.reviver.on_mapping_changed([vpa10])
-        resolution = harness.reviver.resolve(10)
-        assert resolution.hops == 1
-        assert not resolution.is_loop
+        _, hops, outcome, _ = harness.reviver.resolver.walk(10)
+        assert (hops, outcome) == (1, "healthy")
         assert not harness.reviver.is_reserved_pa(0)
 
     def test_is_reserved_pa(self):
