@@ -10,12 +10,16 @@ types carry that accounting through the controllers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class AccessResult:
-    """Outcome of one software-issued request."""
+class AccessResult(NamedTuple):
+    """Outcome of one software-issued request (immutable).
+
+    A named tuple rather than a frozen dataclass: one is built per
+    software request, and a frozen dataclass pays an
+    ``object.__setattr__`` per field.
+    """
 
     #: Virtual block address the software used.
     vblock: int

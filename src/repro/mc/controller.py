@@ -219,7 +219,6 @@ class BaseController(abc.ABC):
         if pa in self._parked:
             # The write supersedes a parked migration datum for this PA.
             del self._parked[pa]
-        self.ospool.record_write(pa)
         result = AccessResult(vblock=vblock, pa=pa, da=final,
                               pcm_accesses=accesses, redirected=redirected_any,
                               faults_handled=faults, victimized=victimized)

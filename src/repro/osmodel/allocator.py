@@ -230,7 +230,3 @@ class PagePool:
     def usable_fraction(self) -> float:
         """Fraction of the paged space still usable by software."""
         return self._usable_count / self.num_pages
-
-    def record_write(self, pa: int) -> None:
-        """Statistics hook: account a software write landing at *pa*."""
-        self.pages[self.page_of_pa(pa)].writes += 1

@@ -27,8 +27,6 @@ class PageInfo:
     #: one virtual page can share a physical page late in life, when the OS
     #: has no spare frames left and must consolidate.
     virtual_pages: List[int] = field(default_factory=list)
-    #: Software write count observed on this page (statistics only).
-    writes: int = 0
 
     @property
     def is_usable(self) -> bool:

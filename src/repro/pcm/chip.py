@@ -20,7 +20,7 @@ simulating actual bytes.
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import Optional, Set, TYPE_CHECKING
 
 import numpy as np
 
@@ -36,7 +36,16 @@ EMPTY_TAG = -1
 
 
 class PCMChip:
-    """Simulated PCM device: wear, failure state, and optional contents."""
+    """Simulated PCM device: wear, failure state, and optional contents.
+
+    Failed blocks are kept twice.  The *census*, a ``set`` of DAs, serves
+    the scalar per-write path in O(1): :meth:`is_failed`,
+    :attr:`failed_count` and :meth:`write`'s refusal.  A boolean mask
+    serves the vector paths (:meth:`write_many`, the fast engine, the
+    fault-injection clamp, LLS and the invariant checkers), which read it
+    through the read-only :attr:`failed`.  :meth:`_fail` is the only
+    writer of either, so the two cannot disagree.
+    """
 
     def __init__(self, geometry: AddressGeometry, ecc: "ErrorCorrection",
                  track_contents: bool = False) -> None:
@@ -44,7 +53,8 @@ class PCMChip:
         self.ecc = ecc
         n = geometry.num_blocks
         self.wear = np.zeros(n, dtype=np.int64)
-        self.failed = np.zeros(n, dtype=bool)
+        self._failed_mask = np.zeros(n, dtype=bool)
+        self._failed_set: Set[int] = set()
         self.contents: Optional[np.ndarray] = None
         if track_contents:
             self.contents = np.full(n, EMPTY_TAG, dtype=np.int64)
@@ -62,9 +72,20 @@ class PCMChip:
         return self.geometry.num_blocks
 
     @property
+    def failed(self) -> np.ndarray:
+        """Read-only per-block failure mask (the vector paths' view).
+
+        Built per access rather than stored, so a pickled chip cannot come
+        back with a view detached from its mask.
+        """
+        view = self._failed_mask.view()
+        view.flags.writeable = False
+        return view
+
+    @property
     def failed_count(self) -> int:
         """Number of blocks currently failed."""
-        return int(self.failed.sum())
+        return len(self._failed_set)
 
     def failed_fraction(self) -> float:
         """Fraction of device blocks that have failed."""
@@ -72,7 +93,7 @@ class PCMChip:
 
     def is_failed(self, da: int) -> bool:
         """Whether block *da* is failed."""
-        return bool(self.failed[self.geometry.check_block(da)])
+        return self.geometry.check_block(da) in self._failed_set
 
     def wear_of(self, da: int) -> int:
         """Wear counter of block *da*."""
@@ -91,15 +112,13 @@ class PCMChip:
         :meth:`write_metadata` instead.
         """
         self.geometry.check_block(da)
-        if self.failed[da]:
+        if da in self._failed_set:
             raise WriteFault(da, f"write to failed block {da}")
         self.wear[da] += 1
         self.total_device_writes += 1
         while self.wear[da] >= self.ecc.threshold(da):
             if not self.ecc.try_extend(da):
-                self.failed[da] = True
-                if self.contents is not None:
-                    self.contents[da] = EMPTY_TAG
+                self._fail(da)
                 raise WriteFault(da)
         if tag is not None and self.contents is not None:
             self.contents[da] = tag
@@ -160,15 +179,20 @@ class PCMChip:
     def _resolve_threshold_crossings(self, candidates: np.ndarray) -> np.ndarray:
         """Extend-or-fail every candidate block whose wear crossed its threshold."""
         thresholds = self.ecc.thresholds
-        hot = candidates[(~self.failed[candidates])
+        hot = candidates[(~self._failed_mask[candidates])
                          & (self.wear[candidates] >= thresholds[candidates])]
         newly_failed = []
         for da in hot.tolist():
             while self.wear[da] >= self.ecc.threshold(da):
                 if not self.ecc.try_extend(da):
-                    self.failed[da] = True
-                    if self.contents is not None:
-                        self.contents[da] = EMPTY_TAG
+                    self._fail(da)
                     newly_failed.append(da)
                     break
         return np.asarray(sorted(newly_failed), dtype=np.int64)
+
+    def _fail(self, da: int) -> None:
+        """Mark block *da* failed: the one writer of the census and the mask."""
+        self._failed_set.add(int(da))
+        self._failed_mask[da] = True
+        if self.contents is not None:
+            self.contents[da] = EMPTY_TAG

@@ -110,3 +110,18 @@ class TestAccessStats:
         assert merged.pcm_accesses == 4
         # Originals untouched.
         assert a.requests == 1 and b.requests == 1
+
+
+class TestAccessResult:
+    def test_fields_are_immutable(self):
+        result = AccessResult(vblock=1, pa=2, da=3, pcm_accesses=1)
+        with pytest.raises(AttributeError):
+            result.da = 4
+        assert result.da == 3
+
+    def test_defaults(self):
+        result = AccessResult(vblock=1, pa=2, da=3, pcm_accesses=1)
+        assert result.tag is None
+        assert result.redirected is False
+        assert result.faults_handled == 0
+        assert result.victimized is False

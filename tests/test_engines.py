@@ -385,9 +385,8 @@ class TestRedirectRebuild:
 
     def _rig(self, engine, links, shadow_map, failed_extra=()):
         engine.links = dict(links)
-        engine.chip.failed[:] = False
         for da in list(links) + list(failed_extra):
-            engine.chip.failed[da] = True
+            engine.chip._fail(da)
         engine.wl.map_many = lambda vpas: np.asarray(
             [shadow_map[int(v)] for v in vpas], dtype=np.int64)
 
@@ -429,8 +428,8 @@ class TestRedirectRebuild:
             # and occasionally each other (loops).
             shadow_map = {vpas[da]: int(rng.integers(0, 96)) for da in vpas}
             engine.links = dict(vpas)
-            engine.chip.failed[:] = False
-            engine.chip.failed[failed_das] = True
+            for da in failed_das.tolist():
+                engine.chip._fail(da)
             shadow_of = {da: shadow_map[vpas[da]] for da in vpas}
             engine.wl.map_many = lambda v, m=shadow_map: np.asarray(
                 [m[int(x)] for x in v], dtype=np.int64)

@@ -143,9 +143,3 @@ class TestFaultReporter:
         assert reporter.report_count == 1
         assert reporter.victimized_count == 1
         assert reporter.last_event().at_write == 10
-
-    def test_record_write_statistics(self):
-        pool = make_pool()
-        pool.record_write(25)
-        pool.record_write(26)
-        assert pool.pages[3].writes == 2

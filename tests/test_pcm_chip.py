@@ -1,10 +1,16 @@
 """Unit tests for the PCM chip simulator."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro.ecc import PAYG
 from repro.errors import AddressError, WriteFault
-from repro.pcm.chip import EMPTY_TAG
+from repro.faultinject import FaultAction, FaultSchedule, ScheduleDriver
+from repro.pcm.chip import EMPTY_TAG, PCMChip
+from repro.pcm.endurance import EnduranceModel
+from repro.pcm.geometry import AddressGeometry
 from repro.traces import counts_cov
 
 from .conftest import make_chip
@@ -137,3 +143,67 @@ class TestViewsAndStats:
         for _ in range(50):
             small_chip.write(0)
         assert counts_cov(small_chip.wear) > 1.0
+
+
+def _payg_chip(num_blocks: int, mean: float, seed: int) -> PCMChip:
+    geometry = AddressGeometry(num_blocks=num_blocks, block_bytes=64,
+                               page_bytes=512)
+    endurance = EnduranceModel(num_blocks=num_blocks, mean=mean, cov=0.25,
+                               max_order=8, seed=seed)
+    return PCMChip(geometry, PAYG(endurance), track_contents=True)
+
+
+def assert_census_matches_mask(chip: PCMChip) -> None:
+    mask = chip.failed
+    assert chip.failed_count == int(mask.sum())
+    for da in range(chip.num_blocks):
+        assert chip.is_failed(da) == bool(mask[da])
+    for outside in (-1, chip.num_blocks):
+        with pytest.raises(AddressError):
+            chip.is_failed(outside)
+    with pytest.raises(ValueError):
+        chip.failed[0] = True
+
+
+class TestFailureCensus:
+    """The failed-block census and the failed mask never disagree."""
+
+    @pytest.mark.parametrize("kind,seed", [("ecp", 1), ("ecp", 2),
+                                           ("payg", 3), ("payg", 4)])
+    def test_random_writes_keep_census_and_mask_equal(self, kind, seed):
+        num_blocks = 64
+        chip = (make_chip(num_blocks=num_blocks, mean=120.0, seed=seed)
+                if kind == "ecp" else _payg_chip(num_blocks, 120.0, seed))
+        targets = (5, 17, 40)
+        schedule = FaultSchedule(actions=(
+            FaultAction("fail-block", at_write=30, das=targets, margin=2),))
+        driver = ScheduleDriver(schedule).attach_fast(
+            SimpleNamespace(chip=chip, config=SimpleNamespace(recovery="none")))
+        rng = np.random.default_rng(seed)
+        for step in range(240):
+            driver.poll(step)
+            if rng.random() < 0.5:
+                da = int(rng.integers(0, num_blocks))
+                try:
+                    chip.write(da, tag=step)
+                except WriteFault:
+                    pass
+            else:
+                das = rng.integers(0, num_blocks, size=8)
+                chip.write_many(das, rng.integers(1, 4, size=8))
+            assert_census_matches_mask(chip)
+        for da in targets:
+            for _ in range(4):
+                try:
+                    chip.write(da)
+                except WriteFault:
+                    pass
+            assert_census_matches_mask(chip)
+        assert driver.applied
+        assert 0 < chip.failed_count < num_blocks
+        if kind == "ecp":
+            assert all(chip.is_failed(da) for da in targets)
+        else:
+            # PAYG's pool extension re-raises a clamped threshold, so the
+            # targets may outlive the clamp; the pool must have paid out.
+            assert chip.ecc.pool_entries < chip.ecc.initial_pool_entries
