@@ -35,7 +35,7 @@ Documented approximations relative to :class:`~repro.sim.engine.ExactEngine`
 
 The failure hot path (overshoot clawback, redirect-table rebuild) is
 vectorized with numpy; the redirect rebuild follows link chains by
-iterative pointer-jumping instead of per-key dict walks.  Failures
+pointer doubling, and a round that fails no block skips it.  Failures
 themselves are handled one at a time in ``newly`` order, because each
 recovery choice depends on the bookkeeping the previous one left.
 """
@@ -277,17 +277,19 @@ class FastEngine:
         with phase(telem, "redirect-rebuild"):
             self._rebuild_redirect()
         with phase(telem, "software-apply"):
-            self._apply_software(counts)
+            stale = self._apply_software(counts)
         self.total_writes += batch
+        # The phase is entered every epoch so its call count stays put.
         with phase(telem, "redirect-rebuild"):
-            self._rebuild_redirect()
+            if stale:
+                self._rebuild_redirect()
         with phase(telem, "wear-leveling"):
             self._advance_wear_leveling()
         if telem is not None:
             telem.count("fast.epochs")
             telem.count("fast.writes", batch)
 
-    def _apply_software(self, counts: np.ndarray) -> None:
+    def _apply_software(self, counts: np.ndarray) -> bool:
         """Apply the epoch's software writes with overshoot re-issue.
 
         A block that dies mid-epoch must not silently absorb the rest of
@@ -296,17 +298,16 @@ class FastEngine:
         serial-killing dynamics of hot blocks after wear leveling stops).
         Traffic beyond a dying block's threshold is therefore *re-issued*
         through the updated redirect/translation in further rounds of the
-        same epoch until it all lands on live blocks.
+        same epoch until it all lands on live blocks.  Returns whether the
+        last round failed a block, which leaves the redirect table stale.
         """
         virtual = np.nonzero(counts)[0]
         remaining = counts[virtual].astype(np.int64)
         first_round = True
         for _ in range(self.chip.num_blocks + self.ospool.num_pages + 4):
-            if virtual.size == 0:
-                return
             prepared = self._prepare_round(virtual, remaining, first_round)
             if prepared is None:
-                return
+                return False
             virtual, remaining, pas, das, finals = prepared
             first_round = False
             exposed = self.chip.failed[finals]
@@ -318,18 +319,19 @@ class FastEngine:
             virtual, remaining = self._settle_round(
                 virtual, remaining, pas, das, finals, exposed, newly)
             if virtual.size == 0:
-                return
+                return newly.size > 0
             self._rebuild_redirect()
         # Leftover traffic has nowhere live to go (late-life thrashing);
         # account it rather than looping forever.
         self.dropped_writes += int(remaining.sum())
+        return False
 
     def _prepare_round(self, virtual: np.ndarray, remaining: np.ndarray,
                        first_round: bool) -> Optional[tuple]:
         """Translate one round's surviving traffic through OS + WL maps.
 
         Returns ``(virtual, remaining, pas, das, finals)`` for the round,
-        or ``None`` when every stream folded out of the software space.
+        or ``None`` when no stream is left in the software space.
         Charges per-region schedules on the epoch's first round.
         """
         # The software pool can shrink mid-epoch (LLS chunk reservation);
@@ -340,8 +342,8 @@ class FastEngine:
             self.dropped_writes += int(remaining[~in_range].sum())
             virtual = virtual[in_range]
             remaining = remaining[in_range]
-            if virtual.size == 0:
-                return None
+        if virtual.size == 0:
+            return None
         pas = self.ospool.translate_many(virtual)
         if first_round:
             charge = getattr(self.wl, "charge_writes", None)
@@ -362,6 +364,8 @@ class FastEngine:
         Returns the filtered ``(virtual, remaining)`` pair (both empty when
         nothing needs re-issue).
         """
+        if newly.size == 0 and not exposed.any():
+            return virtual[:0], remaining[:0]
         over_blocks, over_counts = self._collect_overshoot(newly)
         self._process_failures(newly)
         retry = np.zeros(len(virtual), dtype=bool)
@@ -408,9 +412,8 @@ class FastEngine:
 
         Returns ``(blocks, overshoots)`` int64 arrays and resets each dead
         block's counter to its threshold so the excess is not
-        double-counted.  Fully vectorized (clip + subtract over the
-        ``newly`` array) — this runs once per re-issue round in the
-        late-life regime where most blocks are dying.
+        double-counted.  It runs once per software round that fails or
+        exposes a block.
         """
         if newly.size == 0:
             return newly, newly
@@ -535,10 +538,13 @@ class FastEngine:
     def _rebuild_redirect(self) -> None:
         """Recompute the failed-block redirect table for the current maps.
 
-        Chains are followed by iterative numpy pointer-jumping over the
-        link arrays: all cursors advance in lockstep until each rests on a
-        non-link block, or has walked ``len(links)`` hops — long enough to
-        prove it is trapped in a loop.
+        Chains are followed by pointer doubling: ``jump`` sends each link
+        to its shadow and every other block to itself, and squaring it
+        ``bit_length(L)`` times walks ``2**bit_length(L) > L`` hops for
+        ``L = len(links)``.  An acyclic chain meets at most L links, so it
+        rests on its non-link terminal; a looping chain rests on a failed
+        link.  Rebuilt at each epoch start, before each re-issue round,
+        and after the software writes if their last round failed a block.
         """
         num_blocks = self.chip.num_blocks
         self._redirect = np.arange(num_blocks, dtype=np.int64)
@@ -558,18 +564,11 @@ class FastEngine:
                                  count=len(self.links))
         vpas = np.fromiter(self.links.values(), dtype=np.int64,
                            count=len(self.links))
-        shadows = self.wl.map_many(vpas)
-        next_da = np.arange(num_blocks, dtype=np.int64)
-        next_da[failed_das] = shadows
-        is_link = np.zeros(num_blocks, dtype=bool)
-        is_link[failed_das] = True
-        cursor = shadows.copy()
-        active = np.nonzero(is_link[cursor])[0]
-        for _ in range(len(failed_das)):
-            if active.size == 0:
-                break
-            cursor[active] = next_da[cursor[active]]
-            active = active[is_link[cursor[active]]]
+        jump = np.arange(num_blocks, dtype=np.int64)
+        jump[failed_das] = self.wl.map_many(vpas)
+        for _ in range(len(failed_das).bit_length()):
+            jump = jump[jump]
+        cursor = jump[failed_das]
         # A cursor resting on a failed block walked a chain that closed a
         # loop or dead-ends on an unrecovered shadow: garbage data, no
         # redirection.  Everything else found its healthy final block.

@@ -67,7 +67,10 @@ class LifetimeSeries:
         Before the first sample the chip is pristine, so the synthetic
         point ``SamplePoint(0, 1.0, 1.0)`` is returned.
         """
-        keys = [p.writes for p in self.points]
+        return self._sample_in([p.writes for p in self.points], writes)
+
+    def _sample_in(self, keys: List[int], writes: int) -> SamplePoint:
+        """:meth:`sample_at` over this series' precomputed write keys."""
         index = bisect.bisect_right(keys, writes) - 1
         if index < 0:
             return SamplePoint(0, 1.0, 1.0)
@@ -100,9 +103,11 @@ class LifetimeSeries:
             raise ConfigurationError(
                 f"{len(series)} series but {len(access_weights)} access weights")
         grid = sorted({p.writes for one in series for p in one.points})
+        keys = [[p.writes for p in one.points] for one in series]
         merged = cls(label=label)
         for writes in grid:
-            samples = [one.sample_at(writes) for one in series]
+            samples = [one._sample_in(k, writes)
+                       for one, k in zip(series, keys)]
             survival = sum(s.survival for s in samples) / len(series)
             usable = sum(s.usable for s in samples) / len(series)
             access_mass = sum(a * s.writes

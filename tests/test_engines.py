@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.config import StartGapConfig
+from repro.config import LLSConfig, StartGapConfig
 from repro.ecc import ECP, FreePRegion
 from repro.errors import ConfigurationError, ProtocolError
+from repro.faultinject import FaultAction, FaultSchedule, ScheduleDriver
+from repro.lls import LLSFastEngine
 from repro.osmodel.allocator import PagePool
 from repro.pcm import AddressGeometry, EnduranceModel, PCMChip
 from repro.sim import (ExactEngine, FastConfig, FastEngine, StopCause,
                        StopReason)
+from repro.telemetry import TelemetrySession, attach_fast
 from repro.traces import hotspot_distribution
 from repro.wl import NoWL, StartGap
 
@@ -437,6 +440,159 @@ class TestRedirectRebuild:
             expected = self._reference(96, engine.links, shadow_of,
                                        engine.chip.failed)
             np.testing.assert_array_equal(engine._redirect, expected)
+
+
+    def _check_shape(self, num_blocks, links, shadow_of, failed_extra=()):
+        """Rig one chain shape, rebuild, and compare against _reference."""
+        engine = self._engine(num_blocks=num_blocks)
+        vpas = {da: 1000 + i for i, da in enumerate(links)}
+        self._rig(engine, vpas, {vpas[da]: shadow_of[da] for da in links},
+                  failed_extra)
+        engine._rebuild_redirect()
+        expected = self._reference(num_blocks, vpas, shadow_of,
+                                   engine.chip.failed)
+        np.testing.assert_array_equal(engine._redirect, expected)
+        return engine._redirect
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 7, 8, 15, 16, 31, 32])
+    def test_chain_through_every_link(self, length):
+        """L links in one chain: exactly L hops, the doubling bound's edge."""
+        links = list(range(length))
+        shadow_of = {da: da + 1 for da in links}  # the last ends on L
+        redirect = self._check_shape(64, links, shadow_of)
+        assert (redirect[links] == length).all()
+
+    @pytest.mark.parametrize("tail,loop", [(1, 1), (1, 2), (3, 4), (7, 9),
+                                           (16, 1)])
+    def test_chain_running_into_a_cycle(self, tail, loop):
+        """A rho shape: a tail of links feeding a loop of links."""
+        links = list(range(tail + loop))
+        shadow_of = {da: da + 1 for da in links}
+        shadow_of[links[-1]] = tail  # close the loop at its first node
+        redirect = self._check_shape(64, links, shadow_of)
+        assert (redirect[links] == links).all()
+
+    @pytest.mark.parametrize("length", [1, 2, 5, 8, 33])
+    def test_cycle_of_every_link(self, length):
+        links = list(range(length))
+        shadow_of = {da: (da + 1) % length for da in links}
+        redirect = self._check_shape(64, links, shadow_of)
+        assert (redirect[links] == links).all()
+
+    def test_single_link(self):
+        assert self._check_shape(64, [9], {9: 30})[9] == 30
+        assert self._check_shape(64, [9], {9: 9})[9] == 9
+        assert self._check_shape(64, [9], {9: 30}, failed_extra=[30])[9] == 9
+
+    def test_every_block_but_one_linked(self):
+        """L = num_blocks - 1: one chain, in scrambled order, to the survivor."""
+        num_blocks = 64
+        order = np.random.default_rng(5).permutation(num_blocks).tolist()
+        survivor = order[-1]
+        links = order[:-1]
+        shadow_of = dict(zip(links, order[1:]))
+        redirect = self._check_shape(num_blocks, links, shadow_of)
+        assert (redirect[links] == survivor).all()
+        # Closing the chain onto its head leaves every link in a loop.
+        shadow_of[links[-1]] = links[0]
+        redirect = self._check_shape(num_blocks, links, shadow_of)
+        assert (redirect[links] == links).all()
+
+
+def _guard_redirect(engine):
+    """Make every software round and migration pass check the table.
+
+    A rebuild writes only ``_redirect``, so each check saves the table,
+    rebuilds, compares and restores.  Returns the link count seen at each
+    check and what each ``_apply_software`` call returned.
+    """
+    seen, stale = [], []
+
+    def check():
+        table = engine._redirect
+        engine._rebuild_redirect()
+        np.testing.assert_array_equal(engine._redirect, table)
+        engine._redirect = table
+        seen.append(len(engine.links))
+
+    prepare, advance = engine._prepare_round, engine._advance_wear_leveling
+    apply = engine._apply_software
+
+    def guarded_prepare(*args):
+        check()
+        return prepare(*args)
+
+    def recorded_apply(counts):
+        stale.append(apply(counts))
+        return stale[-1]
+
+    def guarded_advance():
+        check()
+        return advance()
+
+    engine._prepare_round = guarded_prepare
+    engine._advance_wear_leveling = guarded_advance
+    engine._apply_software = recorded_apply
+    return seen, stale
+
+
+class TestRedirectFreshness:
+    """A table rebuilt only after failing rounds is never stale when read."""
+
+    def _run(self, engine):
+        seen, stale = _guard_redirect(engine)
+        session = attach_fast(TelemetrySession(), engine)
+        engine.run()
+        counters = session.registry.snapshot()["counters"]
+        epochs = counters["fast.epochs"]
+        assert epochs == len(stale) > 0 and seen
+        assert session.profile()["redirect-rebuild"]["calls"] == 2 * epochs
+        return seen, stale
+
+    def test_reviver_lifetime_to_dead_fraction(self):
+        engine = make_fast("reviver", num_blocks=256, mean=200, batch=100,
+                           stop_on_capacity=False)
+        seen, stale = self._run(engine)
+        assert engine.stop == StopReason(StopCause.DEAD_FRACTION)
+        assert max(seen) > 1
+        # Both kinds of epoch ran: a skipped rebuild and a needed one.
+        assert set(stale) == {False, True}
+
+    def test_freep(self):
+        engine = make_fast("freep", num_blocks=256, mean=200, batch=500)
+        # Capped before the run exhausts its pages mid-epoch: a partial
+        # epoch enters its phases but is never counted.
+        engine.config.max_writes = 2_500
+        self._run(engine)
+        assert engine.region.links
+
+    def test_lls(self):
+        geometry = AddressGeometry(num_blocks=512)
+        endurance = EnduranceModel(num_blocks=512, mean=300.0, cov=0.2,
+                                   max_order=10, seed=3)
+        engine = LLSFastEngine(
+            PCMChip(geometry, ECP(endurance, 1)),
+            hotspot_distribution(512, 6.0, seed=3),
+            FastConfig(batch_writes=2000, seed=3),
+            LLSConfig(chunk_blocks=64, num_groups=8),
+            StartGapConfig(psi=10))
+        self._run(engine)
+        assert engine.lls.groups.backups
+
+    def test_fault_injected_cell(self):
+        engine = make_fast("reviver", num_blocks=256, mean=400, batch=500,
+                           stop_on_capacity=False)
+        engine.config.max_writes = 8_000
+        ScheduleDriver(FaultSchedule(actions=(
+            FaultAction("fail-block", at_write=500, das=tuple(range(8))),
+            FaultAction("exhaust-spares", at_write=2_000)))).attach_fast(
+                engine)
+        seen, stale = self._run(engine)
+        assert True in stale
+        assert [a.kind for a in engine.inject.applied] == [
+            "fail-block", "exhaust-spares"]
+        assert engine.inject.spares_drained > 0
+        assert max(seen) > 0
 
 
 class TestStopReasonParity:

@@ -207,3 +207,76 @@ class TestFailureCensus:
             # PAYG's pool extension re-raises a clamped threshold, so the
             # targets may outlive the clamp; the pool must have paid out.
             assert chip.ecc.pool_entries < chip.ecc.initial_pool_entries
+
+
+def _mask_write_many(chip: PCMChip, das, counts) -> np.ndarray:
+    """Reference batch write: resolve every written block, mask-sorted."""
+    das = np.asarray(das, dtype=np.int64)
+    np.add.at(chip.wear, das, np.asarray(counts, dtype=np.int64))
+    touched = np.zeros(chip.num_blocks, dtype=bool)
+    touched[das] = True
+    return chip._resolve_threshold_crossings(np.flatnonzero(touched))
+
+
+class TestWriteManyCrossings:
+    """``write_many`` resolves only the written blocks that crossed."""
+
+    def test_duplicate_crossings_reported_once_sorted(self):
+        chip = make_chip(num_blocks=64, mean=50, seed=2)
+        das = np.array([33, 7, 33, 12, 7, 33])
+        counts = np.array([100_000, 1, 100_000, 1, 100_000, 1])
+        newly = chip.write_many(das, counts)
+        assert newly.dtype == np.int64
+        assert newly.tolist() == [7, 33]
+        assert_census_matches_mask(chip)
+
+    def test_failed_block_is_never_reported_again(self):
+        chip = make_chip(num_blocks=64, mean=50, seed=2)
+        assert chip.write_many(np.array([5, 6]),
+                               np.array([100_000, 1])).tolist() == [5]
+        newly = chip.write_many(np.array([5, 6, 5]),
+                                np.array([100_000, 100_000, 1]))
+        assert newly.tolist() == [6]
+        assert chip.write_many(np.array([5, 6]),
+                               np.array([9, 9])).size == 0
+        assert_census_matches_mask(chip)
+
+    def test_batch_without_crossing_is_empty_int64(self):
+        chip = make_chip(num_blocks=64, mean=10_000, seed=2)
+        newly = chip.write_many(np.array([1, 2, 1]), np.array([3, 4, 5]))
+        assert newly.dtype == np.int64 and newly.shape == (0,)
+        assert chip.failed_count == 0
+
+    def test_payg_crossing_extends_before_failing(self):
+        chip = _payg_chip(64, 120.0, seed=3)
+        pool = chip.ecc.pool_entries
+        capacity = chip.ecc.capacity_of(9)
+        threshold = chip.ecc.threshold(9)
+        newly = chip.write_many(np.array([9]), np.array([threshold]))
+        assert newly.size == 0 and not chip.is_failed(9)
+        assert chip.ecc.capacity_of(9) > capacity
+        assert chip.ecc.pool_entries < pool
+        chip.ecc.pool_entries = 0
+        newly = chip.write_many(np.array([9]),
+                                np.array([chip.ecc.threshold(9)]))
+        assert newly.tolist() == [9]
+        assert_census_matches_mask(chip)
+
+    @pytest.mark.parametrize("kind,seed", [("ecp", 5), ("payg", 6)])
+    def test_matches_the_chip_mask_reference(self, kind, seed):
+        chips = [make_chip(num_blocks=64, mean=120.0, seed=seed)
+                 if kind == "ecp" else _payg_chip(64, 120.0, seed)
+                 for _ in range(2)]
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            das = rng.integers(0, 64, size=int(rng.integers(1, 12)))
+            counts = rng.integers(0, 6, size=das.size)
+            newly = chips[0].write_many(das, counts)
+            expected = _mask_write_many(chips[1], das, counts)
+            np.testing.assert_array_equal(newly, expected)
+            assert newly.dtype == np.int64
+        np.testing.assert_array_equal(chips[0].wear, chips[1].wear)
+        np.testing.assert_array_equal(chips[0].ecc.thresholds,
+                                      chips[1].ecc.thresholds)
+        assert chips[0].failed_count == chips[1].failed_count > 0
+        assert_census_matches_mask(chips[0])

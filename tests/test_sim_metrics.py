@@ -1,5 +1,7 @@
 """Unit tests for the metric collectors."""
 
+import random
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -87,6 +89,38 @@ class TestLifetimeSeriesMerge:
         merged = LifetimeSeries.merge([series], label="solo")
         assert merged.points == series.points
         assert merged.label == "solo"
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_per_point_sample_at(self, seed):
+        """The merge equals its definition over sample_at, grid point by point.
+
+        One series starts after the grid does, so the earliest grid points
+        see its pristine point.
+        """
+        rng = random.Random(seed)
+        series = []
+        for index in range(4):
+            one = LifetimeSeries(label=str(index))
+            writes = 500 if index == 0 else 0
+            for _ in range(rng.randint(1, 30)):
+                one.record(writes, rng.random(), rng.random(),
+                           avg_access=1.0 + rng.random())
+                writes += rng.choice([0, 7, 50, 120])
+            series.append(one)
+        weights = [rng.uniform(0.5, 2.0) for _ in series]
+        merged = LifetimeSeries.merge(series, access_weights=weights)
+        grid = sorted({p.writes for one in series for p in one.points})
+        assert [p.writes for p in merged.points] == grid
+        assert grid[0] < 500
+        for point in merged.points:
+            samples = [one.sample_at(point.writes) for one in series]
+            mass = sum(w * s.writes for w, s in zip(weights, samples))
+            access = (sum(w * s.writes * s.avg_access
+                          for w, s in zip(weights, samples)) / mass
+                      if mass > 0 else 0.0)
+            assert point.survival == sum(s.survival for s in samples) / 4
+            assert point.usable == sum(s.usable for s in samples) / 4
+            assert point.avg_access == access
 
     def test_validation_errors(self):
         a, b = two_shards()
