@@ -30,7 +30,7 @@ class ErrorCorrection(abc.ABC):
 
     def threshold(self, da: int) -> int:
         """Current uncorrectable threshold of block *da*."""
-        return int(self.thresholds[da])
+        return self.thresholds.item(da)
 
     @abc.abstractmethod
     def try_extend(self, da: int) -> bool:

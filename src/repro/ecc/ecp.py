@@ -45,6 +45,10 @@ class ECP(ErrorCorrection):
     def thresholds(self) -> np.ndarray:
         return self._thresholds
 
+    def threshold(self, da: int) -> int:
+        # The per-write path: skip the property, read a Python int.
+        return self._thresholds.item(da)
+
     def try_extend(self, da: int) -> bool:
         """ECP is static: once entries are exhausted the block is dead."""
         return False

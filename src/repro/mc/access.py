@@ -18,7 +18,10 @@ class AccessResult(NamedTuple):
 
     A named tuple rather than a frozen dataclass: one is built per
     software request, and a frozen dataclass pays an
-    ``object.__setattr__`` per field.
+    ``object.__setattr__`` per field.  The controllers' per-request
+    paths build it positionally with ``AccessResult._make((...))`` in
+    field order, which costs about a third of a keyword call; the
+    defaults serve every other caller.
     """
 
     #: Virtual block address the software used.
@@ -74,13 +77,6 @@ class AccessStats:
         if self.requests == 0:
             return 0.0
         return self.pcm_accesses / self.requests
-
-    @property
-    def redirect_rate(self) -> float:
-        """Fraction of requests that hit a failure chain."""
-        if self.requests == 0:
-            return 0.0
-        return self.redirected / self.requests
 
     def merged(self, other: "AccessStats") -> "AccessStats":
         """Return a new accumulator combining *self* and *other*."""

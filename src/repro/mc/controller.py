@@ -102,6 +102,11 @@ class BaseController(abc.ABC):
         redirection (an exhausted FREE-p region): an access error.
         ``in_flight_pa`` is a store-buffer PA (a key of *parked*) on the
         chain, whose datum the access reads instead; else ``None``.
+
+        Contract: when ``redirected`` is false, ``final_da`` is either
+        ``None`` or *da* itself, just found healthy.  Only a redirected
+        ``final_da`` (a chain's end, a slot, a cached shadow) can be a
+        failed block, so :meth:`service_write` re-checks only that case.
         """
 
     @abc.abstractmethod
@@ -201,10 +206,12 @@ class BaseController(abc.ABC):
             da = self.wl.map(pa)
             final, cost, redirected, _ = self._resolve_counted(da)
             accesses += cost
-            redirected_any = redirected_any or redirected
-            if final is None or self.chip.is_failed(final):
-                # Known-failed destination with no redirection: an access
-                # error the OS sees immediately.
+            if redirected:
+                redirected_any = True
+            if final is None or (redirected and self.chip.is_failed(final)):
+                # No destination, or a redirected one already failed: an
+                # access error the OS sees immediately.  An unredirected
+                # ``final`` was just found healthy (_resolve_counted).
                 faults += 1
                 self._handle_software_fault(final, pa, new_failure=False)
                 self._after_fault_handled()
@@ -219,9 +226,8 @@ class BaseController(abc.ABC):
         if pa in self._parked:
             # The write supersedes a parked migration datum for this PA.
             del self._parked[pa]
-        result = AccessResult(vblock=vblock, pa=pa, da=final,
-                              pcm_accesses=accesses, redirected=redirected_any,
-                              faults_handled=faults, victimized=victimized)
+        result = AccessResult._make((vblock, pa, final, accesses, None,
+                                     redirected_any, faults, victimized))
         self.stats.record(result, is_write=True)
         self._run_wear_leveling(pa=pa)
         return result
@@ -231,8 +237,8 @@ class BaseController(abc.ABC):
         pa = self.ospool.translate(vblock)
         if pa in self._parked:
             # Store-buffer hit: the datum is in flight, no PCM access needed.
-            result = AccessResult(vblock=vblock, pa=pa, da=-1, pcm_accesses=0,
-                                  tag=self._parked[pa])
+            result = AccessResult._make((vblock, pa, -1, 0, self._parked[pa],
+                                         False, 0, False))
             self.stats.record(result, is_write=False)
             return result
         da = self.wl.map(pa)
@@ -246,9 +252,8 @@ class BaseController(abc.ABC):
             final = da  # no redirection (exhausted FREE-p): reads garbage
         else:
             tag = self._read_block(final)
-        result = AccessResult(vblock=vblock, pa=pa, da=final,
-                              pcm_accesses=cost, tag=tag,
-                              redirected=redirected)
+        result = AccessResult._make((vblock, pa, final, cost, tag,
+                                     redirected, 0, False))
         self.stats.record(result, is_write=False)
         return result
 

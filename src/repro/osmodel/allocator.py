@@ -94,7 +94,7 @@ class PagePool:
         if not 0 <= vpage < self.num_virtual_pages:
             raise AddressError(f"virtual block {virtual_block} out of range")
         return (self.base_pa
-                + int(self._virt_to_phys[vpage]) * self.blocks_per_page
+                + self._virt_to_phys.item(vpage) * self.blocks_per_page
                 + offset)
 
     def translate_many(self, virtual_blocks: np.ndarray) -> np.ndarray:

@@ -93,7 +93,9 @@ class PCMChip:
 
     def is_failed(self, da: int) -> bool:
         """Whether block *da* is failed."""
-        return self.geometry.check_block(da) in self._failed_set
+        if not 0 <= da < self.geometry.num_blocks:
+            self.geometry.check_block(da)  # raises
+        return da in self._failed_set
 
     def wear_of(self, da: int) -> int:
         """Wear counter of block *da*."""
@@ -111,13 +113,17 @@ class PCMChip:
         metadata writes to failed blocks go through
         :meth:`write_metadata` instead.
         """
-        self.geometry.check_block(da)
+        if not 0 <= da < self.geometry.num_blocks:
+            self.geometry.check_block(da)  # raises
         if da in self._failed_set:
             raise WriteFault(da, f"write to failed block {da}")
-        self.wear[da] += 1
+        wear = self.wear.item(da) + 1
+        self.wear[da] = wear
         self.total_device_writes += 1
-        while self.wear[da] >= self.ecc.threshold(da):
-            if not self.ecc.try_extend(da):
+        # ``try_extend`` raises the threshold only, never the wear.
+        ecc = self.ecc
+        while wear >= ecc.threshold(da):
+            if not ecc.try_extend(da):
                 self._fail(da)
                 raise WriteFault(da)
         if tag is not None and self.contents is not None:
@@ -130,12 +136,13 @@ class PCMChip:
         transient read error is armed for *da* (retryable: the data is
         intact, the controller re-reads).
         """
-        self.geometry.check_block(da)
+        if not 0 <= da < self.geometry.num_blocks:
+            self.geometry.check_block(da)  # raises
         if self.inject is not None:
             self.inject.on_read(da)
         if self.contents is None:
             return EMPTY_TAG
-        return int(self.contents[da])
+        return self.contents.item(da)
 
     def write_metadata(self, da: int) -> None:
         """Record a metadata write into a *failed* block.

@@ -59,6 +59,7 @@ class ChainResolver:
         linked block once, so more hops than links is a longer cycle.
         """
         hops = 0
+        limit = len(self.links)
         while self.is_failed(da):
             vpa = self.links.vpa_of(da)
             if vpa is None:
@@ -69,7 +70,7 @@ class ChainResolver:
             if nxt == da:
                 return da, hops, "loop", vpa
             hops += 1
-            if hops > len(self.links):
+            if hops > limit:
                 raise ProtocolError(f"chain cycle through failed block {da}")
             da = nxt
         return da, hops, "healthy", None

@@ -17,7 +17,7 @@ from ..mc.controller import BaseController, ReviverController
 from ..telemetry.session import phase
 from ..traces.base import WriteTrace
 from .metrics import LifetimeSeries, LifetimeSummary
-from .stop import EndOfLifeReport, StopCause, StopReason
+from .stop import EndOfLifeReport, StopCause, StopReason, dead_count
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..faultinject.hooks import ScheduleDriver
@@ -72,10 +72,11 @@ class ExactEngine:
         controller = self.controller
         chip = controller.chip
         budget = max_writes if max_writes is not None else float("inf")
+        dead = dead_count(chip.num_blocks, self.dead_fraction)
         while controller.writes < budget:
             if self.inject is not None:
                 self.inject.poll(controller.writes)
-            if chip.failed_fraction() >= self.dead_fraction:
+            if chip.failed_count >= dead:
                 self.stop = StopReason(StopCause.DEAD_FRACTION)
                 break
             try:

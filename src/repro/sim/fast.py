@@ -62,7 +62,7 @@ from ..telemetry.session import phase
 from ..traces.base import WriteTrace
 from ..wl.base import WearLeveler
 from .metrics import LifetimeSeries, LifetimeSummary
-from .stop import EndOfLifeReport, StopCause, StopReason
+from .stop import EndOfLifeReport, StopCause, StopReason, dead_count
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..faultinject.hooks import ScheduleDriver
@@ -241,10 +241,11 @@ class FastEngine:
         cfg = self.config
         budget = (float(self.max_writes) if self.max_writes is not None
                   else float("inf"))
+        dead = dead_count(self.chip.num_blocks, cfg.dead_fraction)
         while True:
             if self.inject is not None:
                 self.inject.poll(self.total_writes)
-            if self.chip.failed_fraction() >= cfg.dead_fraction:
+            if self.chip.failed_count >= dead:
                 self.stop = StopReason(StopCause.DEAD_FRACTION)
                 break
             if (cfg.stop_on_capacity

@@ -10,12 +10,15 @@ some configurations.  This module makes end of life a *result*:
   existing consumers keep working byte-for-byte;
 * :class:`EndOfLifeReport` snapshots the degraded system — remaining
   capacity, the failure-chain census, how often the OS was interrupted —
-  as plain JSON-ready data for experiment tables and the chaos campaigns.
+  as plain JSON-ready data for experiment tables and the chaos campaigns;
+* :func:`dead_count` is the one dead-fraction stop rule both engines
+  test, as a failed-block count.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import asdict, dataclass
 from typing import Dict, Optional
 
@@ -33,6 +36,24 @@ class StopCause(enum.Enum):
     EXHAUSTED = "exhausted"
     #: A shard device of an array died (array-level fail-stop).
     SHARD_FAILED = "shard-failed"
+
+
+def dead_count(num_blocks: int, dead_fraction: float) -> int:
+    """Least failed-block count *k* with ``k / num_blocks >= dead_fraction``.
+
+    ``failed_count >= dead_count(n, f)`` is the float rule
+    ``failed_count / n >= f`` at every count, because ``k / n`` rises
+    with *k*; an engine computes it once and compares integers per
+    write.  A fraction above 1 gives a count above *num_blocks*, which
+    no chip reaches.
+    """
+    k = max(0, math.ceil(dead_fraction * num_blocks))
+    # The product may round either way; step to the float rule's edge.
+    while k > 0 and (k - 1) / num_blocks >= dead_fraction:
+        k -= 1
+    while k / num_blocks < dead_fraction:
+        k += 1
+    return k
 
 
 @dataclass(frozen=True)

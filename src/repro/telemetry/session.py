@@ -26,7 +26,7 @@ across worker processes exactly like any other counter.
 from __future__ import annotations
 
 import time
-from contextlib import AbstractContextManager, nullcontext
+from contextlib import AbstractContextManager
 from types import TracebackType
 from typing import Dict, Optional, Sequence, Type
 
@@ -35,9 +35,29 @@ from .trace import Json, TraceWriter
 
 _PHASE_PREFIX = "phase."
 
+
+class _Detached:
+    """The no-op context of a phase without a session.
+
+    ``contextlib.nullcontext`` would do, but its ``__exit__(*excinfo)``
+    packs a tuple on every exit; fixed arity and no instance dict keep
+    the per-access ``with`` on the exact engine's path cheap.
+    """
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, exc_type: Optional[Type[BaseException]],
+                 exc: Optional[BaseException],
+                 tb: Optional[TracebackType]) -> None:
+        return None
+
+
 #: The one context a detached phase enters; sharing it keeps a phase
 #: without a session to a function call and a ``with`` on a no-op.
-_DETACHED: "AbstractContextManager[None]" = nullcontext()
+_DETACHED: "AbstractContextManager[None]" = _Detached()
 
 
 class PhaseTimer:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import abc
 from array import array
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -86,16 +86,17 @@ class DistributionTrace(WriteTrace):
         super().__init__(len(self.probabilities), name=name)
         self._seed = seed
         self._rng = derive_rng(seed, f"trace-{name}")
-        # Buffered single draws so next_write() amortizes generator calls.
-        self._buffer: Optional[np.ndarray] = None
+        # Buffered single draws so next_write() amortizes generator calls;
+        # held as a list, so each draw is already a Python int.
+        self._buffer: Optional[List[int]] = None
         self._buffer_pos = 0
 
     def next_write(self) -> int:
         if self._buffer is None or self._buffer_pos >= len(self._buffer):
             self._buffer = self._rng.choice(
-                self.virtual_blocks, size=4096, p=self.probabilities)
+                self.virtual_blocks, size=4096, p=self.probabilities).tolist()
             self._buffer_pos = 0
-        value = int(self._buffer[self._buffer_pos])
+        value = self._buffer[self._buffer_pos]
         self._buffer_pos += 1
         return value
 

@@ -55,11 +55,15 @@ class AddressRandomizer:
 
     def forward(self, address: int) -> int:
         """Randomize *address*."""
-        return int(self._table[self._check(address)])
+        if not 0 <= address < self.size:
+            self._check(address)  # raises
+        return self._table.item(address)
 
     def backward(self, address: int) -> int:
         """Invert :meth:`forward`."""
-        return int(self._inverse[self._check(address)])
+        if not 0 <= address < self.size:
+            self._check(address)  # raises
+        return self._inverse.item(address)
 
     def forward_many(self, addresses: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`forward`."""

@@ -118,7 +118,7 @@ class StartGap(WearLeveler):
         if self.frozen:
             return []
         self.write_count += 1
-        if self.write_count % self.psi == 0:
+        if self.write_count % self.config.psi == 0:
             self._pending_moves += 1
         changed: List[int] = []
         while self._pending_moves and port.can_start_migration():

@@ -1,9 +1,19 @@
 """Unit tests for the remap cache and access accounting."""
 
+import hashlib
+import random
+from dataclasses import asdict
+
 import pytest
 
 from repro.config import CacheConfig
-from repro.mc import AccessResult, AccessStats, RemapCache
+from repro.ecc import FreePRegion
+from repro.errors import CapacityExhaustedError
+from repro.mc import AccessResult, AccessStats, FreePController, RemapCache
+from repro.osmodel import PagePool
+from repro.wl import StartGap
+
+from .conftest import make_chip, make_reviver_system
 
 
 def make_cache(entries: int = 8, ways: int = 2) -> RemapCache:
@@ -87,12 +97,6 @@ class TestAccessStats:
         stats.record(self.result(pcm_accesses=2), is_write=True)
         assert stats.avg_access_time == pytest.approx(1.5)
 
-    def test_redirect_rate(self):
-        stats = AccessStats()
-        stats.record(self.result(redirected=True), is_write=True)
-        stats.record(self.result(), is_write=True)
-        assert stats.redirect_rate == pytest.approx(0.5)
-
     def test_faults_and_victims(self):
         stats = AccessStats()
         stats.record(self.result(faults_handled=2, victimized=True),
@@ -125,3 +129,87 @@ class TestAccessResult:
         assert result.redirected is False
         assert result.faults_handled == 0
         assert result.victimized is False
+
+
+def _freep_controller() -> FreePController:
+    """FREE-p with a 10% remap region, small enough to exhaust early."""
+    chip = make_chip(num_blocks=128, mean=120)
+    region = FreePRegion(128, 0.10)
+    wear_leveler = StartGap(region.working_blocks)
+    ospool = PagePool(wear_leveler.logical_blocks, blocks_per_page=8,
+                      utilization=0.8, seed=5)
+    return FreePController(chip, wear_leveler, ospool, region)
+
+
+def _drive_mixed(controller, steps: int = 6000, seed: int = 7):
+    """25% reads, 75% tagged writes, until end of life or *steps*.
+
+    Returns the SHA-256 over every returned :class:`AccessResult` (its
+    ``repr`` as a tuple, so a swapped field or a changed element type
+    moves it) and the number of results hashed.
+    """
+    rng = random.Random(seed)
+    space = controller.ospool.virtual_blocks
+    digest = hashlib.sha256()
+    results = 0
+    for step in range(steps):
+        vblock = rng.randrange(space)
+        try:
+            if rng.random() < 0.25:
+                result = controller.service_read(vblock)
+            else:
+                result = controller.service_write(vblock, tag=step)
+        except CapacityExhaustedError:
+            break
+        digest.update(repr(tuple(result)).encode())
+        results += 1
+    return digest.hexdigest(), results
+
+
+#: Per system: result digest, results returned, final AccessStats.
+ACCESS_PINS = {
+    "reviver": (
+        "71eddd10e55ddddc67c6e3f89ed9f060f0c781ed947c145cdcb62958e4c3a99b",
+        5189,
+        dict(requests=5189, writes=3804, reads=1385, pcm_accesses=5722,
+             redirected=442, faults=68, victimized=2, metadata_writes=504)),
+    "reviver-cache": (
+        "d4edce40f0ec1c9eab3efdae31d0a1c06f5f73ab466d423fe9d92b56b15c244a",
+        5189,
+        dict(requests=5189, writes=3804, reads=1385, pcm_accesses=5367,
+             redirected=442, faults=68, victimized=2, metadata_writes=504)),
+    "freep-exhausted": (
+        "e0b5dd1ff575f18b04dbe1ab8943d8bd4d452d629b279c30719d12fff9851a16",
+        4623,
+        dict(requests=4623, writes=3400, reads=1223, pcm_accesses=4819,
+             redirected=171, faults=25, victimized=0, metadata_writes=0)),
+}
+
+SYSTEMS = {
+    "reviver": lambda: make_reviver_system(mean=120)[0],
+    "reviver-cache": lambda: make_reviver_system(mean=120, cache=True)[0],
+    "freep-exhausted": _freep_controller,
+}
+
+
+class TestAccessAccountingPin:
+    """Every AccessResult and the final AccessStats of three lifetimes.
+
+    The engines' output digests cover lifetimes and stops, not the
+    per-request accounting; this pin does.  Each run is a seeded
+    128-block chip driven to end of life with 25% reads.
+    """
+
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    def test_results_and_stats_match_pin(self, system):
+        controller = SYSTEMS[system]()
+        digest, results = _drive_mixed(controller)
+        pinned_digest, pinned_results, pinned_stats = ACCESS_PINS[system]
+        stats = controller.stats
+        assert asdict(stats) == pinned_stats
+        assert results == pinned_results == stats.requests
+        assert digest == pinned_digest
+        # Failure chains redirected a share of the requests, not all.
+        assert 0 < stats.redirected / stats.requests < 0.1
+        if isinstance(controller, FreePController):
+            assert controller.region.exhausted

@@ -15,7 +15,7 @@ from repro.mc import FreePController, RemapCache
 from repro.osmodel import PagePool
 from repro.wl import StartGap
 
-from .conftest import make_chip
+from .conftest import drive_random_writes, make_chip
 
 
 def make_baseline(num_blocks: int = 128, mean: float = 300.0, seed: int = 11):
@@ -101,19 +101,24 @@ class TestFreePController:
 
     def test_redirected_access_costs_two(self):
         controller, chip, wear_leveler, region = make_freep()
-        drive(controller, 20_000)
-        linked = list(region.links)
-        target = None
-        for vblock in range(controller.ospool.virtual_blocks):
-            pa = controller.ospool.translate(vblock)
-            if wear_leveler.map(pa) in linked:
-                target = vblock
-                break
-        if target is None:
-            pytest.skip("no software PA currently maps to a linked block")
-        result = controller.service_read(target)
+        # Slots are linked by 6000 writes and the region lasts to ~7000.
+        expected = drive_random_writes(controller, 6_000)
+        assert region.links and not region.exhausted
+        # A live vblock whose DA hides behind a healthy slot: pointer read
+        # + slot access.
+        candidates = []
+        for vblock, tag in sorted(expected.items()):
+            da = wear_leveler.map(controller.ospool.translate(vblock))
+            slot = region.links.get(da)
+            if slot is not None and not chip.is_failed(slot):
+                candidates.append((vblock, tag, slot))
+        assert candidates, "no live vblock sits behind a slot"
+        vblock, tag, slot = candidates[0]
+        result = controller.service_read(vblock)
         assert result.redirected
         assert result.pcm_accesses == 2
+        assert result.da == slot
+        assert result.tag == tag
 
     def test_exhaustion_freezes_scheme(self):
         controller, chip, wear_leveler, region = make_freep(
@@ -136,15 +141,16 @@ class TestFreePController:
         rng = random.Random(3)
         expected = {}
         space = controller.ospool.virtual_blocks
-        for step in range(15_000):
+        # The region links its first slots by 6000 writes and exhausts
+        # after 8000, where retirement starts losing data.
+        for step in range(8_000):
             vblock = rng.randrange(space)
             try:
                 controller.service_write(vblock, tag=step)
             except CapacityExhaustedError:
                 break
             expected[vblock] = step
-        if region.exhausted:
-            pytest.skip("region exhausted; baseline data loss is expected")
+        assert region.links and not region.exhausted
         for vblock, tag in expected.items():
             if vblock in controller.lost_vblocks:
                 continue

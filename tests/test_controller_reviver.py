@@ -58,20 +58,27 @@ class TestFailureHandling:
 
     def test_redirected_access_costs_two_without_cache(self):
         controller, chip, wear_leveler, _ = make_reviver_system(mean=120)
-        drive_random_writes(controller, 4000)
-        failed = [da for da in range(chip.num_blocks) if chip.is_failed(da)]
-        # Find a software PA currently mapped to a failed block.
-        target = None
-        for vblock in range(controller.ospool.virtual_blocks):
-            pa = controller.ospool.translate(vblock)
-            if wear_leveler.map(pa) in failed:
-                target = vblock
-                break
-        if target is None:
-            pytest.skip("no software PA currently maps to a failed block")
-        result = controller.service_read(target)
+        # Stop well before end of life: by 4000 writes every page has been
+        # retired and every vblock is lost.
+        expected = drive_random_writes(controller, 2000)
+        links = controller.reviver.links
+        # A live vblock whose DA is failed and linked, one step from a
+        # healthy shadow: pointer read + shadow access.
+        candidates = []
+        for vblock, tag in sorted(expected.items()):
+            if vblock in controller.lost_vblocks:
+                continue
+            da = wear_leveler.map(controller.ospool.translate(vblock))
+            vpa = links.vpa_of(da) if chip.is_failed(da) else None
+            if vpa is not None and not chip.is_failed(wear_leveler.map(vpa)):
+                candidates.append((vblock, tag, wear_leveler.map(vpa)))
+        assert candidates, "no live vblock sits behind a one-step chain"
+        vblock, tag, shadow = candidates[0]
+        result = controller.service_read(vblock)
         assert result.redirected
         assert result.pcm_accesses == 2
+        assert result.da == shadow
+        assert result.tag == tag
 
     def test_cache_collapses_redirection_cost(self):
         controller, chip, wear_leveler, _ = make_reviver_system(

@@ -12,6 +12,7 @@ from repro.osmodel.allocator import PagePool
 from repro.pcm import AddressGeometry, EnduranceModel, PCMChip
 from repro.sim import (ExactEngine, FastConfig, FastEngine, StopCause,
                        StopReason)
+from repro.sim.stop import dead_count
 from repro.telemetry import TelemetrySession, attach_fast
 from repro.traces import hotspot_distribution
 from repro.wl import NoWL, StartGap
@@ -593,6 +594,26 @@ class TestRedirectFreshness:
             "fail-block", "exhaust-spares"]
         assert engine.inject.spares_drained > 0
         assert max(seen) > 0
+
+
+class TestDeadCount:
+    """The integer stop count is the float rule ``k / n >= f`` at every k."""
+
+    # 0.07 * 100 rounds up to 7.000000000000001: a bare ceil says 8.
+    @pytest.mark.parametrize("fraction", [1e-9, 0.07, 0.1, 0.25, 0.3, 1 / 3,
+                                          0.5, 1.0])
+    def test_matches_float_rule_at_every_count(self, fraction):
+        for n in range(1, 1101):
+            counts = np.arange(n + 1)
+            dead = dead_count(n, fraction)
+            np.testing.assert_array_equal(
+                counts >= dead, counts / n >= fraction,
+                err_msg=f"n={n}, dead_fraction={fraction!r}")
+
+    @pytest.mark.parametrize("fraction", [1.0 + 1e-12, 1.5, 2.0, 10.0])
+    def test_fraction_above_one_never_stops(self, fraction):
+        for n in range(1, 1101):
+            assert dead_count(n, fraction) > n
 
 
 class TestStopReasonParity:

@@ -27,8 +27,9 @@ class TestTranslation:
 
     def test_out_of_range_rejected(self):
         pool = make_pool(utilization=0.5)
-        with pytest.raises(AddressError):
-            pool.translate(pool.virtual_blocks)
+        for outside in (-1, pool.virtual_blocks):
+            with pytest.raises(AddressError):
+                pool.translate(outside)
 
     def test_utilization_shrinks_virtual_space(self):
         pool = make_pool(utilization=0.5)

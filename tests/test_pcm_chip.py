@@ -38,8 +38,13 @@ class TestBasicWrites:
         assert small_chip.total_device_writes == 6
 
     def test_bounds_check(self, small_chip):
-        with pytest.raises(AddressError):
-            small_chip.write(128)
+        for outside in (-1, 128):
+            with pytest.raises(AddressError):
+                small_chip.write(outside)
+            with pytest.raises(AddressError):
+                small_chip.read(outside)
+        assert small_chip.total_device_writes == 0
+        assert not small_chip.wear.any()
 
 
 class TestFailure:

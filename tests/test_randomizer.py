@@ -149,10 +149,11 @@ class TestMisc:
 
     def test_out_of_range_rejected(self):
         randomizer = PermutationRandomizer(10, seed=1)
-        with pytest.raises(AddressError):
-            randomizer.forward(10)
-        with pytest.raises(AddressError):
-            randomizer.backward(-1)
+        for outside in (-1, 10):
+            with pytest.raises(AddressError):
+                randomizer.forward(outside)
+            with pytest.raises(AddressError):
+                randomizer.backward(outside)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
